@@ -64,11 +64,9 @@ from .subroutines import (
     FacilitySolution,
     RoBSolution,
     SteinerSolution,
-    facility_location,
     lbfl,
     rent_or_buy,
     rob_lower_bounds,
-    shortest_path_tree,
     steiner_tree,
 )
 

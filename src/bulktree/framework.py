@@ -89,7 +89,6 @@ class TreeConstraint:
 class ConstraintSet:
     tilde: tuple[float, ...]
     tree_constraints: list[TreeConstraint]
-    beta: float
 
     def add(self, tc: TreeConstraint) -> bool:
         key = tc.tree.sorted_edges()
@@ -211,11 +210,12 @@ def ellipsoid_feasibility(
         raise ValueError("level bound of zero; instance has a zero-cost level")
     m = len(tilde)
     c_target = beta / 2.0 if c is None else c
-    cs = ConstraintSet(tilde=tilde, tree_constraints=[], beta=beta)
+    cs = ConstraintSet(tilde=tilde, tree_constraints=[])
     center = np.full(m, 0.5)
     P = np.eye(m) * (m / 4.0)
     max_iter = min(10 * m * m * bit_budget, int(2 * (m + 1) * m * m * bit_budget * math.log(2)) + 1)
     oracle_calls = 0
+    iterations = max_iter
     for iteration in range(max_iter):
         cut = None  # gradient of a violated "<=" constraint at the center
         for i in range(m):  # box constraints are structural, never harvested
@@ -269,6 +269,7 @@ def ellipsoid_feasibility(
         Pg = P @ cut
         quad = float(cut @ Pg)
         if quad <= 1e-300:
+            iterations = iteration + 1
             break  # numerically collapsed
         if m == 1:
             r = math.sqrt(float(P[0, 0]))
@@ -282,7 +283,7 @@ def ellipsoid_feasibility(
             P = (P + P.T) / 2.0
     return EllipsoidResult(
         status="unresolved", beta=beta, constraint_set=cs,
-        iterations=max_iter, oracle_calls=oracle_calls,
+        iterations=iterations, oracle_calls=oracle_calls,
     )
 
 
@@ -382,7 +383,8 @@ def solve_oblivious(inst: Instance, config: SolveConfig) -> tuple[TreeDistributi
         else:
             lo = mid
     dist = solve_small_primal(best.constraint_set)
-    assert len(dist.support) <= 1 + int(math.log2(profile.D)), "support bound violated"
+    if len(dist.support) > 1 + int(math.log2(profile.D)):
+        raise RuntimeError("support bound violated")
     level_rows = []
     for i in range(profile.levels):
         expected = sum(w * atomic_cost(t, i, inst.lengths) for t, w in dist.support)

@@ -35,7 +35,6 @@ carried live demand, re-flowed from scratch.
 """
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -45,7 +44,7 @@ from .aggregation import RoutedTree, route_demands
 from .instance import Edge, Instance, canonical_edge
 from .pipes import AlphaVector, alpha_to_pipes, as_fraction, is_gamma_regular, thresholds
 from .regularize import regularize
-from .subroutines import dijkstra, lbfl, steiner_tree
+from .subroutines import _prune_to_tree, dijkstra, lbfl, steiner_tree
 
 __all__ = ["StageCosts", "GmmTrace", "gmm_tree", "oracle_tree"]
 
@@ -112,40 +111,27 @@ def _postorder(parent: dict[str, str], root: str) -> list[str]:
     return out
 
 
-def _subtree_demand(parent: dict[str, str], root: str, cur: dict[str, int]) -> dict[str, int]:
-    post = _postorder(parent, root)
-    total = {v: cur.get(v, 0) for v in post}
-    for v in post:
-        if v != root:
-            total[parent[v]] = total.get(parent[v], 0) + total[v]
-    return total
-
-
 def _cut_forest(tree_edges, root: str, cur: dict[str, int], capacity):
-    """Cut the farthest-upstream over-capacity edge until none remains.
+    """Cut every farthest-upstream over-capacity edge in one post-order pass.
 
-    capacity None means unbounded (the flat pipe): no cutting.  Returns the
-    component list (root, parent map) with the true root's component first.
+    A node whose uncut subtree demand exceeds capacity is cut from its parent
+    and carries nothing further up.  capacity None means unbounded (the flat
+    pipe): no cutting.  Returns the component list (root, parent map) with
+    the true root's component first, then the cut components in cut order.
     """
     edges = set(tree_edges)
     roots = [root]
-    while True:
-        comps = _components(edges, roots)
-        if capacity is None:
-            return comps
-        cut = None
-        for comp_root, parent in comps:
-            sub = _subtree_demand(parent, comp_root, cur)
-            for v in _postorder(parent, comp_root):
-                if v != comp_root and Fraction(sub[v]) > capacity:
-                    cut = (v, parent[v])
-                    break
-            if cut:
-                break
-        if cut is None:
-            return comps
-        edges.discard(canonical_edge(*cut))
-        roots.append(cut[0])
+    if capacity is not None:
+        _, parent = _components(edges, roots)[0]
+        carried: dict[str, int] = {}
+        for v in _postorder(parent, root)[:-1]:  # the root comes last
+            sub = cur.get(v, 0) + carried.get(v, 0)
+            if Fraction(sub) > capacity:
+                edges.discard(canonical_edge(v, parent[v]))
+                roots.append(v)
+            else:
+                carried[parent[v]] = carried.get(parent[v], 0) + sub
+    return _components(edges, roots)
 
 
 def _path_to_ancestor(parent: dict[str, str], node: str, stop: set[str]) -> list[str]:
@@ -272,44 +258,12 @@ def gmm_tree(
                          cur.get(inst.root, 0) - inst.demands.get(inst.root, 0))
         costs.append(StageCosts(stage=k, steiner_cost=steiner_cost, facility_cost=facility_cost))
     parked = {v: d for v, d in cur.items() if d > 0}
-    assert sum(cur.values()) == total_original, "consolidation must conserve demand"
-    assert set(parked) <= {inst.root}, f"live demand left outside the root: {parked}"
-    return _extract_tree(inst, used), costs
-
-
-def _extract_tree(inst: Instance, used: set[Edge]) -> RoutedTree:
-    if not used:
-        return route_demands(inst, set())
-    sub_lengths = {e: inst.lengths[e] for e in used}
-    adj: dict[str, list[tuple[str, float]]] = {}
-    for (u, v), w in sorted(sub_lengths.items()):
-        adj.setdefault(u, []).append((v, w))
-        adj.setdefault(v, []).append((u, w))
-    dist = {inst.root: 0.0}
-    pred: dict[str, str] = {}
-    done: set[str] = set()
-    heap = [(0.0, inst.root)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if u in done:
-            continue
-        done.add(u)
-        for v, w in sorted(adj.get(u, ())):
-            nd = d + w
-            if v not in dist or nd < dist[v]:
-                dist[v] = nd
-                pred[v] = u
-                heapq.heappush(heap, (nd, v))
-    keep: set[Edge] = set()
-    for t in sorted(inst.demands):
-        node = t
-        while node != inst.root:
-            e = canonical_edge(node, pred[node])
-            if e in keep:
-                break
-            keep.add(e)
-            node = pred[node]
-    return route_demands(inst, keep)
+    if sum(cur.values()) != total_original:
+        raise RuntimeError("consolidation must conserve demand")
+    if not set(parked) <= {inst.root}:
+        raise RuntimeError(f"live demand left outside the root: {parked}")
+    tree_edges = _prune_to_tree(used, sorted(inst.demands), inst.lengths, inst.root)
+    return route_demands(inst, tree_edges), costs
 
 
 def oracle_tree(inst: Instance, alpha: AlphaVector, gamma, seed: int) -> RoutedTree:

@@ -1,10 +1,9 @@
-"""Approximation subroutines: shortest paths, Steiner tree, facility location,
-load-balanced facility location, and single-sink rent-or-buy.
+"""Approximation subroutines: shortest paths, Steiner tree, load-balanced
+facility location, and single-sink rent-or-buy.
 
 Constant factors certified by the methods used here (not best-known ratios):
 
   steiner_tree   metric-closure MST, ratio 2
-  facility_location  open/close/swap local search, metric ratio <= 3
   lbfl           ball-growing greedy; every opened facility serves at least
                  the requested lower bound L (stronger than the L/3 relaxation
                  callers rely on); falls back to the root when total demand
@@ -30,21 +29,10 @@ from .instance import Edge, Instance, canonical_edge, demand_profile
 from .aggregation import RoutedTree, atomic_cost, route_demands
 
 
-def _weighted_adjacency(inst: Instance, weight) -> dict[str, list[tuple[str, float]]]:
-    adj: dict[str, list[tuple[str, float]]] = {v: [] for v in inst.nodes}
-    for (u, v) in inst.edges:
-        w = float(weight[(u, v)])
-        adj[u].append((v, w))
-        adj[v].append((u, w))
-    for v in adj:
-        adj[v].sort()
-    return adj
-
-
-def dijkstra(inst: Instance, source: str, weight=None) -> tuple[dict[str, float], dict[str, str]]:
-    """Distances and predecessors from source; ties broken by (distance, node id)."""
-    weight = inst.lengths if weight is None else weight
-    adj = _weighted_adjacency(inst, weight)
+def _shortest_paths(adj, source: str, weight) -> tuple[dict[str, float], dict[str, str]]:
+    """Dijkstra over adj, which maps a node to its sorted (neighbour, length)
+    pairs as ``Instance.adjacency()`` does; each edge's weight is read from
+    weight by canonical edge.  Ties are broken by (distance, node id)."""
     dist = {source: 0.0}
     pred: dict[str, str] = {}
     done: set[str] = set()
@@ -54,13 +42,18 @@ def dijkstra(inst: Instance, source: str, weight=None) -> tuple[dict[str, float]
         if u in done:
             continue
         done.add(u)
-        for v, w in adj[u]:
-            nd = d + w
+        for v, _ in adj.get(u, ()):
+            nd = d + float(weight[canonical_edge(u, v)])
             if v not in dist or nd < dist[v]:
                 dist[v] = nd
                 pred[v] = u
                 heapq.heappush(heap, (nd, v))
     return dist, pred
+
+
+def dijkstra(inst: Instance, source: str, weight=None) -> tuple[dict[str, float], dict[str, str]]:
+    """Distances and predecessors from source; ties broken by (distance, node id)."""
+    return _shortest_paths(inst.adjacency(), source, inst.lengths if weight is None else weight)
 
 
 def _walk_path(pred: dict[str, str], source: str, target: str) -> list[str]:
@@ -69,19 +62,6 @@ def _walk_path(pred: dict[str, str], source: str, target: str) -> list[str]:
         path.append(pred[path[-1]])
     path.reverse()
     return path
-
-
-def shortest_path_tree(inst: Instance, sources, sink: str, weight=None) -> RoutedTree:
-    """Union of shortest paths from each source into the sink's Dijkstra tree."""
-    _, pred = dijkstra(inst, sink, weight)
-    edges: set[Edge] = set()
-    for s in sorted(sources):
-        node = s
-        while node != sink:
-            nxt = pred[node]
-            edges.add(canonical_edge(node, nxt))
-            node = nxt
-    return route_demands(inst, edges)
 
 
 @dataclass(frozen=True)
@@ -120,43 +100,27 @@ def steiner_tree(inst: Instance, terminals, weight=None) -> SteinerSolution:
         parent[max(ra, rb)] = min(ra, rb)
         path = _walk_path(preds[a], a, b)
         edges.update(canonical_edge(u, v) for u, v in zip(path, path[1:]))
-    pruned = tuple(sorted(_prune_to_tree(inst, edges, terms, weight)))
+    pruned = tuple(sorted(_prune_to_tree(edges, terms, weight, min(terms))))
     cost = float(sum(float(weight[e]) for e in pruned))
     return SteinerSolution(tree_edges=pruned, cost=cost, ratio_bound=2.0)
 
 
-def _prune_to_tree(inst: Instance, edges: set[Edge], terminals, weight) -> set[Edge]:
-    """Extract a cycle-free subset spanning the terminals from a path union."""
-    if not edges:
-        return set()
-    start = min(terminals)
+def _prune_to_tree(edges: set[Edge], terminals, weight, start: str) -> set[Edge]:
+    """Extract a cycle-free subset spanning the terminals from a path union.
+
+    Keeps the union of the shortest paths from start to every terminal inside
+    the union, so the cost is no larger than the union's.
+    """
     adj: dict[str, list[tuple[str, float]]] = {}
     for (u, v) in sorted(edges):
-        w = float(weight[(u, v)])
+        w = weight[(u, v)]
         adj.setdefault(u, []).append((v, w))
         adj.setdefault(v, []).append((u, w))
     for v in adj:
         adj[v].sort()
-    # Dijkstra tree inside the union keeps cost no larger than the union.
-    dist = {start: 0.0}
-    pred: dict[str, str] = {}
-    done: set[str] = set()
-    heap = [(0.0, start)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if u in done:
-            continue
-        done.add(u)
-        for v, w in adj.get(u, ()):
-            nd = d + w
-            if v not in dist or nd < dist[v]:
-                dist[v] = nd
-                pred[v] = u
-                heapq.heappush(heap, (nd, v))
+    _, pred = _shortest_paths(adj, start, weight)
     keep: set[Edge] = set()
     for t in sorted(terminals):
-        if t == start:
-            continue
         node = t
         while node != start:
             e = canonical_edge(node, pred[node])
@@ -174,73 +138,6 @@ class FacilitySolution:
     cost: float
     min_load_achieved: float
     paths: dict[str, dict[str, str]] = field(default_factory=dict)  # facility -> pred map
-
-
-def _all_pairs(inst: Instance, weight):
-    return {v: dijkstra(inst, v, weight) for v in inst.nodes}
-
-
-def facility_location(inst: Instance, demands, facility_cost, weight=None) -> FacilitySolution:
-    """Uncapacitated facility location by open/close/swap local search (metric ratio <= 3)."""
-    weight = inst.lengths if weight is None else weight
-    sp = _all_pairs(inst, weight)
-    clients = sorted(demands)
-    candidates = sorted(inst.nodes)
-
-    def solution_cost(opened):
-        # sorted iteration keeps float accumulation order hash-independent
-        total = sum(float(facility_cost[f]) for f in sorted(opened))
-        for c in clients:
-            total += demands[c] * min(sp[c][0][f] for f in opened)
-        return total
-
-    opened = {min(candidates, key=lambda f: (float(facility_cost[f]), f))}
-    best = solution_cost(opened)
-    # Polynomial step cap; each accepted move lowers cost by a fixed factor margin.
-    for _ in range(8 * len(candidates) ** 2 + 16):
-        improved = None
-        for f in candidates:
-            trial = set(opened)
-            if f in trial:
-                if len(trial) > 1:
-                    trial.remove(f)
-                else:
-                    continue
-            else:
-                trial.add(f)
-            c = solution_cost(trial)
-            if c < best - 1e-12:
-                improved = (c, trial)
-                break
-        if improved is None:
-            for f_out in sorted(opened):
-                for f_in in candidates:
-                    if f_in in opened:
-                        continue
-                    trial = (set(opened) - {f_out}) | {f_in}
-                    c = solution_cost(trial)
-                    if c < best - 1e-12:
-                        improved = (c, trial)
-                        break
-                if improved:
-                    break
-        if improved is None:
-            break
-        best, opened = improved[0], improved[1]
-    assignment = {
-        c: min(sorted(opened), key=lambda f: (sp[c][0][f], f)) for c in clients
-    }
-    loads = {f: 0.0 for f in opened}
-    for c, f in assignment.items():
-        loads[f] += demands[c]
-    paths = {f: sp[f][1] for f in sorted(opened)}
-    return FacilitySolution(
-        open_facilities=tuple(sorted(opened)),
-        assignment=assignment,
-        cost=best,
-        min_load_achieved=min(loads.values()),
-        paths=paths,
-    )
 
 
 def lbfl(inst: Instance, demands, lower_bound, weight=None) -> FacilitySolution:
@@ -269,7 +166,7 @@ def lbfl(inst: Instance, demands, lower_bound, weight=None) -> FacilitySolution:
     remaining = set(clients)
     opened: list[str] = []
     assignment: dict[str, str] = {}
-    while sum(demands[c] for c in remaining) >= L:
+    while remaining and sum(demands[c] for c in remaining) >= L:
         best = None
         for u in sorted(remaining):
             ball = sorted(remaining, key=lambda v: (sp[u][0][v], v))
@@ -280,21 +177,14 @@ def lbfl(inst: Instance, demands, lower_bound, weight=None) -> FacilitySolution:
                 conn += demands[v] * sp[u][0][v]
                 if got >= L:
                     break
-            if got < L:
-                continue
             cand = (conn, u, tuple(members))
             if best is None or cand < best:
                 best = cand
-        if best is None:
-            break
         _, center, members = best
         opened.append(center)
         for v in members:
             assignment[v] = center
             remaining.discard(v)
-    if not opened:
-        # Cannot happen when total >= L, but keep the fallback explicit.
-        return lbfl(inst, demands, total + 1, weight)
     for v in sorted(remaining):
         assignment[v] = min(opened, key=lambda f: (sp[v][0][f], f))
     loads = {f: 0 for f in opened}
@@ -349,7 +239,8 @@ def rent_or_buy(inst: Instance, M, seed: int) -> RoBSolution:
             if v in nodes:
                 break  # reached the bought structure; renting stops here
             nodes.add(v)
-    tree = route_demands(inst, _prune_to_tree(inst, edges, sorted(set(clients)) + [inst.root], inst.lengths))
+    terminals = sorted(set(clients)) + [inst.root]
+    tree = route_demands(inst, _prune_to_tree(edges, terminals, inst.lengths, min(terminals)))
     cost = sum(inst.lengths[e] * min(x, float(M)) for e, x in tree.flow.items())
     return RoBSolution(tree=tree, cost_under_f=float(cost))
 
@@ -360,9 +251,6 @@ def rob_lower_bounds(inst: Instance, seed: int) -> list[tuple[int, float, Routed
     The values upper-bound each level's optimum within the rent-or-buy
     method's expected constant and feed the dual constraint of the solver.
     """
-    from .instance import demand_profile
-    from .aggregation import atomic_cost
-
     profile = demand_profile(inst)
     out = []
     for i in range(profile.levels):

@@ -16,7 +16,7 @@ from bulktree.framework import (
     solve_oblivious,
     solve_small_primal,
 )
-from bulktree.instance import demand_profile, generate_instance
+from bulktree.instance import Instance, demand_profile, generate_instance
 from bulktree.subroutines import rob_lower_bounds
 
 from conftest import make_instance
@@ -92,7 +92,7 @@ class TestSmallPrimal:
         tree = route_demands(path3, [("r", "a"), ("a", "b")])
         tilde = tilde_for(path3)
         costs = tuple(atomic_cost(tree, i, path3.lengths) for i in range(len(tilde)))
-        cs = ConstraintSet(tilde=tilde, tree_constraints=[TreeConstraint(tree, costs)], beta=2.0)
+        cs = ConstraintSet(tilde=tilde, tree_constraints=[TreeConstraint(tree, costs)])
         dist = solve_small_primal(cs)
         assert len(dist.support) == 1
         assert dist.support[0][1] == pytest.approx(1.0)
@@ -116,7 +116,6 @@ class TestSmallPrimal:
             cs = ConstraintSet(
                 tilde=tilde,
                 tree_constraints=[TreeConstraint(bad, cb), TreeConstraint(good, cg)],
-                beta=2.0,
             )
             dist = solve_small_primal(cs)
             assert len(dist.support) == 1
@@ -141,7 +140,6 @@ class TestSmallPrimal:
                 TreeConstraint(t, tuple(atomic_cost(t, i, inst.lengths) for i in range(levels)))
                 for t in trees
             ],
-            beta=2.0,
         )
         dist = solve_small_primal(cs)
         n = len(trees)
@@ -165,12 +163,14 @@ class TestEllipsoid:
     def test_box_bound_infeasible_quickly(self, two_cluster6):
         tilde = tilde_for(two_cluster6)
         # Any scaled point in the box has tree cost at most max_i A_i(T)/tilde_i
-        # over the shortest-path tree; a beta above that bound is infeasible.
-        from bulktree.subroutines import shortest_path_tree
+        # over any tree spanning the demands; a beta above that bound is infeasible.
+        from bulktree.aggregation import route_demands
+        from bulktree.subroutines import steiner_tree
 
-        spt = shortest_path_tree(two_cluster6, sorted(two_cluster6.demands), "r")
+        terminals = sorted(two_cluster6.demands) + [two_cluster6.root]
+        tree = route_demands(two_cluster6, steiner_tree(two_cluster6, terminals).tree_edges)
         bound = sum(
-            atomic_cost(spt, i, two_cluster6.lengths) / tilde[i] for i in range(len(tilde))
+            atomic_cost(tree, i, two_cluster6.lengths) / tilde[i] for i in range(len(tilde))
         )
         res = ellipsoid_feasibility(
             two_cluster6, beta=2 * bound + 5, c=None, gamma=0.25, seed=3, tilde=tilde, bit_budget=4
@@ -184,6 +184,22 @@ class TestEllipsoid:
             two_cluster6, beta=0.0, c=None, gamma=0.25, seed=3, tilde=tilde, bit_budget=4
         )
         assert res.status == "feasible"
+
+    def test_collapse_reports_iterations_run(self):
+        # On this heavy-demand grid the ellipsoid at beta = 1 collapses
+        # numerically long before its iteration budget runs out.
+        base = generate_instance("grid", 5, 2, seed=2)
+        inst = Instance(
+            nodes=base.nodes, lengths=base.lengths, demands={"1": 187, "4": 65}, root=base.root
+        )
+        tilde = tilde_for(inst)
+        m = len(tilde)
+        max_iter = min(10 * m * m, int(2 * (m + 1) * m * m * math.log(2)) + 1)
+        res = ellipsoid_feasibility(
+            inst, beta=1.0, c=None, gamma=0.25, seed=0, tilde=tilde, bit_budget=1
+        )
+        assert res.status == "unresolved"
+        assert res.oracle_calls <= res.iterations < max_iter
 
     def test_harvest_bounded_by_iterations(self, two_cluster6):
         tilde = tilde_for(two_cluster6)

@@ -2,11 +2,13 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bulktree.aggregation import atomic_cost, function_cost
 from bulktree.exact import exact_optima
-from bulktree.gmm import GmmTrace, gmm_tree, oracle_tree
-from bulktree.instance import demand_profile, generate_instance
+from bulktree.gmm import GmmTrace, _components, _cut_forest, _postorder, gmm_tree, oracle_tree
+from bulktree.instance import canonical_edge, demand_profile, generate_instance
 from bulktree.pipes import AlphaVector, is_gamma_regular, alpha_to_pipes, thresholds
 
 from conftest import make_instance
@@ -21,6 +23,59 @@ def two_cluster():
         {v: 2 for v in "abcde"},
         "r",
     )
+
+
+def reference_cut_forest(tree_edges, root, cur, capacity):
+    """The forest cut as first written: recompute every component after each
+    cut and cut the first over-capacity node in post-order, until none is left."""
+    edges = set(tree_edges)
+    roots = [root]
+    while True:
+        comps = _components(edges, roots)
+        if capacity is None:
+            return comps
+        cut = None
+        for comp_root, parent in comps:
+            post = _postorder(parent, comp_root)
+            sub = {v: cur.get(v, 0) for v in post}
+            for v in post:
+                if v != comp_root:
+                    sub[parent[v]] += sub[v]
+            for v in post:
+                if v != comp_root and F(sub[v]) > capacity:
+                    cut = (v, parent[v])
+                    break
+            if cut:
+                break
+        if cut is None:
+            return comps
+        edges.discard(canonical_edge(*cut))
+        roots.append(cut[0])
+
+
+@st.composite
+def forest_cut_cases(draw):
+    n = draw(st.integers(1, 14))
+    nodes = [f"v{i}" for i in range(n)]
+    order = draw(st.permutations(nodes))
+    # Node order[i] hangs off an earlier node: a random tree on all n nodes.
+    edges = {
+        canonical_edge(order[i], order[draw(st.integers(0, i - 1))]) for i in range(1, n)
+    }
+    root = draw(st.sampled_from(nodes))
+    cur = draw(st.dictionaries(st.sampled_from(nodes), st.integers(0, 12)))
+    capacity = draw(st.none() | st.fractions(min_value=0, max_value=30, max_denominator=6))
+    return sorted(edges), root, cur, capacity
+
+
+class TestCutForest:
+    @settings(max_examples=300, deadline=None)
+    @given(case=forest_cut_cases())
+    def test_one_pass_matches_reference(self, case):
+        edges, root, cur, capacity = case
+        assert _cut_forest(edges, root, cur, capacity) == reference_cut_forest(
+            edges, root, cur, capacity
+        )
 
 
 class TestGmmTree:

@@ -1,19 +1,15 @@
 import itertools
 import math
 
-import numpy as np
 import pytest
 
-from bulktree.aggregation import route_demands
 from bulktree.exact import _spanning_trees, enumerate_candidate_trees
-from bulktree.instance import canonical_edge, generate_instance
+from bulktree.instance import generate_instance
 from bulktree.subroutines import (
     dijkstra,
-    facility_location,
     lbfl,
     rent_or_buy,
     rob_lower_bounds,
-    shortest_path_tree,
     steiner_tree,
 )
 
@@ -35,20 +31,15 @@ def brute_steiner_cost(inst, terminals, weight) -> float:
     return best
 
 
-class TestShortestPathTree:
-    def test_path_graph(self, path3):
-        tree = shortest_path_tree(path3, ["a", "b"], "r")
-        assert tree.sorted_edges() == (("a", "b"), ("a", "r"))
-
-    def test_star(self, star4):
-        tree = shortest_path_tree(star4, ["a", "b", "c"], "r")
-        assert set(tree.sorted_edges()) == set(star4.edges)
-
-    def test_grid_deterministic(self):
-        inst = generate_instance("grid", 9, 4, seed=2)
-        t1 = shortest_path_tree(inst, sorted(inst.demands), inst.root)
-        t2 = shortest_path_tree(inst, sorted(inst.demands), inst.root)
-        assert t1.sorted_edges() == t2.sorted_edges()
+class TestDijkstra:
+    def test_ties_broken_by_node_id(self):
+        # b and c both reach d at distance 2; the smaller id becomes the predecessor.
+        inst = make_instance(
+            {("r", "b"): 1.0, ("r", "c"): 1.0, ("b", "d"): 1.0, ("c", "d"): 1.0}, {"d": 1}, "r"
+        )
+        dist, pred = dijkstra(inst, "r")
+        assert dist == {"r": 0.0, "b": 1.0, "c": 1.0, "d": 2.0}
+        assert pred == {"b": "r", "c": "r", "d": "b"}
 
 
 class TestSteiner:
@@ -95,44 +86,6 @@ class TestSteiner:
             sol = steiner_tree(inst, terms, scaled)
             assert sol.tree_edges == base.tree_edges
             assert sol.cost == pytest.approx(lam * base.cost, rel=1e-12)
-
-
-class TestFacilityLocation:
-    def test_single_candidate_serves_all(self):
-        inst = make_instance({("r", "a"): 1.0, ("a", "b"): 1.0}, {"a": 1, "b": 1}, "r")
-        costs = {"r": 0.0, "a": 1e9, "b": 1e9}
-        sol = facility_location(inst, inst.demands, costs)
-        assert sol.open_facilities == ("r",)
-        assert set(sol.assignment.values()) == {"r"}
-
-    def test_zero_facility_costs_opens_nearest(self):
-        inst = make_instance({("r", "a"): 1.0, ("a", "b"): 1.0}, {"a": 1, "b": 1}, "r")
-        costs = {v: 0.0 for v in inst.nodes}
-        sol = facility_location(inst, inst.demands, costs)
-        assert sol.cost == 0.0  # every demand node opens itself
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_within_certified_ratio(self, seed):
-        rng = np.random.default_rng(seed)
-        inst = generate_instance("random-geometric", 5, 3, seed=seed)
-        fcost = {v: float(rng.integers(1, 6)) for v in inst.nodes}
-        sol = facility_location(inst, inst.demands, fcost)
-        opt = self._brute(inst, fcost)
-        assert sol.cost <= 3 * opt + 1e-9
-
-    @staticmethod
-    def _brute(inst, fcost):
-        best = math.inf
-        nodes = sorted(inst.nodes)
-        sp = {c: dijkstra(inst, c)[0] for c in inst.demands}
-        for r in range(1, len(nodes) + 1):
-            for opened in itertools.combinations(nodes, r):
-                c = sum(fcost[f] for f in opened)
-                c += sum(
-                    d * min(sp[v][f] for f in opened) for v, d in inst.demands.items()
-                )
-                best = min(best, c)
-        return best
 
 
 class TestLBFL:
