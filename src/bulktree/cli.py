@@ -30,7 +30,7 @@ from .instance import (
     load_instance,
     save_instance,
 )
-from .pipes import AlphaVector, alpha_to_pipes
+from .pipes import AlphaVector, alpha_to_pipes, indifference_point, significance_point
 from .regularize import RegularizationInternalError, regularize
 from .simplex import LPError
 from .subroutines import rob_lower_bounds, _mix_seed
@@ -329,12 +329,9 @@ def cmd_pipes(args) -> int:
         undef_b = False
         if k + 1 < len(schedule.pipes):
             nxt = schedule.pipes[k + 1]
-            g = (nxt.fixed - pipe.fixed) / (pipe.rate - nxt.rate)
-            den = 2 * gamma * pipe.rate - nxt.rate
-            if den > 0:
-                b = (nxt.fixed - 2 * gamma * pipe.fixed) / den
-            else:
-                undef_b = True
+            g = indifference_point(pipe, nxt)
+            b = significance_point(pipe, nxt, gamma)
+            undef_b = b is None
 
         def fmt(x, undef=False):
             if undef:

@@ -31,10 +31,11 @@ import numpy as np
 
 from . import simplex
 from .aggregation import RoutedTree, TreeDistribution, atomic_cost
-from .gmm import oracle_tree
+from .gmm import StagePlan
 from .instance import Instance, demand_profile
-from .pipes import AlphaVector
-from .subroutines import rob_lower_bounds, _mix_seed
+from .pipes import AlphaVector, as_fraction
+from .regularize import regularize
+from .subroutines import PathTable, rob_lower_bounds, _mix_seed
 
 __all__ = [
     "SolveConfig",
@@ -117,6 +118,7 @@ def separation_oracle(
     seed: int,
     rmax: int | None = None,
     break_on_violation: bool = True,
+    table: PathTable | None = None,
 ) -> OracleResult:
     """Refute the dual point or declare it feasible.
 
@@ -127,6 +129,10 @@ def separation_oracle(
     beta.  With break_on_violation, the retry loop also stops as soon as
     a tree already violates beta (the cut is valid regardless of the
     threshold).
+
+    The weight vector is regularized and staged once; each attempt repeats
+    only the seeded part of the construction, so attempt j returns the tree
+    ``oracle_tree(inst, alpha, gamma, _mix_seed(seed, j))`` would.
     """
     scaled = np.asarray(point.alpha, dtype=float)
     budget = float(scaled.sum())
@@ -144,14 +150,17 @@ def separation_oracle(
     vec = AlphaVector(alpha=alpha_raw, D=profile.D)
     threshold = 2.0 * c_target * budget
     cap = rmax if rmax is not None else default_rmax(inst)
+    regular, _ = regularize(vec, as_fraction(gamma))
+    plan = StagePlan(inst, regular, gamma, table)
+    weights = [(i, float(a)) for i, a in alpha_raw.items()]
     best: tuple[float, RoutedTree, tuple[float, ...]] | None = None
     attempts = 0
     threshold_met = False
     for attempt in range(cap):
         attempts += 1
-        tree = oracle_tree(inst, vec, gamma, _mix_seed(seed, attempt))
+        tree, _ = plan.run(_mix_seed(seed, attempt))
         costs = tuple(atomic_cost(tree, i, inst.lengths) for i in range(levels))
-        value = float(sum(float(a) * costs[i] for i, a in alpha_raw.items()))
+        value = float(sum(a * costs[i] for i, a in weights))
         if best is None or value < best[0]:
             best = (value, tree, costs)
         if value < threshold:
@@ -193,6 +202,7 @@ def ellipsoid_feasibility(
     tilde=None,
     bit_budget: int = 64,
     rmax: int | None = None,
+    table: PathTable | None = None,
 ) -> EllipsoidResult:
     """Central-cut ellipsoid over the scaled unit box with the randomized oracle.
 
@@ -203,8 +213,9 @@ def ellipsoid_feasibility(
     """
     if beta < 0:
         raise ValueError("beta must be >= 0")
+    table = PathTable(inst) if table is None else table
     if tilde is None:
-        tilde = tuple(v for _, v, _ in rob_lower_bounds(inst, _mix_seed(seed, 0xAB)))
+        tilde = tuple(v for _, v, _ in rob_lower_bounds(inst, _mix_seed(seed, 0xAB), table))
     tilde = tuple(float(t) for t in tilde)
     if any(t <= 0 for t in tilde):
         raise ValueError("level bound of zero; instance has a zero-cost level")
@@ -232,7 +243,8 @@ def ellipsoid_feasibility(
         if cut is None:
             point = DualPoint(alpha=tuple(float(x) for x in center), beta=beta)
             res = separation_oracle(
-                point, tilde, c_target, inst, gamma, _mix_seed(seed, 7919 + iteration), rmax
+                point, tilde, c_target, inst, gamma, _mix_seed(seed, 7919 + iteration), rmax,
+                table=table,
             )
             oracle_calls += 1
             if res.kind == "rob_cut":
@@ -340,7 +352,9 @@ def solve_oblivious(inst: Instance, config: SolveConfig) -> tuple[TreeDistributi
     """Compute the level bounds, search for the smallest refutable beta, and
     extract the tree distribution from the final infeasibility certificate."""
     profile = demand_profile(inst)
-    bounds = rob_lower_bounds(inst, _mix_seed(config.seed, 0xAB))
+    # One shortest-path table per solve: it is dropped when the solve returns.
+    table = PathTable(inst)
+    bounds = rob_lower_bounds(inst, _mix_seed(config.seed, 0xAB), table)
     tilde = tuple(v for _, v, _ in bounds)
     if any(t <= 0 for t in tilde):
         raise ValueError("level bound of zero; cannot form ratios on this instance")
@@ -352,7 +366,7 @@ def solve_oblivious(inst: Instance, config: SolveConfig) -> tuple[TreeDistributi
         res = ellipsoid_feasibility(
             inst, beta, None, config.gamma,
             _mix_seed(config.seed, 100 + run_idx), tilde=tilde,
-            bit_budget=config.bit_budget, rmax=config.rmax,
+            bit_budget=config.bit_budget, rmax=config.rmax, table=table,
         )
         runs.append({
             "beta": beta, "status": res.status, "iterations": res.iterations,
@@ -390,6 +404,11 @@ def solve_oblivious(inst: Instance, config: SolveConfig) -> tuple[TreeDistributi
         expected = sum(w * atomic_cost(t, i, inst.lengths) for t, w in dist.support)
         level_rows.append(
             {"i": i, "expected_cost": expected, "lower_bound": tilde[i], "ratio": expected / tilde[i]}
+        )
+    worst = max(row["ratio"] for row in level_rows)
+    if worst > dist.theta * (1 + 1e-9):
+        raise RuntimeError(
+            f"false certificate: worst level ratio {worst!r} exceeds theta {dist.theta!r}"
         )
     report = SolveReport(
         beta_final=hi,

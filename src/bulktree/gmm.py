@@ -44,9 +44,9 @@ from .aggregation import RoutedTree, route_demands
 from .instance import Edge, Instance, canonical_edge
 from .pipes import AlphaVector, alpha_to_pipes, as_fraction, is_gamma_regular, thresholds
 from .regularize import regularize
-from .subroutines import _prune_to_tree, dijkstra, lbfl, steiner_tree
+from .subroutines import PathTable, _prune_to_tree, lbfl, steiner_tree
 
-__all__ = ["StageCosts", "GmmTrace", "gmm_tree", "oracle_tree"]
+__all__ = ["StageCosts", "GmmTrace", "StagePlan", "gmm_tree", "oracle_tree"]
 
 
 @dataclass(frozen=True)
@@ -168,6 +168,131 @@ def _move_demand(cur, holders, target, parent, comp_root, edge_flow, used):
         cur[h] = 0
 
 
+class StagePlan:
+    """The staged construction for one gamma-regular weight vector.
+
+    Everything that does not depend on the seed is computed once here: the
+    pipes and thresholds, the stage-0 Steiner forest (stage 0 always starts
+    from the original demands), and each stage's facility clustering on the
+    original demands, built when a run first reaches it.  ``run(seed)``
+    repeats only the seeded consolidations and the stages after them.
+    """
+
+    def __init__(self, inst: Instance, alpha: AlphaVector, gamma, table: PathTable | None = None):
+        check = is_gamma_regular(alpha, gamma)
+        if not check:
+            raise ValueError(f"weight vector is not gamma-regular: {check}")
+        self.inst = inst
+        self.pipes = alpha_to_pipes(alpha)
+        self.th = thresholds(self.pipes, gamma)
+        self.table = PathTable(inst) if table is None else table
+        self._clusters: dict[int, list] = {}
+        self._stage0 = self._steiner_forest(0, inst.demands)
+
+    def _steiner_forest(self, k: int, cur: dict[str, int]):
+        """Stage k's Steiner tree over the live demand and the root, cut at
+        the pipe capacity; None when no demand is live outside the root."""
+        inst = self.inst
+        active = sorted(v for v, d in cur.items() if d > 0 and v != inst.root)
+        if not active:
+            return None
+        weight = inst.lengths if self.pipes.pipes[k].fixed > 0 else self.table.hops
+        st = steiner_tree(inst, set(active) | {inst.root}, weight, table=self.table)
+        return _cut_forest(st.tree_edges, inst.root, cur, self.th.capacities[k])
+
+    def _facility_clusters(self, k: int) -> list:
+        """Stage k's clusters as (facility, members, draw probabilities, path map)."""
+        if k not in self._clusters:
+            inst = self.inst
+            fl = lbfl(inst, inst.demands, self.th.significance[k], inst.lengths, table=self.table)
+            clusters: dict[str, list[str]] = {}
+            for v, f in sorted(fl.assignment.items()):
+                clusters.setdefault(f, []).append(v)
+            out = []
+            for f in sorted(clusters):
+                group = sorted(clusters[f])
+                probs = np.array([inst.demands[v] for v in group], dtype=float)
+                # paths[f] is the facility's shortest-path predecessor map, a
+                # tree rooted at f, so consolidation follows the forest's own edges.
+                out.append((f, group, probs / probs.sum(), fl.paths[f]))
+            self._clusters[k] = out
+        return self._clusters[k]
+
+    def run(self, seed: int, trace: GmmTrace | None = None) -> tuple[RoutedTree, list[StageCosts]]:
+        """One seeded run: the tree and the per-stage costs gmm_tree returns."""
+        inst, pipes = self.inst, self.pipes.pipes
+        total_original = inst.total_demand()
+        cur: dict[str, int] = dict(inst.demands)
+        used: set[Edge] = set()
+        costs: list[StageCosts] = []
+        last = len(pipes) - 1  # flat pipe index
+        for k in range(last + 1):
+            sigma_k, delta_k = pipes[k].fixed, pipes[k].rate
+            # Steiner step: cheap fixed-cost aggregation, cut at capacity.
+            comps = self._stage0 if k == 0 else self._steiner_forest(k, cur)
+            if comps is None:
+                break
+            rng_steiner = np.random.default_rng([int(seed), k, 2])
+            stage_sigma_edges: set[Edge] = set()
+            for comp_root, parent in comps:
+                members = {comp_root} | set(parent)
+                holders = sorted(v for v in members if cur.get(v, 0) > 0 and v != inst.root)
+                if not holders:
+                    continue
+                if comp_root == inst.root:
+                    target = inst.root
+                elif len(holders) == 1:
+                    target = holders[0]
+                else:
+                    probs = np.array([cur[v] for v in holders], dtype=float)
+                    target = holders[int(rng_steiner.choice(len(holders), p=probs / probs.sum()))]
+                stage_flow: dict[Edge, int] = {}
+                _move_demand(cur, holders, target, parent, comp_root, stage_flow, used)
+                stage_sigma_edges.update(stage_flow)
+            steiner_cost = float(sigma_k) * sum(inst.lengths[e] for e in sorted(stage_sigma_edges))
+            if trace is not None:
+                trace.record(k, 2, {v: cur.get(v, 0) for v in inst.demands},
+                             cur.get(inst.root, 0) - inst.demands.get(inst.root, 0))
+            if k == last:
+                costs.append(StageCosts(stage=k, steiner_cost=steiner_cost, facility_cost=0.0))
+                break
+            # Facility step on original demands with lower bound b_k.
+            facility_flow: dict[Edge, int] = {}
+            if Fraction(total_original) < self.th.significance[k]:
+                holders = sorted(v for v, d in cur.items() if d > 0 and v != inst.root)
+                if holders:
+                    _, pred = self.table.get(inst.root)
+                    _move_demand(cur, holders, inst.root, pred, inst.root, facility_flow, used)
+                facility_cost = float(delta_k) * sum(
+                    inst.lengths[e] * f for e, f in facility_flow.items()
+                )
+                costs.append(StageCosts(stage=k, steiner_cost=steiner_cost, facility_cost=facility_cost))
+                if trace is not None:
+                    trace.fallback_stage = k
+                break
+            rng_facility = np.random.default_rng([int(seed), k, 4])
+            for f, group, p, pred in self._facility_clusters(k):
+                holders = [v for v in group if cur.get(v, 0) > 0]
+                if not holders:
+                    continue
+                target = group[int(rng_facility.choice(len(group), p=p))]
+                _move_demand(cur, holders, target, pred, f, facility_flow, used)
+            facility_cost = float(delta_k) * sum(
+                inst.lengths[e] * f for e, f in facility_flow.items()
+            )
+            if trace is not None:
+                trace.record(k, 4, {v: cur.get(v, 0) for v in inst.demands},
+                             cur.get(inst.root, 0) - inst.demands.get(inst.root, 0))
+            costs.append(StageCosts(stage=k, steiner_cost=steiner_cost, facility_cost=facility_cost))
+        parked = {v: d for v, d in cur.items() if d > 0}
+        if sum(cur.values()) != total_original:
+            raise RuntimeError("consolidation must conserve demand")
+        if not set(parked) <= {inst.root}:
+            raise RuntimeError(f"live demand left outside the root: {parked}")
+        tree_edges = _prune_to_tree(used, sorted(inst.demands), inst.lengths, inst.root)
+        return route_demands(inst, tree_edges), costs
+
+
 def gmm_tree(
     inst: Instance,
     alpha: AlphaVector,
@@ -176,94 +301,7 @@ def gmm_tree(
     trace: GmmTrace | None = None,
 ) -> tuple[RoutedTree, list[StageCosts]]:
     """Run the staged construction; requires a gamma-regular weight vector."""
-    check = is_gamma_regular(alpha, gamma)
-    if not check:
-        raise ValueError(f"weight vector is not gamma-regular: {check}")
-    pipes = alpha_to_pipes(alpha)
-    th = thresholds(pipes, gamma)
-    total_original = inst.total_demand()
-    hop_weight = {e: 1.0 for e in inst.edges}
-    cur: dict[str, int] = dict(inst.demands)
-    used: set[Edge] = set()
-    costs: list[StageCosts] = []
-    last = len(pipes) - 1  # flat pipe index
-    for k in range(last + 1):
-        sigma_k, delta_k = pipes.pipes[k].fixed, pipes.pipes[k].rate
-        active = sorted(v for v, d in cur.items() if d > 0 and v != inst.root)
-        if not active:
-            break
-        # Steiner step: cheap fixed-cost aggregation, cut at capacity.
-        weight = inst.lengths if sigma_k > 0 else hop_weight
-        st = steiner_tree(inst, set(active) | {inst.root}, weight)
-        comps = _cut_forest(st.tree_edges, inst.root, cur, th.capacities[k])
-        rng_steiner = np.random.default_rng([int(seed), k, 2])
-        stage_sigma_edges: set[Edge] = set()
-        for comp_root, parent in comps:
-            members = {comp_root} | set(parent)
-            holders = sorted(v for v in members if cur.get(v, 0) > 0 and v != inst.root)
-            if not holders:
-                continue
-            if comp_root == inst.root:
-                target = inst.root
-            elif len(holders) == 1:
-                target = holders[0]
-            else:
-                probs = np.array([cur[v] for v in holders], dtype=float)
-                target = holders[int(rng_steiner.choice(len(holders), p=probs / probs.sum()))]
-            stage_flow: dict[Edge, int] = {}
-            _move_demand(cur, holders, target, parent, comp_root, stage_flow, used)
-            stage_sigma_edges.update(stage_flow)
-        steiner_cost = float(sigma_k) * sum(inst.lengths[e] for e in sorted(stage_sigma_edges))
-        if trace is not None:
-            trace.record(k, 2, {v: cur.get(v, 0) for v in inst.demands},
-                         cur.get(inst.root, 0) - inst.demands.get(inst.root, 0))
-        if k == last:
-            costs.append(StageCosts(stage=k, steiner_cost=steiner_cost, facility_cost=0.0))
-            break
-        # Facility step on original demands with lower bound b_k.
-        bound = th.significance[k]
-        facility_flow: dict[Edge, int] = {}
-        if Fraction(total_original) < bound:
-            holders = sorted(v for v, d in cur.items() if d > 0 and v != inst.root)
-            if holders:
-                _, pred = dijkstra(inst, inst.root)
-                _move_demand(cur, holders, inst.root, pred, inst.root, facility_flow, used)
-            facility_cost = float(delta_k) * sum(
-                inst.lengths[e] * f for e, f in facility_flow.items()
-            )
-            costs.append(StageCosts(stage=k, steiner_cost=steiner_cost, facility_cost=facility_cost))
-            if trace is not None:
-                trace.fallback_stage = k
-            break
-        fl = lbfl(inst, inst.demands, bound, inst.lengths)
-        rng_facility = np.random.default_rng([int(seed), k, 4])
-        clusters: dict[str, list[str]] = {}
-        for v, f in sorted(fl.assignment.items()):
-            clusters.setdefault(f, []).append(v)
-        for f in sorted(clusters):
-            group = sorted(clusters[f])
-            holders = [v for v in group if cur.get(v, 0) > 0]
-            if not holders:
-                continue
-            probs = np.array([inst.demands[v] for v in group], dtype=float)
-            target = group[int(rng_facility.choice(len(group), p=probs / probs.sum()))]
-            # paths[f] is the facility's shortest-path predecessor map, a tree
-            # rooted at f, so consolidation follows the forest's own edges.
-            _move_demand(cur, holders, target, fl.paths[f], f, facility_flow, used)
-        facility_cost = float(delta_k) * sum(
-            inst.lengths[e] * f for e, f in facility_flow.items()
-        )
-        if trace is not None:
-            trace.record(k, 4, {v: cur.get(v, 0) for v in inst.demands},
-                         cur.get(inst.root, 0) - inst.demands.get(inst.root, 0))
-        costs.append(StageCosts(stage=k, steiner_cost=steiner_cost, facility_cost=facility_cost))
-    parked = {v: d for v, d in cur.items() if d > 0}
-    if sum(cur.values()) != total_original:
-        raise RuntimeError("consolidation must conserve demand")
-    if not set(parked) <= {inst.root}:
-        raise RuntimeError(f"live demand left outside the root: {parked}")
-    tree_edges = _prune_to_tree(used, sorted(inst.demands), inst.lengths, inst.root)
-    return route_demands(inst, tree_edges), costs
+    return StagePlan(inst, alpha, gamma).run(seed, trace)
 
 
 def oracle_tree(inst: Instance, alpha: AlphaVector, gamma, seed: int) -> RoutedTree:

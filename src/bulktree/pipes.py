@@ -40,6 +40,8 @@ __all__ = [
     "alpha_to_pipes",
     "pipes_to_alpha",
     "thresholds",
+    "indifference_point",
+    "significance_point",
     "is_gamma_regular",
     "as_fraction",
     "is_power_of_two",
@@ -195,6 +197,15 @@ class Thresholds:
     gamma: Fraction
 
 
+def significance_point(a: Pipe, b: Pipe, gamma: Fraction) -> Fraction | None:
+    """Flow at which pipe b costs 2*gamma times pipe a, or None when
+    2*gamma*delta_a - delta_b <= 0 and no such flow exists."""
+    den = 2 * gamma * a.rate - b.rate
+    if den <= 0:
+        return None
+    return (b.fixed - 2 * gamma * a.fixed) / den
+
+
 def thresholds(p: PipeSchedule, gamma) -> Thresholds:
     g = as_fraction(gamma)
     if not (0 < g < Fraction(1, 2)):
@@ -203,13 +214,13 @@ def thresholds(p: PipeSchedule, gamma) -> Thresholds:
     indiff = tuple(indifference_point(a, b) for a, b in zip(p.pipes, p.pipes[1:]))
     signif = []
     for k, (a, b) in enumerate(zip(p.pipes, p.pipes[1:])):
-        den = 2 * g * a.rate - b.rate
-        if den <= 0:
+        point = significance_point(a, b, g)
+        if point is None:
             raise ValueError(
                 f"significance point undefined at pipe {k}: 2*gamma*delta_{k} - delta_{k+1} <= 0 "
                 "(schedule not separated enough)"
             )
-        signif.append((b.fixed - 2 * g * a.fixed) / den)
+        signif.append(point)
     return Thresholds(capacities=caps, indifference=indiff, significance=tuple(signif), gamma=g)
 
 

@@ -16,6 +16,10 @@ All tie-breaking is lexicographic on node ids: Dijkstra orders its heap by
 over node sets is over sorted ids.  Edge weights are treated as an opaque
 nonnegative function, so scaling all weights by a positive constant scales
 costs and leaves selected edge sets unchanged.
+
+Shortest paths are read through a PathTable: a solve that passes one table
+to every call runs Dijkstra at most once per (source, metric); a call given
+no table fills its own.
 """
 from __future__ import annotations
 
@@ -43,7 +47,7 @@ def _shortest_paths(adj, source: str, weight) -> tuple[dict[str, float], dict[st
             continue
         done.add(u)
         for v, _ in adj.get(u, ()):
-            nd = d + float(weight[canonical_edge(u, v)])
+            nd = d + float(weight[(u, v) if u <= v else (v, u)])
             if v not in dist or nd < dist[v]:
                 dist[v] = nd
                 pred[v] = u
@@ -54,6 +58,34 @@ def _shortest_paths(adj, source: str, weight) -> tuple[dict[str, float], dict[st
 def dijkstra(inst: Instance, source: str, weight=None) -> tuple[dict[str, float], dict[str, str]]:
     """Distances and predecessors from source; ties broken by (distance, node id)."""
     return _shortest_paths(inst.adjacency(), source, inst.lengths if weight is None else weight)
+
+
+class PathTable:
+    """Shortest paths of one instance under its lengths or under hop counts
+    (``hops``), each source run at most once and kept for the table's life.
+
+    A solve builds one table and drops it when it returns.  Any other weight
+    mapping runs a fresh ``dijkstra``.  The returned maps are shared between
+    callers and must not be mutated.
+    """
+
+    def __init__(self, inst: Instance):
+        self.inst = inst
+        self.hops = {e: 1.0 for e in inst.edges}
+        self._lengths: dict[str, tuple[dict[str, float], dict[str, str]]] = {}
+        self._hops: dict[str, tuple[dict[str, float], dict[str, str]]] = {}
+
+    def get(self, source: str, weight=None) -> tuple[dict[str, float], dict[str, str]]:
+        if weight is None or weight is self.inst.lengths:
+            runs = self._lengths
+        elif weight is self.hops:
+            runs = self._hops
+        else:
+            return dijkstra(self.inst, source, weight)
+        hit = runs.get(source)
+        if hit is None:
+            hit = runs[source] = dijkstra(self.inst, source, weight)
+        return hit
 
 
 def _walk_path(pred: dict[str, str], source: str, target: str) -> list[str]:
@@ -71,16 +103,19 @@ class SteinerSolution:
     ratio_bound: float
 
 
-def steiner_tree(inst: Instance, terminals, weight=None) -> SteinerSolution:
+def steiner_tree(
+    inst: Instance, terminals, weight=None, table: PathTable | None = None
+) -> SteinerSolution:
     """Metric-closure MST heuristic; cost within 2x of the optimal Steiner tree."""
     weight = inst.lengths if weight is None else weight
+    table = PathTable(inst) if table is None else table
     terms = sorted(set(terminals))
     if not terms:
         raise ValueError("terminals must be nonempty")
     dists: dict[str, dict[str, float]] = {}
     preds: dict[str, dict[str, str]] = {}
     for t in terms:
-        dists[t], preds[t] = dijkstra(inst, t, weight)
+        dists[t], preds[t] = table.get(t, weight)
     closure = sorted(
         (dists[a][b], a, b) for i, a in enumerate(terms) for b in terms[i + 1 :]
     )
@@ -140,7 +175,9 @@ class FacilitySolution:
     paths: dict[str, dict[str, str]] = field(default_factory=dict)  # facility -> pred map
 
 
-def lbfl(inst: Instance, demands, lower_bound, weight=None) -> FacilitySolution:
+def lbfl(
+    inst: Instance, demands, lower_bound, weight=None, table: PathTable | None = None
+) -> FacilitySolution:
     """Load-balanced facility location via ball-growing greedy.
 
     Opens facilities at demand nodes, each serving >= lower_bound demand;
@@ -148,11 +185,12 @@ def lbfl(inst: Instance, demands, lower_bound, weight=None) -> FacilitySolution:
     the bound, everything is routed to the root.
     """
     weight = inst.lengths if weight is None else weight
+    table = PathTable(inst) if table is None else table
     L = lower_bound
     clients = sorted(demands)
     total = sum(demands.values())
     if total < L:
-        dist, pred = dijkstra(inst, inst.root, weight)
+        dist, pred = table.get(inst.root, weight)
         assignment = {c: inst.root for c in clients}
         cost = sum(demands[c] * dist[c] for c in clients)
         return FacilitySolution(
@@ -162,7 +200,7 @@ def lbfl(inst: Instance, demands, lower_bound, weight=None) -> FacilitySolution:
             min_load_achieved=float(total),
             paths={inst.root: pred},
         )
-    sp = {c: dijkstra(inst, c, weight) for c in clients}
+    sp = {c: table.get(c, weight) for c in clients}
     remaining = set(clients)
     opened: list[str] = []
     assignment: dict[str, str] = {}
@@ -192,13 +230,12 @@ def lbfl(inst: Instance, demands, lower_bound, weight=None) -> FacilitySolution:
     for c, f in assignment.items():
         loads[f] += demands[c]
         cost += demands[c] * sp[c][0][f]
-    paths = {f: dijkstra(inst, f, weight)[1] for f in sorted(opened)}
     return FacilitySolution(
         open_facilities=tuple(sorted(opened)),
         assignment=assignment,
         cost=float(cost),
         min_load_achieved=float(min(loads.values())),
-        paths=paths,
+        paths={f: table.get(f, weight)[1] for f in sorted(opened)},
     )
 
 
@@ -208,7 +245,7 @@ class RoBSolution:
     cost_under_f: float
 
 
-def rent_or_buy(inst: Instance, M, seed: int) -> RoBSolution:
+def rent_or_buy(inst: Instance, M, seed: int, table: PathTable | None = None) -> RoBSolution:
     """Sample-and-augment for the two-pipe cost min(x, M) per unit length.
 
     Marks each demand independently with probability min(1, d_v/M), buys a
@@ -217,11 +254,12 @@ def rent_or_buy(inst: Instance, M, seed: int) -> RoBSolution:
     """
     if M <= 0:
         raise ValueError("M must be positive")
+    table = PathTable(inst) if table is None else table
     rng = np.random.default_rng([int(seed), 0x726F62])
     clients = sorted(inst.demands)
     draws = rng.random(len(clients))
     marked = [c for c, r in zip(clients, draws) if r < min(1.0, inst.demands[c] / float(M))]
-    bought = steiner_tree(inst, set(marked) | {inst.root})
+    bought = steiner_tree(inst, set(marked) | {inst.root}, table=table)
     edges: set[Edge] = set(bought.tree_edges)
     nodes = {inst.root}
     for u, v in edges:
@@ -230,7 +268,7 @@ def rent_or_buy(inst: Instance, M, seed: int) -> RoBSolution:
     for c in clients:
         if c in nodes:
             continue
-        dist, pred = dijkstra(inst, c)
+        dist, pred = table.get(c)
         target = min(nodes, key=lambda v: (dist.get(v, math.inf), v))
         path = _walk_path(pred, c, target)
         for u, v in zip(path, path[1:]):
@@ -245,16 +283,19 @@ def rent_or_buy(inst: Instance, M, seed: int) -> RoBSolution:
     return RoBSolution(tree=tree, cost_under_f=float(cost))
 
 
-def rob_lower_bounds(inst: Instance, seed: int) -> list[tuple[int, float, RoutedTree]]:
+def rob_lower_bounds(
+    inst: Instance, seed: int, table: PathTable | None = None
+) -> list[tuple[int, float, RoutedTree]]:
     """Per level i, the atomic cost of a rent-or-buy tree with M = 2^i.
 
     The values upper-bound each level's optimum within the rent-or-buy
     method's expected constant and feed the dual constraint of the solver.
     """
     profile = demand_profile(inst)
+    table = PathTable(inst) if table is None else table
     out = []
     for i in range(profile.levels):
-        sol = rent_or_buy(inst, 1 << i, seed=_mix_seed(seed, i))
+        sol = rent_or_buy(inst, 1 << i, seed=_mix_seed(seed, i), table=table)
         out.append((i, atomic_cost(sol.tree, i, inst.lengths), sol.tree))
     return out
 

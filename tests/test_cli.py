@@ -97,9 +97,16 @@ def test_gmm_and_regularize_and_pipes(tmp_path, star_file, capsys):
     assert run(["gmm", star_file, alpha, "--out", gout, "--seed", 2]) == 0
     g = json.loads(gout.read_text())
     assert g["tree"]["edges"]
+    capsys.readouterr()
     assert run(["pipes", alpha]) == 0
-    table = capsys.readouterr().out
-    assert table.splitlines()[0].startswith("k\tsigma")
+    # delta_0 = 2, delta_1 = 1 and gamma = 1/4: 2*gamma*delta_0 - delta_1 = 0,
+    # so pipe 0 has no significance point.
+    assert capsys.readouterr().out.splitlines() == [
+        "k\tsigma\tdelta\tcapacity\tindifference\tsignificance",
+        "0\t0\t2\t0\t1\tundef",
+        "1\t1\t1\t1\t2\t5",
+        "2\t3\t0\tinf\tinf\tinf",
+    ]
 
 
 def test_gmm_deterministic(tmp_path, star_file):

@@ -1,4 +1,7 @@
+import gc
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,15 +12,19 @@ from bulktree.framework import (
     ConstraintSet,
     DualPoint,
     EllipsoidResult,
+    OracleResult,
     SolveConfig,
     TreeConstraint,
+    default_rmax,
     ellipsoid_feasibility,
     separation_oracle,
     solve_oblivious,
     solve_small_primal,
 )
+from bulktree.gmm import oracle_tree
 from bulktree.instance import Instance, demand_profile, generate_instance
-from bulktree.subroutines import rob_lower_bounds
+from bulktree.pipes import AlphaVector
+from bulktree.subroutines import PathTable, _mix_seed, rob_lower_bounds
 
 from conftest import make_instance
 
@@ -26,7 +33,84 @@ def tilde_for(inst, seed=7):
     return tuple(v for _, v, _ in rob_lower_bounds(inst, seed))
 
 
+def reference_separation_oracle(point, tilde, c_target, inst, gamma, seed, rmax=None,
+                                break_on_violation=True):
+    """The oracle's retry loop as first written: every attempt calls
+    oracle_tree, which regularizes and stages the weight vector again."""
+    scaled = np.asarray(point.alpha, dtype=float)
+    budget = float(scaled.sum())
+    if budget > 1.0 + 1e-12:
+        return OracleResult(kind="rob_cut")
+    if budget <= 1e-15:
+        return OracleResult(kind="feasible_at_zero")
+    levels = len(tilde)
+    alpha_raw = {
+        i: Fraction(float(scaled[i])) / Fraction(float(tilde[i]))
+        for i in range(levels)
+        if scaled[i] > 0
+    }
+    vec = AlphaVector(alpha=alpha_raw, D=demand_profile(inst).D)
+    threshold = 2.0 * c_target * budget
+    cap = rmax if rmax is not None else default_rmax(inst)
+    best = None
+    attempts = 0
+    threshold_met = False
+    for attempt in range(cap):
+        attempts += 1
+        tree = oracle_tree(inst, vec, gamma, _mix_seed(seed, attempt))
+        costs = tuple(atomic_cost(tree, i, inst.lengths) for i in range(levels))
+        value = float(sum(float(a) * costs[i] for i, a in alpha_raw.items()))
+        if best is None or value < best[0]:
+            best = (value, tree, costs)
+        if value < threshold:
+            threshold_met = True
+            break
+        if break_on_violation and value < point.beta:
+            break
+    value, tree, costs = best
+    if value < point.beta:
+        return OracleResult(kind="tree_cut", tree=tree, level_costs=costs, cost=value,
+                            attempts=attempts, threshold_met=threshold_met)
+    return OracleResult(kind="feasible", cost=value, attempts=attempts, threshold_met=threshold_met)
+
+
+def oracle_outcome(res):
+    edges = None if res.tree is None else res.tree.sorted_edges()
+    return res.kind, edges, res.level_costs, res.cost, res.attempts, res.threshold_met
+
+
+def heavy_grid():
+    base = generate_instance("grid", 9, 3, seed=4)
+    return Instance(nodes=base.nodes, lengths=base.lengths, root=base.root,
+                    demands={v: 37 * (i + 1) for i, v in enumerate(sorted(base.demands))})
+
+
 class TestSeparationOracle:
+    @pytest.mark.parametrize("make", [
+        lambda: generate_instance("random-geometric", 10, 4, seed=3),
+        lambda: generate_instance("random-geometric", 12, 6, seed=8),
+        lambda: generate_instance("path", 7, 3, seed=1),
+        heavy_grid,
+    ])
+    @pytest.mark.parametrize("break_on_violation", [True, False])
+    def test_hoisted_retry_loop_matches_reference(self, make, break_on_violation):
+        inst = make()
+        tilde = tilde_for(inst)
+        m = len(tilde)
+        rng = np.random.default_rng(m)
+        kinds = set()
+        for trial in range(12):
+            y = rng.random(m) * (rng.random(m) < 0.7)
+            y = y / max(y.sum(), 1e-300) * rng.choice([0.3, 0.9, 1.0, 1.2])
+            # Betas below, near and above the tree costs; c_target spans the threshold.
+            point = DualPoint(alpha=tuple(y), beta=float(rng.choice([0.0, 0.5, 1.0, 1e9])))
+            args = (point, tilde, float(rng.choice([0.1, 0.5, 4.0])), inst, 0.25, trial)
+            kw = dict(rmax=int(rng.choice([3, 20])), break_on_violation=break_on_violation)
+            res = separation_oracle(*args, **kw)
+            assert oracle_outcome(res) == oracle_outcome(reference_separation_oracle(*args, **kw))
+            kinds.add(res.kind)
+        assert {"tree_cut", "feasible"} <= kinds
+
     def test_zero_point_reported(self, two_cluster6):
         tilde = tilde_for(two_cluster6)
         point = DualPoint(alpha=(0.0,) * len(tilde), beta=1.0)
@@ -235,6 +319,34 @@ class TestSolveOblivious:
     def test_theta_within_certified_beta(self, two_cluster6):
         dist, report = solve_oblivious(two_cluster6, SolveConfig(seed=11, bit_budget=4))
         assert dist.theta <= report.beta_final + 1e-7
+
+    def test_repeat_solves_identical_and_leave_no_table(self):
+        inst = generate_instance("random-geometric", 10, 4, seed=5)
+        attrs = set(vars(inst))
+        gc.collect()
+        before = sum(isinstance(o, PathTable) for o in gc.get_objects())
+        outs = []
+        for _ in range(2):
+            dist, report = solve_oblivious(inst, SolveConfig(seed=4, bit_budget=4))
+            outs.append((dist.theta, [(t.sorted_edges(), w) for t, w in dist.support],
+                         vars(report)))
+        assert outs[0] == outs[1]
+        assert set(vars(inst)) == attrs
+        gc.collect()
+        assert sum(isinstance(o, PathTable) for o in gc.get_objects()) == before
+        for name, module in sys.modules.items():
+            if name.startswith("bulktree"):
+                assert not any(isinstance(v, PathTable) for v in vars(module).values())
+
+    def test_false_certificate_raises(self):
+        # At this scale the small primal reports theta = 0 while the returned
+        # distribution's worst level ratio is about 1.09; the run must not
+        # hand out that certificate.
+        base = generate_instance("random-geometric", 10, 4, 3)
+        inst = Instance(nodes=base.nodes, root=base.root, demands=base.demands,
+                        lengths={e: w * 1e-10 for e, w in base.lengths.items()})
+        with pytest.raises(RuntimeError, match="false certificate"):
+            solve_oblivious(inst, SolveConfig(seed=0))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_guarantee_chain_random_instances(self, seed):

@@ -14,6 +14,7 @@ from bulktree.pipes import (
     is_power_of_two,
     make_schedule,
     pipes_to_alpha,
+    significance_point,
     thresholds,
 )
 from bulktree.regularize import regularize
@@ -91,8 +92,10 @@ class TestThresholds:
         assert th.significance[0] == 2  # 1 / (2*gamma)
 
     def test_undefined_significance_raises(self):
-        with pytest.raises(ValueError, match="significance point undefined"):
-            thresholds(make_schedule([(0, 1), (1, F(9, 10)), (10, 0)]), GAMMA)
+        schedule = make_schedule([(0, 1), (1, F(9, 10)), (10, 0)])
+        assert significance_point(*schedule.pipes[:2], GAMMA) is None
+        with pytest.raises(ValueError, match="significance point undefined at pipe 0"):
+            thresholds(schedule, GAMMA)
 
     def test_gamma_range_validated(self):
         with pytest.raises(ValueError, match="gamma"):

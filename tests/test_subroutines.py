@@ -2,10 +2,14 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bulktree.exact import _spanning_trees, enumerate_candidate_trees
-from bulktree.instance import generate_instance
+from bulktree.instance import canonical_edge, generate_instance
 from bulktree.subroutines import (
+    PathTable,
+    _shortest_paths,
     dijkstra,
     lbfl,
     rent_or_buy,
@@ -40,6 +44,45 @@ class TestDijkstra:
         dist, pred = dijkstra(inst, "r")
         assert dist == {"r": 0.0, "b": 1.0, "c": 1.0, "d": 2.0}
         assert pred == {"b": "r", "c": "r", "d": "b"}
+
+
+@st.composite
+def tied_length_instances(draw):
+    """Connected instances whose lengths come from {1, 2, 3} or are all 1, so
+    many nodes are reached by several shortest paths of equal length."""
+    n = draw(st.integers(2, 9))
+    nodes = [f"v{i}" for i in range(n)]
+    length = st.sampled_from(draw(st.sampled_from([[1.0], [1.0, 2.0, 3.0]])))
+    edges = {canonical_edge(nodes[i], nodes[draw(st.integers(0, i - 1))]): draw(length)
+             for i in range(1, n)}
+    pairs = [(a, b) for i, a in enumerate(nodes) for b in nodes[i + 1:]]
+    for a, b in draw(st.lists(st.sampled_from(pairs), max_size=2 * n)):
+        edges.setdefault((a, b), draw(length))
+    root, sink = draw(st.permutations(nodes))[:2]
+    return make_instance(edges, {sink: 1}, root)
+
+
+class TestPathTable:
+    @settings(max_examples=200, deadline=None)
+    @given(inst=tied_length_instances(), scale=st.sampled_from([0.5, 3.0]))
+    def test_matches_fresh_shortest_paths(self, inst, scale):
+        table = PathTable(inst)
+        adj = inst.adjacency()
+        scaled = {e: w * scale for e, w in inst.lengths.items()}
+        for weight, mapping in ((None, inst.lengths), (inst.lengths, inst.lengths),
+                                (table.hops, {e: 1.0 for e in inst.edges}), (scaled, scaled)):
+            for source in inst.nodes:
+                # Asked twice: a filled entry must still equal a fresh run.
+                for _ in range(2):
+                    assert table.get(source, weight) == _shortest_paths(adj, source, mapping)
+
+    def test_each_source_and_metric_runs_once(self, two_cluster6):
+        table = PathTable(two_cluster6)
+        assert table.get("a") is table.get("a", two_cluster6.lengths)
+        assert table.get("a", table.hops) is table.get("a", table.hops)
+        assert table.get("a", table.hops) is not table.get("a")
+        other = dict(two_cluster6.lengths)
+        assert table.get("a", other) is not table.get("a", other)
 
 
 class TestSteiner:
