@@ -91,6 +91,13 @@ def atomic_cost(tree: RoutedTree, i: int, lengths) -> float:
     return float(sum(lengths[e] * min(x, cap) for e, x in tree.flow.items()))
 
 
+def level_ratio(cost: float, bound: float) -> float:
+    """cost / bound, reading 0/0 as 1: only a zero-cost tree meets a zero bound."""
+    if bound == 0:
+        return 1.0 if cost <= 1e-12 else float("inf")
+    return cost / bound
+
+
 def function_cost(tree: RoutedTree, f, lengths) -> float:
     """Cost under an AlphaVector (sum of weighted atomic costs) or a PipeSchedule."""
     from .pipes import AlphaVector, PipeSchedule

@@ -18,7 +18,7 @@ import time
 from fractions import Fraction
 
 from . import exact as exact_mod
-from .aggregation import RoutedTree, TreeDistribution, distribution_cost, route_demands
+from .aggregation import RoutedTree, TreeDistribution, distribution_cost, level_ratio, route_demands
 from .framework import SolveConfig, solve_oblivious
 from .gmm import GmmTrace, gmm_tree
 from .instance import (
@@ -183,14 +183,14 @@ def cmd_eval(args) -> int:
             "i": i,
             "expected_cost": expected,
             "lower_bound": tilde_i,
-            "ratio": expected / tilde_i if tilde_i > 0 else None,
+            "ratio": level_ratio(expected, tilde_i),
         })
     out = {
         "schema": SCHEMA,
         "seed": args.seed,
         "config_hash": _config_hash({**cfg, "seed": args.seed}),
         "levels": rows,
-        "max_ratio_vs_bound": max(r["ratio"] for r in rows if r["ratio"] is not None),
+        "max_ratio_vs_bound": max(r["ratio"] for r in rows),
     }
     if args.exact:
         if len(inst.nodes) > cfg["node_cap"]:

@@ -15,7 +15,9 @@ from typing import Iterator
 
 import numpy as np
 
-from .aggregation import RoutedTree, TreeDistribution, atomic_cost, distribution_cost, route_demands
+from .aggregation import (
+    RoutedTree, TreeDistribution, atomic_cost, distribution_cost, level_ratio, route_demands,
+)
 from .instance import Instance, demand_profile
 from . import simplex
 
@@ -105,14 +107,24 @@ class ExactOptima:
 
 def exact_optima(inst: Instance, node_cap: int = DEFAULT_NODE_CAP) -> ExactOptima:
     _check_cap(inst, node_cap)
-    levels = demand_profile(inst).levels
     trees = list(enumerate_candidate_trees(inst, node_cap))
+    return _optima_of(trees, _level_costs(inst, trees))
+
+
+def _level_costs(inst: Instance, trees: list[RoutedTree]) -> list[list[float]]:
+    """costs[i][j]: atomic cost of trees[j] at level i."""
+    return [
+        [atomic_cost(t, i, inst.lengths) for t in trees]
+        for i in range(demand_profile(inst).levels)
+    ]
+
+
+def _optima_of(trees: list[RoutedTree], costs) -> ExactOptima:
+    """Per level, the cheapest of the trees, ties broken by sorted edges."""
     out = []
-    for i in range(levels):
-        best = min(
-            trees, key=lambda t: (atomic_cost(t, i, inst.lengths), t.sorted_edges())
-        )
-        out.append((i, best, atomic_cost(best, i, inst.lengths)))
+    for i, row in enumerate(costs):
+        j = min(range(len(trees)), key=lambda j: (row[j], trees[j].sorted_edges()))
+        out.append((i, trees[j], row[j]))
     return ExactOptima(per_level=tuple(out))
 
 
@@ -131,11 +143,7 @@ def exact_oblivious_ratio(
     opt = optima if optima is not None else exact_optima(inst, node_cap)
     worst, worst_level = 0.0, 0
     for i, _, denom in opt.per_level:
-        num = distribution_cost(dist, i, inst.lengths)
-        if denom == 0:
-            ratio = 1.0 if num <= 1e-12 else float("inf")
-        else:
-            ratio = num / denom
+        ratio = level_ratio(distribution_cost(dist, i, inst.lengths), denom)
         if ratio > worst:
             worst, worst_level = ratio, i
     return worst, worst_level
@@ -145,12 +153,12 @@ def exact_lp_optimum(
     inst: Instance, node_cap: int = DEFAULT_NODE_CAP
 ) -> tuple[float, TreeDistribution]:
     """Solve the full distribution LP over every enumerated tree with true optima."""
-    opt = exact_optima(inst, node_cap)
+    _check_cap(inst, node_cap)
     trees = list(enumerate_candidate_trees(inst, node_cap))
+    cost_rows = _level_costs(inst, trees)
+    opt = _optima_of(trees, cost_rows)
     levels = len(opt.per_level)
-    costs = np.array(
-        [[atomic_cost(t, i, inst.lengths) for t in trees] for i in range(levels)]
-    )
+    costs = np.array(cost_rows)
     denoms = np.array([opt.value(i) for i in range(levels)])
     # Variables: theta, x_T.  Constraints: sum x >= 1; theta*opt_i - sum x A_i >= 0.
     n = len(trees)

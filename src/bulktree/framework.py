@@ -30,7 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import simplex
-from .aggregation import RoutedTree, TreeDistribution, atomic_cost
+from .aggregation import RoutedTree, TreeDistribution, atomic_cost, level_ratio
 from .gmm import StagePlan
 from .instance import Instance, demand_profile
 from .pipes import AlphaVector, as_fraction
@@ -132,7 +132,8 @@ def separation_oracle(
 
     The weight vector is regularized and staged once; each attempt repeats
     only the seeded part of the construction, so attempt j returns the tree
-    ``oracle_tree(inst, alpha, gamma, _mix_seed(seed, j))`` would.
+    ``oracle_tree(inst, alpha, gamma, _mix_seed(seed, j))`` would.  The table
+    routes and costs each distinct tree once.
     """
     scaled = np.asarray(point.alpha, dtype=float)
     budget = float(scaled.sum())
@@ -159,7 +160,7 @@ def separation_oracle(
     for attempt in range(cap):
         attempts += 1
         tree, _ = plan.run(_mix_seed(seed, attempt))
-        costs = tuple(atomic_cost(tree, i, inst.lengths) for i in range(levels))
+        costs = plan.table.level_costs(tree, levels)
         value = float(sum(a * costs[i] for i, a in weights))
         if best is None or value < best[0]:
             best = (value, tree, costs)
@@ -348,16 +349,14 @@ class SolveReport:
     exact: dict | None = None
 
 
-def solve_oblivious(inst: Instance, config: SolveConfig) -> tuple[TreeDistribution, SolveReport]:
-    """Compute the level bounds, search for the smallest refutable beta, and
-    extract the tree distribution from the final infeasibility certificate."""
-    profile = demand_profile(inst)
-    # One shortest-path table per solve: it is dropped when the solve returns.
-    table = PathTable(inst)
-    bounds = rob_lower_bounds(inst, _mix_seed(config.seed, 0xAB), table)
-    tilde = tuple(v for _, v, _ in bounds)
-    if any(t <= 0 for t in tilde):
-        raise ValueError("level bound of zero; cannot form ratios on this instance")
+def _beta_search(
+    inst: Instance, config: SolveConfig, tilde, table: PathTable
+) -> tuple[TreeDistribution, float, list]:
+    """Double beta until a run certifies infeasibility, then bisect below it.
+
+    Returns the distribution of the last certificate, the smallest certified
+    beta, and one row per ellipsoid run.
+    """
     runs = []
     run_idx = 0
 
@@ -396,22 +395,44 @@ def solve_oblivious(inst: Instance, config: SolveConfig) -> tuple[TreeDistributi
             hi, best = mid, res
         else:
             lo = mid
-    dist = solve_small_primal(best.constraint_set)
+    return solve_small_primal(best.constraint_set), hi, runs
+
+
+def solve_oblivious(inst: Instance, config: SolveConfig) -> tuple[TreeDistribution, SolveReport]:
+    """Compute the level bounds, search for the smallest refutable beta, and
+    extract the tree distribution from the final infeasibility certificate.
+
+    A level whose bound is zero has a rent-or-buy tree of zero cost there.
+    Every edge of that tree carries flow, so all its edges have length zero
+    and it costs zero at every level.  It is returned alone with theta 1,
+    the 0/0 rule of ``level_ratio``, and no beta search is run.
+    """
+    profile = demand_profile(inst)
+    # One shortest-path table per solve: it is dropped when the solve returns.
+    table = PathTable(inst)
+    bounds = rob_lower_bounds(inst, _mix_seed(config.seed, 0xAB), table)
+    tilde = tuple(v for _, v, _ in bounds)
+    zero_tree = next((tree for _, v, tree in bounds if v == 0), None)
+    if zero_tree is None:
+        dist, beta_final, runs = _beta_search(inst, config, tilde, table)
+    else:
+        dist, beta_final, runs = TreeDistribution(support=((zero_tree, 1.0),), theta=1.0), 1.0, []
     if len(dist.support) > 1 + int(math.log2(profile.D)):
         raise RuntimeError("support bound violated")
     level_rows = []
     for i in range(profile.levels):
         expected = sum(w * atomic_cost(t, i, inst.lengths) for t, w in dist.support)
-        level_rows.append(
-            {"i": i, "expected_cost": expected, "lower_bound": tilde[i], "ratio": expected / tilde[i]}
-        )
+        level_rows.append({
+            "i": i, "expected_cost": expected, "lower_bound": tilde[i],
+            "ratio": level_ratio(expected, tilde[i]),
+        })
     worst = max(row["ratio"] for row in level_rows)
     if worst > dist.theta * (1 + 1e-9):
         raise RuntimeError(
             f"false certificate: worst level ratio {worst!r} exceeds theta {dist.theta!r}"
         )
     report = SolveReport(
-        beta_final=hi,
+        beta_final=beta_final,
         theta=dist.theta,
         tilde=tilde,
         support_size=len(dist.support),

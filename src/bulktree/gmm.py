@@ -31,7 +31,8 @@ lexicographic children.
 Per-stage cost accounting records the fixed cost of Steiner-step pipes and
 the incremental cost of facility-step pipes; the returned tree is a
 deterministic shortest-path extraction inside the union of all edges that
-carried live demand, re-flowed from scratch.
+carried live demand, re-flowed from scratch.  It depends only on that union,
+so the PathTable builds it once per union and hands the same tree out again.
 """
 from __future__ import annotations
 
@@ -40,11 +41,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .aggregation import RoutedTree, route_demands
+from .aggregation import RoutedTree
 from .instance import Edge, Instance, canonical_edge
-from .pipes import AlphaVector, alpha_to_pipes, as_fraction, is_gamma_regular, thresholds
+from .pipes import AlphaVector, as_fraction, is_gamma_regular, thresholds
 from .regularize import regularize
-from .subroutines import PathTable, _prune_to_tree, lbfl, steiner_tree
+from .subroutines import PathTable, lbfl, steiner_tree
 
 __all__ = ["StageCosts", "GmmTrace", "StagePlan", "gmm_tree", "oracle_tree"]
 
@@ -175,7 +176,9 @@ class StagePlan:
     pipes and thresholds, the stage-0 Steiner forest (stage 0 always starts
     from the original demands), and each stage's facility clustering on the
     original demands, built when a run first reaches it.  ``run(seed)``
-    repeats only the seeded consolidations and the stages after them.
+    repeats only the seeded consolidations and the stages after them; the
+    tree it returns is shared with every other run of the same table that
+    used the same edges.
     """
 
     def __init__(self, inst: Instance, alpha: AlphaVector, gamma, table: PathTable | None = None):
@@ -183,7 +186,7 @@ class StagePlan:
         if not check:
             raise ValueError(f"weight vector is not gamma-regular: {check}")
         self.inst = inst
-        self.pipes = alpha_to_pipes(alpha)
+        self.pipes = alpha.schedule()
         self.th = thresholds(self.pipes, gamma)
         self.table = PathTable(inst) if table is None else table
         self._clusters: dict[int, list] = {}
@@ -289,8 +292,7 @@ class StagePlan:
             raise RuntimeError("consolidation must conserve demand")
         if not set(parked) <= {inst.root}:
             raise RuntimeError(f"live demand left outside the root: {parked}")
-        tree_edges = _prune_to_tree(used, sorted(inst.demands), inst.lengths, inst.root)
-        return route_demands(inst, tree_edges), costs
+        return self.table.routed_tree(used), costs
 
 
 def gmm_tree(

@@ -89,6 +89,14 @@ class AlphaVector:
         """Used levels in ascending order (the map p(k))."""
         return tuple(self.alpha)
 
+    def schedule(self) -> PipeSchedule:
+        """``alpha_to_pipes(self)``, derived at most once and kept."""
+        sched = self.__dict__.get("_schedule")
+        if sched is None:
+            sched = alpha_to_pipes(self)
+            object.__setattr__(self, "_schedule", sched)
+        return sched
+
     def value(self, x) -> Fraction:
         xf = as_fraction(x)
         return sum((a * min(xf, Fraction(1 << i)) for i, a in self.alpha.items()), Fraction(0))
@@ -134,15 +142,14 @@ def make_schedule(pairs) -> PipeSchedule:
 
 def alpha_to_pipes(a: AlphaVector) -> PipeSchedule:
     """Schedule whose lower envelope equals the weighted atomic sum at every x in [0, D]."""
-    levels = a.levels()
-    weights = [a.alpha[i] for i in levels]
+    rate = sum(a.alpha.values(), Fraction(0))  # suffix sum of the weights
+    fixed = Fraction(0)  # prefix sum of weight * 2^level
     pipes = []
-    for k in range(len(levels)):
-        rate = sum(weights[k:], Fraction(0))
-        fixed = sum((weights[j] * (1 << levels[j]) for j in range(k)), Fraction(0))
+    for lvl, w in a.alpha.items():
         pipes.append(Pipe(fixed, rate))
-    plateau = sum((w * (1 << i) for i, w in zip(levels, weights)), Fraction(0))
-    pipes.append(Pipe(plateau, Fraction(0)))
+        rate -= w
+        fixed += w * (1 << lvl)
+    pipes.append(Pipe(fixed, Fraction(0)))
     return PipeSchedule(tuple(pipes))
 
 
@@ -180,7 +187,13 @@ def pipes_to_alpha(p: PipeSchedule, D: int | None = None) -> AlphaVector:
         D = 1 << top
     if (1 << top) > D:
         raise ValueError(f"breakpoint {1 << top} exceeds D={D}")
-    return AlphaVector(alpha=alpha, D=D)
+    out = AlphaVector(alpha=alpha, D=D)
+    if all(isinstance(x, Fraction) for q in ps for x in (q.fixed, q.rate)):
+        # alpha_to_pipes(out) rebuilds p exactly: with sigma_0 = 0 and a flat
+        # last pipe, the suffix sums of the rate drops are the rates and the
+        # prefix sums of drop * breakpoint are the fixed costs.
+        object.__setattr__(out, "_schedule", p)
+    return out
 
 
 @dataclass(frozen=True)
@@ -240,7 +253,7 @@ def is_gamma_regular(a: AlphaVector, gamma) -> RegularityCheck:
     g = as_fraction(gamma)
     if not (0 < g < Fraction(1, 2)):
         raise ValueError(f"gamma must lie in (0, 1/2), got {g}")
-    ps = alpha_to_pipes(a).pipes
+    ps = a.schedule().pipes
     for k in range(len(ps) - 1):
         if not ps[k + 1].rate < g * ps[k].rate:
             return RegularityCheck(False, k, "rate")

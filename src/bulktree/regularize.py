@@ -42,7 +42,6 @@ from .pipes import (
     AlphaVector,
     Pipe,
     PipeSchedule,
-    alpha_to_pipes,
     as_fraction,
     indifference_point,
     is_gamma_regular,
@@ -124,7 +123,7 @@ def _rebuild(pipes: list[Pipe], D: int) -> AlphaVector:
 def cap_capacity(a: AlphaVector) -> tuple[AlphaVector, StageReport]:
     report = StageReport(stage="cap_capacity", distortion_bound=Fraction(1))
     D = Fraction(a.D)
-    pipes = list(alpha_to_pipes(a).pipes)
+    pipes = list(a.schedule().pipes)
     k = None
     for idx, p in enumerate(pipes[:-1]):  # sloped pipes only
         if p.fixed / p.rate >= D:
@@ -151,7 +150,7 @@ def regularize_delta(a: AlphaVector, gamma) -> tuple[AlphaVector, StageReport]:
     g = as_fraction(gamma)
     report = StageReport(stage="regularize_delta", distortion_bound=Fraction(3))
     D = Fraction(a.D)
-    pipes = list(alpha_to_pipes(a).pipes)
+    pipes = list(a.schedule().pipes)
     last = pipes[-2]
     if last.rate > 0 and last.fixed / last.rate > D:
         raise ValueError("precondition violated: run cap_capacity first")
@@ -219,7 +218,7 @@ def regularize_sigma(a: AlphaVector, gamma) -> tuple[AlphaVector, StageReport]:
     g = as_fraction(gamma)
     report = StageReport(stage="regularize_sigma", distortion_bound=Fraction(5, 2))
     D = Fraction(a.D)
-    pipes = list(alpha_to_pipes(a).pipes)
+    pipes = list(a.schedule().pipes)
     for i in range(len(pipes) - 1):
         if pipes[i + 1].rate >= g * pipes[i].rate:
             raise ValueError("precondition violated: run regularize_delta first")

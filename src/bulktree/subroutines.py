@@ -61,12 +61,15 @@ def dijkstra(inst: Instance, source: str, weight=None) -> tuple[dict[str, float]
 
 
 class PathTable:
-    """Shortest paths of one instance under its lengths or under hop counts
-    (``hops``), each source run at most once and kept for the table's life.
+    """The per-solve cache of one instance.
 
-    A solve builds one table and drops it when it returns.  Any other weight
-    mapping runs a fresh ``dijkstra``.  The returned maps are shared between
-    callers and must not be mutated.
+    It keeps the shortest paths under the instance's lengths or under hop
+    counts (``hops``), each source run at most once, and the routed tree that
+    the staged construction extracts from each edge union, with its atomic
+    level costs.  Any other weight mapping runs a fresh ``dijkstra``.
+
+    A solve builds one table and drops it when it returns.  The maps and
+    trees it hands out are shared between callers and must not be mutated.
     """
 
     def __init__(self, inst: Instance):
@@ -74,6 +77,8 @@ class PathTable:
         self.hops = {e: 1.0 for e in inst.edges}
         self._lengths: dict[str, tuple[dict[str, float], dict[str, str]]] = {}
         self._hops: dict[str, tuple[dict[str, float], dict[str, str]]] = {}
+        self._trees: dict[frozenset, RoutedTree] = {}
+        self._level_costs: dict[tuple[tuple[Edge, ...], int], tuple[float, ...]] = {}
 
     def get(self, source: str, weight=None) -> tuple[dict[str, float], dict[str, str]]:
         if weight is None or weight is self.inst.lengths:
@@ -85,6 +90,27 @@ class PathTable:
         hit = runs.get(source)
         if hit is None:
             hit = runs[source] = dijkstra(self.inst, source, weight)
+        return hit
+
+    def routed_tree(self, used) -> RoutedTree:
+        """The tree the staged construction returns for the edge union
+        ``used``: the shortest paths inside it, under the lengths, from the
+        root to every demand, with the demands routed to the root."""
+        key = frozenset(used)
+        hit = self._trees.get(key)
+        if hit is None:
+            inst = self.inst
+            edges = _prune_to_tree(key, sorted(inst.demands), inst.lengths, inst.root)
+            hit = self._trees[key] = route_demands(inst, edges)
+        return hit
+
+    def level_costs(self, tree: RoutedTree, levels: int) -> tuple[float, ...]:
+        """``atomic_cost`` of the tree at levels 0..levels-1 under the lengths."""
+        key = (tree.edges, levels)
+        hit = self._level_costs.get(key)
+        if hit is None:
+            lengths = self.inst.lengths
+            hit = self._level_costs[key] = tuple(atomic_cost(tree, i, lengths) for i in range(levels))
         return hit
 
 

@@ -37,6 +37,29 @@ def test_gen_and_solve_and_eval(tmp_path, star_file):
     assert all("ratio" in row for row in ev["levels"])
 
 
+@pytest.mark.parametrize("instance", [
+    {"nodes": ["a", "r"], "edges": [{"u": "a", "v": "r", "length": 1.0}],
+     "demands": {"r": 3}, "root": "r"},
+    {"nodes": ["a", "b", "r"],
+     "edges": [{"u": "a", "v": "r", "length": 0.0}, {"u": "a", "v": "b", "length": 0.0}],
+     "demands": {"a": 1, "b": 2}, "root": "r"},
+    {"nodes": ["r"], "edges": [], "demands": {"r": 1}, "root": "r"},
+], ids=["demand-at-root", "zero-lengths", "single-node"])
+def test_zero_level_bound_solve_and_eval(tmp_path, instance):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(instance))
+    dist, rep, out = tmp_path / "dist.json", tmp_path / "rep.json", tmp_path / "eval.json"
+    assert run(["solve", inst, "--out", dist, "--report", rep, "--seed", 1]) == 0
+    payload = json.loads(dist.read_text())
+    assert payload["theta"] == 1.0
+    assert [t["weight"] for t in payload["trees"]] == [1.0]
+    report = json.loads(rep.read_text())
+    assert report["theta"] <= report["beta_final"]
+    assert run(["eval", inst, dist, "--out", out, "--exact", "--seed", 1]) == 0
+    ev = json.loads(out.read_text())
+    assert ev["max_ratio_vs_bound"] == 1.0 and ev["exact_oblivious_ratio"] == 1.0
+
+
 def test_solve_missing_file_exit_2(tmp_path, capsys):
     code = run(["solve", tmp_path / "nope.json", "--out", tmp_path / "d.json", "--seed", 1])
     assert code == 2

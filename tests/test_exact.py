@@ -1,7 +1,11 @@
+import numpy as np
 import pytest
 
+import bulktree.exact as exact_mod
+from bulktree import simplex
 from bulktree.aggregation import TreeDistribution, atomic_cost, route_demands
 from bulktree.exact import (
+    DEFAULT_NODE_CAP,
     NodeCapExceeded,
     enumerate_candidate_trees,
     exact_lp_optimum,
@@ -122,7 +126,51 @@ class TestObliviousRatio:
             assert ratio >= 1.0 - 1e-12
 
 
+def reference_exact_lp_optimum(inst, node_cap=DEFAULT_NODE_CAP):
+    """exact_lp_optimum as first written: exact_optima enumerates every
+    candidate tree, then the LP enumerates them again."""
+    opt = exact_optima(inst, node_cap)
+    trees = list(enumerate_candidate_trees(inst, node_cap))
+    levels = len(opt.per_level)
+    costs = np.array(
+        [[atomic_cost(t, i, inst.lengths) for t in trees] for i in range(levels)]
+    )
+    denoms = np.array([opt.value(i) for i in range(levels)])
+    n = len(trees)
+    A = np.zeros((1 + levels, 1 + n))
+    b = np.zeros(1 + levels)
+    A[0, 1:] = 1.0
+    b[0] = 1.0
+    for i in range(levels):
+        A[1 + i, 0] = denoms[i]
+        A[1 + i, 1:] = -costs[i]
+    c = np.zeros(1 + n)
+    c[0] = 1.0
+    z, theta = simplex.solve_min_ge(c, A, b)
+    support = [(trees[j], float(w)) for j, w in enumerate(z[1:]) if w > 1e-9]
+    total = sum(w for _, w in support)
+    dist = TreeDistribution(support=tuple((t, w / total) for t, w in support), theta=float(theta))
+    return float(theta), [(t.sorted_edges(), w) for t, w in dist.support]
+
+
 class TestLpOptimum:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_enumerates_once_and_matches_reference(self, seed, monkeypatch):
+        inst = generate_instance("random-geometric", 7, 3, seed=seed)
+        theta_ref, support_ref = reference_exact_lp_optimum(inst)
+        calls = []
+        enumerate_once = exact_mod.enumerate_candidate_trees
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return enumerate_once(*args, **kwargs)
+
+        monkeypatch.setattr(exact_mod, "enumerate_candidate_trees", counting)
+        theta, dist = exact_lp_optimum(inst)
+        assert len(calls) == 1
+        assert theta == theta_ref
+        assert [(t.sorted_edges(), w) for t, w in dist.support] == support_ref
+
     def test_unique_tree_theta_one(self, path3):
         theta, dist = exact_lp_optimum(path3)
         assert theta == pytest.approx(1.0)

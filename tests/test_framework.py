@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bulktree.aggregation import atomic_cost
+from bulktree.aggregation import RoutedTree, atomic_cost
 from bulktree.exact import exact_lp_optimum, exact_oblivious_ratio, exact_optima
 from bulktree.framework import (
     ConstraintSet,
@@ -99,6 +99,10 @@ class TestSeparationOracle:
         m = len(tilde)
         rng = np.random.default_rng(m)
         kinds = set()
+        # One table across the trials, as in a solve, so later trials reuse
+        # the routed trees and level costs of earlier ones.
+        table = PathTable(inst)
+        attempts = 0
         for trial in range(12):
             y = rng.random(m) * (rng.random(m) < 0.7)
             y = y / max(y.sum(), 1e-300) * rng.choice([0.3, 0.9, 1.0, 1.2])
@@ -106,10 +110,12 @@ class TestSeparationOracle:
             point = DualPoint(alpha=tuple(y), beta=float(rng.choice([0.0, 0.5, 1.0, 1e9])))
             args = (point, tilde, float(rng.choice([0.1, 0.5, 4.0])), inst, 0.25, trial)
             kw = dict(rmax=int(rng.choice([3, 20])), break_on_violation=break_on_violation)
-            res = separation_oracle(*args, **kw)
+            res = separation_oracle(*args, **kw, table=table)
             assert oracle_outcome(res) == oracle_outcome(reference_separation_oracle(*args, **kw))
             kinds.add(res.kind)
+            attempts += res.attempts
         assert {"tree_cut", "feasible"} <= kinds
+        assert len(table._trees) < attempts
 
     def test_zero_point_reported(self, two_cluster6):
         tilde = tilde_for(two_cluster6)
@@ -323,8 +329,12 @@ class TestSolveOblivious:
     def test_repeat_solves_identical_and_leave_no_table(self):
         inst = generate_instance("random-geometric", 10, 4, seed=5)
         attrs = set(vars(inst))
-        gc.collect()
-        before = sum(isinstance(o, PathTable) for o in gc.get_objects())
+
+        def alive(cls):
+            gc.collect()
+            return sum(isinstance(o, cls) for o in gc.get_objects())
+
+        before = alive(PathTable), alive(RoutedTree)
         outs = []
         for _ in range(2):
             dist, report = solve_oblivious(inst, SolveConfig(seed=4, bit_budget=4))
@@ -332,8 +342,9 @@ class TestSolveOblivious:
                          vars(report)))
         assert outs[0] == outs[1]
         assert set(vars(inst)) == attrs
-        gc.collect()
-        assert sum(isinstance(o, PathTable) for o in gc.get_objects()) == before
+        del dist, report
+        # No table, and so no memo of routed trees, outlives the solve.
+        assert (alive(PathTable), alive(RoutedTree)) == before
         for name, module in sys.modules.items():
             if name.startswith("bulktree"):
                 assert not any(isinstance(v, PathTable) for v in vars(module).values())
@@ -347,6 +358,21 @@ class TestSolveOblivious:
                         lengths={e: w * 1e-10 for e, w in base.lengths.items()})
         with pytest.raises(RuntimeError, match="false certificate"):
             solve_oblivious(inst, SolveConfig(seed=0))
+
+    @pytest.mark.parametrize("inst", [
+        make_instance({("a", "r"): 1.0}, {"r": 3}, "r"),
+        make_instance({("a", "r"): 0.0, ("a", "b"): 0.0}, {"a": 1, "b": 2}, "r"),
+        Instance(nodes=("r",), lengths={}, demands={"r": 1}, root="r"),
+    ], ids=["demand-at-root", "zero-lengths", "single-node"])
+    def test_zero_level_bound_returns_zero_cost_tree(self, inst):
+        dist, report = solve_oblivious(inst, SolveConfig(seed=1))
+        (tree, weight), = dist.support
+        assert weight == 1.0 and dist.theta == 1.0 == report.theta
+        assert report.runs == []
+        assert all(atomic_cost(tree, r["i"], inst.lengths) == 0.0 for r in report.levels)
+        assert [r["ratio"] for r in report.levels] == [1.0] * demand_profile(inst).levels
+        ratio, _ = exact_oblivious_ratio(inst, dist)
+        assert ratio == 1.0
 
     @pytest.mark.parametrize("seed", range(4))
     def test_guarantee_chain_random_instances(self, seed):

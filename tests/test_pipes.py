@@ -17,7 +17,7 @@ from bulktree.pipes import (
     significance_point,
     thresholds,
 )
-from bulktree.regularize import regularize
+from bulktree.regularize import cap_capacity, regularize, regularize_delta, regularize_sigma
 
 from conftest import random_alpha
 
@@ -26,6 +26,43 @@ GAMMA = F(1, 4)
 
 def as_pairs(p: PipeSchedule):
     return [(pipe.fixed, pipe.rate) for pipe in p.pipes]
+
+
+def reference_alpha_to_pipes(a: AlphaVector) -> PipeSchedule:
+    """alpha_to_pipes as first written: every rate and fixed cost re-summed."""
+    levels = a.levels()
+    weights = [a.alpha[i] for i in levels]
+    pipes = []
+    for k in range(len(levels)):
+        rate = sum(weights[k:], F(0))
+        fixed = sum((weights[j] * (1 << levels[j]) for j in range(k)), F(0))
+        pipes.append(Pipe(fixed, rate))
+    plateau = sum((w * (1 << i) for i, w in zip(levels, weights)), F(0))
+    pipes.append(Pipe(plateau, F(0)))
+    return PipeSchedule(tuple(pipes))
+
+
+# Small rationals, and the ratios of floats that separation_oracle builds
+# from a scaled dual point and a level bound.
+WEIGHTS = st.one_of(
+    st.fractions(min_value=F(1, 1000), max_value=1000, max_denominator=1000),
+    st.builds(
+        lambda y, t: F(y) / F(t),
+        st.floats(min_value=1e-12, max_value=1.0),
+        st.floats(min_value=1e-3, max_value=1e6),
+    ),
+)
+
+
+@st.composite
+def alpha_vectors(draw, max_levels: int = 14):
+    log_d = draw(st.integers(0, max_levels - 1))
+    levels = draw(st.sets(st.integers(0, log_d), min_size=1))
+    return AlphaVector(alpha={lvl: draw(WEIGHTS) for lvl in sorted(levels)}, D=1 << log_d)
+
+
+def is_exact(p: PipeSchedule) -> bool:
+    return all(isinstance(x, F) for pipe in p.pipes for x in (pipe.fixed, pipe.rate))
 
 
 class TestAlphaToPipes:
@@ -166,6 +203,36 @@ def test_regular_vector_weight_decay(seed):
         assert weight > (1 - GAMMA) * pipes[k].rate
         if k + 1 < len(levels):
             assert weight > ((1 - GAMMA) / GAMMA) * reg.alpha[levels[k + 1]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=alpha_vectors())
+def test_linear_schedule_matches_reference(a):
+    p = alpha_to_pipes(a)
+    assert p == reference_alpha_to_pipes(a)
+    assert is_exact(p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=alpha_vectors())
+def test_schedule_kept_by_pipes_to_alpha_is_fresh_derivation(a):
+    p = alpha_to_pipes(a)
+    back = pipes_to_alpha(p, D=a.D)
+    assert back.schedule() is p
+    capped, _ = cap_capacity(a)
+    rated, _ = regularize_delta(capped, GAMMA)
+    out, _ = regularize_sigma(rated, GAMMA)
+    for vec in (back, capped, rated, out):
+        kept = vec.schedule()
+        assert kept == alpha_to_pipes(AlphaVector(alpha=dict(vec.alpha), D=vec.D))
+        assert is_exact(kept)
+    assert out == regularize(a, GAMMA)[0]
+
+
+def test_schedule_derived_once():
+    a = AlphaVector(alpha={0: F(1), 2: F(1)}, D=8)
+    assert a.schedule() is a.schedule()
+    assert a.schedule() == alpha_to_pipes(a)
 
 
 def test_power_of_two_predicate():
