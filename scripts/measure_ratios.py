@@ -7,7 +7,7 @@ against exact brute-force optima.  Prints a TSV table to stdout.
 
 Usage:
     python3 scripts/measure_ratios.py --families star,path,random-geometric \
-        --sizes 5,6,7 --seeds 0,1,2 --bit-budget 4
+        --sizes 5,6,7 --seeds 0,1,2
 """
 import argparse
 import sys
@@ -23,7 +23,6 @@ def main() -> int:
     ap.add_argument("--families", default="star,path,grid,random-geometric")
     ap.add_argument("--sizes", default="5,6,7")
     ap.add_argument("--seeds", default="0,1,2")
-    ap.add_argument("--bit-budget", type=int, default=4)
     ap.add_argument("--gamma", type=float, default=0.25)
     ap.add_argument("--node-cap", type=int, default=8)
     args = ap.parse_args()
@@ -34,7 +33,7 @@ def main() -> int:
             for seed in (int(s) for s in args.seeds.split(",")):
                 inst = generate_instance(family, n, max(1, (n - 1) // 2), seed)
                 t0 = time.monotonic()
-                cfg = SolveConfig(seed=seed, gamma=args.gamma, bit_budget=args.bit_budget)
+                cfg = SolveConfig(seed=seed, gamma=args.gamma)
                 dist, report = solve_oblivious(inst, cfg)
                 elapsed = time.monotonic() - t0
                 exact_ratio = theta_opt = ""

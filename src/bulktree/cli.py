@@ -60,18 +60,21 @@ def _config_hash(cfg: dict) -> str:
 
 
 def _effective_config(args, keys) -> dict:
-    """Merge precedence: flags > config file > defaults."""
-    defaults = {
-        "gamma": 0.25,
-        "beta_init": 2.0,
-        "beta_steps": 6,
-        "bit_budget": 64,
-        "node_cap": 8,
-    }
+    """Merge precedence: flags > config file > defaults.
+
+    A config file may set only the default keys; any other key is refused.
+    """
+    defaults = {"gamma": 0.25, "node_cap": 8}
     merged = dict(defaults)
     if getattr(args, "config", None):
         with open(args.config) as fh:
-            merged.update(json.load(fh))
+            loaded = json.load(fh)
+        if not isinstance(loaded, dict):
+            raise ParseError("config file must hold a JSON object")
+        unknown = sorted(set(loaded) - set(defaults))
+        if unknown:
+            raise ParseError(f"unknown config keys {unknown}; known: {sorted(defaults)}")
+        merged.update(loaded)
     for key in keys:
         val = getattr(args, key, None)
         if val is not None:
@@ -139,16 +142,9 @@ def cmd_gen(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    cfg = _effective_config(args, ["gamma", "beta_init", "beta_steps", "bit_budget", "node_cap"])
+    cfg = _effective_config(args, ["gamma", "node_cap"])
     inst = load_instance(args.instance)
-    config = SolveConfig(
-        seed=args.seed,
-        gamma=cfg["gamma"],
-        beta_init=cfg["beta_init"],
-        beta_steps=cfg["beta_steps"],
-        bit_budget=cfg["bit_budget"],
-        node_cap=cfg["node_cap"],
-    )
+    config = SolveConfig(seed=args.seed, gamma=cfg["gamma"], node_cap=cfg["node_cap"])
     t0 = time.monotonic()
     dist, report = solve_oblivious(inst, config)
     _log(cmd="solve", instance=args.instance, theta=f"{dist.theta:.6g}",
@@ -283,7 +279,7 @@ def cmd_brute(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    cfg = _effective_config(args, ["gamma", "beta_init", "beta_steps", "bit_budget", "node_cap"])
+    cfg = _effective_config(args, ["gamma", "node_cap"])
     sizes = [int(s) for s in args.sizes.split(",") if s]
     seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else []
     rows = []
@@ -293,11 +289,7 @@ def cmd_bench(args) -> int:
             instance_id = f"{args.family}-n{n}-s{seed}"
             t0 = time.monotonic()
             try:
-                config = SolveConfig(
-                    seed=seed, gamma=cfg["gamma"], beta_init=cfg["beta_init"],
-                    beta_steps=cfg["beta_steps"], bit_budget=cfg["bit_budget"],
-                    node_cap=cfg["node_cap"],
-                )
+                config = SolveConfig(seed=seed, gamma=cfg["gamma"], node_cap=cfg["node_cap"])
                 dist, report = solve_oblivious(inst, config)
                 theta_opt = ""
                 if len(inst.nodes) <= cfg["node_cap"]:
@@ -368,9 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--report")
     p.add_argument("--gamma", type=float)
-    p.add_argument("--beta-init", dest="beta_init", type=float)
-    p.add_argument("--beta-steps", dest="beta_steps", type=int)
-    p.add_argument("--bit-budget", dest="bit_budget", type=int)
     p.add_argument("--node-cap", dest="node_cap", type=int)
     add_common(p)
     p.set_defaults(func=cmd_solve)
@@ -413,9 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", required=True, help="comma-separated seeds (may be empty)")
     p.add_argument("--out", required=True)
     p.add_argument("--gamma", type=float)
-    p.add_argument("--beta-init", dest="beta_init", type=float)
-    p.add_argument("--beta-steps", dest="beta_steps", type=int)
-    p.add_argument("--bit-budget", dest="bit_budget", type=int)
     p.add_argument("--node-cap", dest="node_cap", type=int)
     p.add_argument("--config")
     p.set_defaults(func=cmd_bench)

@@ -13,13 +13,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-import numpy as np
-
 from .aggregation import (
     RoutedTree, TreeDistribution, atomic_cost, distribution_cost, level_ratio, route_demands,
 )
+from .framework import ConstraintSet, TreeConstraint, solve_small_primal
 from .instance import Instance, demand_profile
-from . import simplex
 
 DEFAULT_NODE_CAP = 8
 
@@ -152,28 +150,21 @@ def exact_oblivious_ratio(
 def exact_lp_optimum(
     inst: Instance, node_cap: int = DEFAULT_NODE_CAP
 ) -> tuple[float, TreeDistribution]:
-    """Solve the full distribution LP over every enumerated tree with true optima."""
+    """Solve the full distribution LP over every enumerated tree with true
+    optima, with the solver's master LP.
+
+    A zero optimum at any level means a tree of zero cost at every level,
+    which is then optimal alone with theta 1, the 0/0 rule of ``level_ratio``.
+    """
     _check_cap(inst, node_cap)
     trees = list(enumerate_candidate_trees(inst, node_cap))
     cost_rows = _level_costs(inst, trees)
     opt = _optima_of(trees, cost_rows)
-    levels = len(opt.per_level)
-    costs = np.array(cost_rows)
-    denoms = np.array([opt.value(i) for i in range(levels)])
-    # Variables: theta, x_T.  Constraints: sum x >= 1; theta*opt_i - sum x A_i >= 0.
-    n = len(trees)
-    A = np.zeros((1 + levels, 1 + n))
-    b = np.zeros(1 + levels)
-    A[0, 1:] = 1.0
-    b[0] = 1.0
-    for i in range(levels):
-        A[1 + i, 0] = denoms[i]
-        A[1 + i, 1:] = -costs[i]
-    c = np.zeros(1 + n)
-    c[0] = 1.0
-    z, theta = simplex.solve_min_ge(c, A, b)
-    weights = z[1:]
-    support = [(trees[j], float(w)) for j, w in enumerate(weights) if w > 1e-9]
-    total = sum(w for _, w in support)
-    support = [(t, w / total) for t, w in support]
-    return float(theta), TreeDistribution(support=tuple(support), theta=float(theta))
+    optima = tuple(opt.value(i) for i in range(len(opt.per_level)))
+    if min(optima) == 0:
+        return 1.0, TreeDistribution(support=((opt.tree(0), 1.0),), theta=1.0)
+    cs = ConstraintSet(tilde=optima, tree_constraints=[
+        TreeConstraint(tree=t, level_costs=costs) for t, costs in zip(trees, zip(*cost_rows))
+    ])
+    dist, _, _ = solve_small_primal(cs)
+    return dist.theta, dist

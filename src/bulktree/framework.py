@@ -1,25 +1,25 @@
-"""End-to-end solver: ellipsoid feasibility over the dual, constraint
-harvesting, small primal solve, and the search for the tightest refutable
-objective level.
+"""End-to-end solver: the tree-distribution LP by column generation.
 
-The dual polytope at level beta asks for level weights alpha >= 0 with
-sum_i alpha_i * tilde_i <= 1 (tilde_i: the rent-or-buy upper bound on the
-level-i optimum) such that every spanning tree T has
-sum_i alpha_i * A_i(T) >= beta.  The ellipsoid runs in scaled coordinates
-y_i = alpha_i * tilde_i, so the polytope provably sits inside the unit box
-regardless of instance scale, and the unit box is the initial ellipsoid.
+The distribution LP asks for weights w over spanning trees with sum w >= 1
+that minimize theta, the worst level ratio sum_T w_T * A_i(T) / tilde_i
+(tilde_i: the rent-or-buy upper bound on the level-i optimum).  Its dual asks
+for level weights alpha >= 0 with sum alpha <= 1 that maximize the cheapest
+tree's cost sum_i alpha_i * A_i(T) / tilde_i.
 
-Each query point is refuted either by the budget constraint, a box
-constraint, or a tree found by the randomized oracle whose cost under alpha
-is below beta.  Harvested trees accumulate into a constraint set; by LP
-duality, the moment the small primal over the harvested trees has optimum
-theta* < beta, the set proves the dual polytope empty, so the run stops with
-a certificate (the volume and iteration budgets remain as fallbacks, but a
-run that exhausts them is reported unresolved rather than infeasible).  The
-driver doubles beta from its initial guess until a run certifies
-infeasibility, then binary-searches below it; the distribution extracted
-from the final certificate is a vertex LP solution, hence supported on at
-most 1 + log2(D) trees.
+The restricted master holds the distinct rent-or-buy trees to start with and
+is solved by the in-house simplex, which also returns its duals.  The
+randomized oracle then looks for a tree whose cost under those duals is below
+the master's theta*: such a tree is a column with negative reduced cost and
+joins the master.  The loop stops when the oracle finds none within its
+retries (the paper's "no violated tree" condition), when it returns a tree
+the master already holds, or at a fixed cap on pricing calls.  Every master
+optimum is a primal-feasible distribution whose worst level ratio is its
+theta*, so a capped run still returns a valid answer.  The master's vertex
+solution has at most 1 + levels basic variables, theta among them, hence
+the support of at most 1 + log2(D) trees.
+
+The central-cut ellipsoid over the same dual is kept as
+``ellipsoid_feasibility``; the solver does not call it.
 """
 from __future__ import annotations
 
@@ -51,21 +51,20 @@ __all__ = [
 ]
 
 
+# Pricing calls per solve.  Random-geometric n=64 converges in about 10.
+MAX_PRICING_CALLS = 64
+
+
 @dataclass(frozen=True)
 class SolveConfig:
     seed: int
     gamma: float = 0.25
-    beta_init: float = 2.0
-    beta_steps: int = 6
-    bit_budget: int = 64
     node_cap: int = 8
     rmax: int | None = None
 
     def __post_init__(self):
         if not (0 < self.gamma < 0.5):
             raise ValueError("gamma must lie in (0, 1/2)")
-        if self.beta_init <= 0 or self.beta_steps < 0 or self.bit_budget < 1:
-            raise ValueError("invalid search parameters")
 
 
 def default_rmax(inst: Instance) -> int:
@@ -256,14 +255,14 @@ def ellipsoid_feasibility(
                     # Degenerate zero-cost tree: no weight vector can reach
                     # beta > 0 against it, so the polytope itself is empty.
                     cs.add(TreeConstraint(tree=res.tree, level_costs=res.level_costs))
-                    dist = solve_small_primal(cs)
+                    dist, _, _ = solve_small_primal(cs)
                     return EllipsoidResult(
                         status="infeasible", beta=beta, constraint_set=cs,
                         theta=dist.theta, iterations=iteration + 1,
                         oracle_calls=oracle_calls, distribution=dist,
                     )
                 if cs.add(TreeConstraint(tree=res.tree, level_costs=res.level_costs)):
-                    dist = solve_small_primal(cs)
+                    dist, _, _ = solve_small_primal(cs)
                     if dist.theta < beta - 1e-9:
                         return EllipsoidResult(
                             status="infeasible", beta=beta, constraint_set=cs,
@@ -300,11 +299,17 @@ def ellipsoid_feasibility(
     )
 
 
-def solve_small_primal(cs: ConstraintSet) -> TreeDistribution:
+def solve_small_primal(cs: ConstraintSet) -> tuple[TreeDistribution, float, tuple[float, ...]]:
     """Vertex optimum of the restricted distribution LP over harvested trees.
 
-    Returns a distribution supported on at most 1 + log2(D) trees whose
-    worst level ratio against the tilde bounds equals theta*.
+    Solves  min theta  s.t.  sum_j w_j >= 1  and, per level i,
+    theta - sum_j w_j * A_i(T_j) / tilde_i >= 0,  w >= 0,
+    with every level row divided by its bound, so the LP reads the same at
+    any length scale.  Returns a distribution supported on at most
+    1 + log2(D) trees whose worst level ratio against the tilde bounds equals
+    theta*, and the row duals (y0, alpha): y0 prices the sum row, and alpha
+    is a weight vector in scaled coordinates under which no tree of the set
+    costs less than y0 = theta*.
     """
     if not cs.tree_constraints:
         raise ValueError("constraint set has no tree constraints")
@@ -315,13 +320,12 @@ def solve_small_primal(cs: ConstraintSet) -> TreeDistribution:
     b = np.zeros(1 + levels)
     A[0, 1:] = 1.0
     b[0] = 1.0
-    for i in range(levels):
-        A[1 + i, 0] = cs.tilde[i]
-        for j, tc in enumerate(trees):
-            A[1 + i, 1 + j] = -tc.level_costs[i]
+    A[1:, 0] = 1.0
+    costs = np.array([tc.level_costs for tc in trees], dtype=float)
+    A[1:, 1:] = -(costs / np.asarray(cs.tilde, dtype=float)).T
     c = np.zeros(1 + n)
     c[0] = 1.0
-    z, theta = simplex.solve_min_ge(c, A, b)
+    z, theta, y = simplex.solve_min_ge(c, A, b)
     weights = [(float(z[1 + j]), j) for j in range(n) if z[1 + j] > 1e-9]
     # Fold the sum-above-one slack into the largest weights: shrinking weights
     # only lowers every level cost, so theta* remains valid.
@@ -335,7 +339,8 @@ def solve_small_primal(cs: ConstraintSet) -> TreeDistribution:
             excess -= take
         folded.append((w, j))
     support = tuple((trees[j].tree, w) for w, j in folded if w > 1e-12)
-    return TreeDistribution(support=support, theta=float(theta))
+    dist = TreeDistribution(support=support, theta=float(theta))
+    return dist, float(y[0]), tuple(float(a) for a in y[1:])
 
 
 @dataclass
@@ -349,63 +354,48 @@ class SolveReport:
     exact: dict | None = None
 
 
-def _beta_search(
-    inst: Instance, config: SolveConfig, tilde, table: PathTable
-) -> tuple[TreeDistribution, float, list]:
-    """Double beta until a run certifies infeasibility, then bisect below it.
+def _column_generation(
+    inst: Instance, config: SolveConfig, bounds, table: PathTable
+) -> tuple[TreeDistribution, list]:
+    """Price columns into the master until the oracle finds no cheaper tree.
 
-    Returns the distribution of the last certificate, the smallest certified
-    beta, and one row per ellipsoid run.
+    Returns the last master's distribution and one row per pricing call.
     """
+    levels = len(bounds)
+    tilde = tuple(v for _, v, _ in bounds)
+    cs = ConstraintSet(tilde=tilde, tree_constraints=[])
+    for _, _, tree in bounds:
+        cs.add(TreeConstraint(tree=tree, level_costs=table.level_costs(tree, levels)))
     runs = []
-    run_idx = 0
-
-    def run(beta: float) -> EllipsoidResult:
-        nonlocal run_idx
-        res = ellipsoid_feasibility(
-            inst, beta, None, config.gamma,
-            _mix_seed(config.seed, 100 + run_idx), tilde=tilde,
-            bit_budget=config.bit_budget, rmax=config.rmax, table=table,
+    for call in range(MAX_PRICING_CALLS + 1):
+        dist, _, alpha = solve_small_primal(cs)
+        if call == MAX_PRICING_CALLS:
+            break
+        beta = dist.theta * (1 - 1e-9)
+        res = separation_oracle(
+            DualPoint(alpha=alpha, beta=beta), tilde, beta / 2.0, inst, config.gamma,
+            _mix_seed(config.seed, 7919 + call), config.rmax, table=table,
+        )
+        added = res.kind == "tree_cut" and cs.add(
+            TreeConstraint(tree=res.tree, level_costs=res.level_costs)
         )
         runs.append({
-            "beta": beta, "status": res.status, "iterations": res.iterations,
-            "oracle_calls": res.oracle_calls, "theta": res.theta,
-            "harvested": len(res.constraint_set.tree_constraints),
+            "theta": dist.theta, "kind": res.kind, "attempts": res.attempts,
+            "columns": len(cs.tree_constraints),
         })
-        run_idx += 1
-        return res
-
-    beta = float(config.beta_init)
-    lo = 0.0
-    best: EllipsoidResult | None = None
-    for _ in range(60):
-        res = run(beta)
-        if res.status == "infeasible":
-            best = res
+        if not added:
             break
-        lo = beta
-        beta *= 2.0
-    if best is None:
-        raise RuntimeError("no refutable beta found while doubling; oracle never certified")
-    hi = beta
-    for _ in range(config.beta_steps):
-        mid = (lo + hi) / 2.0
-        res = run(mid)
-        if res.status == "infeasible":
-            hi, best = mid, res
-        else:
-            lo = mid
-    return solve_small_primal(best.constraint_set), hi, runs
+    return dist, runs
 
 
 def solve_oblivious(inst: Instance, config: SolveConfig) -> tuple[TreeDistribution, SolveReport]:
-    """Compute the level bounds, search for the smallest refutable beta, and
-    extract the tree distribution from the final infeasibility certificate.
+    """Compute the level bounds and solve the distribution LP over trees by
+    column generation; ``report.beta_final`` is the final master's theta*.
 
     A level whose bound is zero has a rent-or-buy tree of zero cost there.
     Every edge of that tree carries flow, so all its edges have length zero
     and it costs zero at every level.  It is returned alone with theta 1,
-    the 0/0 rule of ``level_ratio``, and no beta search is run.
+    the 0/0 rule of ``level_ratio``, and no LP is solved.
     """
     profile = demand_profile(inst)
     # One shortest-path table per solve: it is dropped when the solve returns.
@@ -414,9 +404,9 @@ def solve_oblivious(inst: Instance, config: SolveConfig) -> tuple[TreeDistributi
     tilde = tuple(v for _, v, _ in bounds)
     zero_tree = next((tree for _, v, tree in bounds if v == 0), None)
     if zero_tree is None:
-        dist, beta_final, runs = _beta_search(inst, config, tilde, table)
+        dist, runs = _column_generation(inst, config, bounds, table)
     else:
-        dist, beta_final, runs = TreeDistribution(support=((zero_tree, 1.0),), theta=1.0), 1.0, []
+        dist, runs = TreeDistribution(support=((zero_tree, 1.0),), theta=1.0), []
     if len(dist.support) > 1 + int(math.log2(profile.D)):
         raise RuntimeError("support bound violated")
     level_rows = []
@@ -432,7 +422,7 @@ def solve_oblivious(inst: Instance, config: SolveConfig) -> tuple[TreeDistributi
             f"false certificate: worst level ratio {worst!r} exceeds theta {dist.theta!r}"
         )
     report = SolveReport(
-        beta_final=beta_final,
+        beta_final=dist.theta,
         theta=dist.theta,
         tilde=tilde,
         support_size=len(dist.support),

@@ -3,7 +3,8 @@
 Solves   min c.z   s.t.  A z >= b,  z >= 0
 
 and returns a vertex (basic) optimal solution, which is what gives the sparse
-support of the extracted tree distributions.  Bland's rule (smallest eligible
+support of the extracted tree distributions, together with the row duals
+y >= 0 (A^T y <= c, b.y = c.z) that price new columns.  Bland's rule (smallest eligible
 index for both entering and leaving variable) rules out cycling; the LPs here
 have a handful of rows, so speed is irrelevant.
 """
@@ -26,8 +27,13 @@ class LPUnbounded(LPError):
     pass
 
 
-def solve_min_ge(c, A, b) -> tuple[np.ndarray, float]:
-    """Minimize c.z subject to A z >= b, z >= 0; returns (z*, objective)."""
+def solve_min_ge(c, A, b) -> tuple[np.ndarray, float, np.ndarray]:
+    """Minimize c.z subject to A z >= b, z >= 0; returns (z*, objective, y*).
+
+    The dual y_i of row i is the phase-2 reduced cost of its surplus column:
+    a flipped row flips both its surplus column and its multiplier, so the
+    sign comes out right for every row.
+    """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     c = np.asarray(c, dtype=float)
@@ -69,7 +75,8 @@ def solve_min_ge(c, A, b) -> tuple[np.ndarray, float]:
     z = np.zeros(total)
     for i, bi in enumerate(basis):
         z[bi] = rhs[i]
-    return z[:n], float(obj2)
+    y = -(cost2[basis] @ tab[:, n:])
+    return z[:n], float(obj2), y
 
 
 def _pivot(tab, rhs, row, col):

@@ -1,9 +1,9 @@
 """Acceptance criteria, one test per criterion, each printing a PASS/FAIL line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines.  Tolerances are pinned here, directly from the contract; brute-force
-oracles come from the exact module and from exhaustive enumeration in this
-file.  Criterion 2's threshold sandwich is evaluated on regularized vectors:
+lines.  Tolerances are pinned here, directly from the contract; exact
+oracles come from the exact module, from exhaustive enumeration in this file
+and from the Dreyfus-Wagner Steiner optimum of test_subroutines.  Criterion 2's threshold sandwich is evaluated on regularized vectors:
 the separation assumptions it encodes do not hold for arbitrary weight
 vectors (counterexample: weights {0: 2, 1: 1} put the significance point at
 4, above the next capacity 2).
@@ -27,7 +27,7 @@ from bulktree.regularize import cap_capacity, regularize, regularize_delta, regu
 from bulktree.subroutines import lbfl, rent_or_buy, rob_lower_bounds, steiner_tree
 
 from conftest import make_instance, random_alpha, small_instance_corpus
-from test_subroutines import brute_steiner_cost
+from test_subroutines import steiner_optimum
 
 GAMMA = F(1, 4)
 
@@ -169,7 +169,7 @@ def test_c07_framework_guarantees():
             continue
         seed = int(rng.integers(0, 10000))
         inst = generate_instance("random-geometric", n, k, seed=seed)
-        dist, report = solve_oblivious(inst, SolveConfig(seed=seed, bit_budget=4))
+        dist, report = solve_oblivious(inst, SolveConfig(seed=seed))
         D = demand_profile(inst).D
         assert len(dist.support) <= 1 + int(math.log2(D))
         worst_vs_bound = max(r["ratio"] for r in report.levels)
@@ -185,7 +185,7 @@ def test_c07_framework_guarantees():
 
 @criterion(8, "subroutine certificates: steiner 2x, rent-or-buy mean 4x, facility load L/3")
 def test_c08_subroutine_certificates():
-    # exhaustive steiner corpus, all instances at most 8 nodes
+    # exact steiner corpus, all instances at most 8 nodes
     graphs = [
         make_instance(
             {("a", "b"): 1.0, ("b", "c"): 1.0, ("c", "d"): 1.0, ("a", "d"): 1.0},
@@ -205,7 +205,7 @@ def test_c08_subroutine_certificates():
         for size in (2, 3, min(5, len(nodes))):
             for terms in itertools.islice(itertools.combinations(nodes, size), 6):
                 sol = steiner_tree(inst, terms)
-                opt = brute_steiner_cost(inst, terms, inst.lengths)
+                opt = steiner_optimum(inst, terms, inst.lengths)
                 assert sol.cost <= 2 * opt + 1e-9
 
     for seed in range(3):
@@ -279,14 +279,13 @@ def test_c10_cli_determinism(tmp_path):
         d.mkdir()
         run(["gen", "star", "--n", 6, "--demands", 4, "--out", d / "i.json", "--seed", 5])
         run(["solve", d / "i.json", "--out", d / "dist.json", "--report", d / "rep.json",
-             "--seed", 5, "--bit-budget", 4])
+             "--seed", 5])
         run(["eval", d / "i.json", d / "dist.json", "--out", d / "eval.json", "--exact",
              "--seed", 5])
         run(["regularize", alpha, "--out", d / "reg.json"])
         run(["gmm", d / "i.json", alpha, "--out", d / "gmm.json", "--seed", 5])
         run(["brute", d / "i.json", "--out", d / "brute.json", "--tsv", d / "brute.tsv"])
-        run(["bench", "path", "--sizes", "4,5", "--seeds", "1", "--out", d / "bench.tsv",
-             "--bit-budget", 4])
+        run(["bench", "path", "--sizes", "4,5", "--seeds", "1", "--out", d / "bench.tsv"])
         return {p.name: p.read_bytes() for p in sorted(d.iterdir())}
 
     assert artifacts("one") == artifacts("two")

@@ -20,7 +20,7 @@ def test_gen_and_solve_and_eval(tmp_path, star_file):
     dist = tmp_path / "dist.json"
     rep = tmp_path / "rep.json"
     code = run(
-        ["solve", star_file, "--out", dist, "--report", rep, "--seed", 3, "--bit-budget", 4]
+        ["solve", star_file, "--out", dist, "--report", rep, "--seed", 3]
     )
     assert code == 0
     payload = json.loads(dist.read_text())
@@ -71,7 +71,7 @@ def test_solve_byte_identical_reruns(tmp_path, star_file):
     outs = []
     for name in ("d1.json", "d2.json"):
         p = tmp_path / name
-        assert run(["solve", star_file, "--out", p, "--seed", 7, "--bit-budget", 4]) == 0
+        assert run(["solve", star_file, "--out", p, "--seed", 7]) == 0
         outs.append(p.read_bytes())
     assert outs[0] == outs[1]
 
@@ -104,7 +104,7 @@ def test_eval_exact_over_cap_refused(tmp_path):
     big = tmp_path / "big.json"
     assert run(["gen", "grid", "--n", 12, "--demands", 3, "--out", big, "--seed", 1]) == 0
     dist = tmp_path / "d.json"
-    assert run(["solve", big, "--out", dist, "--seed", 2, "--bit-budget", 2]) == 0
+    assert run(["solve", big, "--out", dist, "--seed", 2]) == 0
     code = run(["eval", big, dist, "--out", tmp_path / "e.json", "--exact", "--seed", 2])
     assert code == 2
 
@@ -157,7 +157,7 @@ def test_bench_table_and_determinism(tmp_path):
     t2 = tmp_path / "b2.tsv"
     for t in (t1, t2):
         assert run(
-            ["bench", "star", "--sizes", "5", "--seeds", "1,2", "--out", t, "--bit-budget", 4]
+            ["bench", "star", "--sizes", "5", "--seeds", "1,2", "--out", t]
         ) == 0
     assert t1.read_bytes() == t2.read_bytes()
     lines = t1.read_text().strip().splitlines()
@@ -172,14 +172,30 @@ def test_bench_empty_seed_list(tmp_path):
 
 
 def test_config_file_precedence(tmp_path, star_file):
+    # The star has 6 nodes: a node cap of 3 refuses the exact comparison.
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"bit_budget": 4, "beta_steps": 2}))
-    d = tmp_path / "d.json"
-    rep = tmp_path / "r.json"
-    assert run(
-        ["solve", star_file, "--out", d, "--report", rep, "--seed", 1,
-         "--config", cfg, "--beta-steps", 3]
-    ) == 0
-    report = json.loads(rep.read_text())
-    # flag overrides file: 1 doubling run + 3 binary-search runs minimum
-    assert len(report["runs"]) >= 4
+    cfg.write_text(json.dumps({"gamma": 0.2, "node_cap": 3}))
+
+    def solve(tag, *flags):
+        d, rep = tmp_path / f"{tag}.json", tmp_path / f"{tag}-rep.json"
+        assert run(["solve", star_file, "--out", d, "--report", rep, "--seed", 1, *flags]) == 0
+        return json.loads(rep.read_text())
+
+    file_only = solve("file", "--config", cfg)
+    assert file_only["exact"] is None
+    # flag overrides file; the file's gamma overrides the default
+    both = solve("both", "--config", cfg, "--node-cap", 8)
+    assert both["exact"] is not None
+    assert both["config_hash"] == solve("flags", "--gamma", 0.2, "--node-cap", 8)["config_hash"]
+    assert both["config_hash"] != solve("default")["config_hash"]
+
+
+@pytest.mark.parametrize("key", ["gama", "bit_budget"], ids=["misspelled", "removed"])
+def test_config_file_unknown_key_exit_2(tmp_path, star_file, capsys, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"gamma": 0.2, key: 4}))
+    code = run(["solve", star_file, "--out", tmp_path / "d.json", "--seed", 1, "--config", cfg])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+    assert err["type"] == "ParseError" and key in err["message"]
+    assert not (tmp_path / "d.json").exists()

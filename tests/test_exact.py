@@ -13,7 +13,7 @@ from bulktree.exact import (
     exact_optima,
     exact_optimum,
 )
-from bulktree.instance import demand_profile, generate_instance
+from bulktree.instance import Instance, demand_profile, generate_instance
 from bulktree.subroutines import dijkstra
 
 from conftest import make_instance, small_instance_corpus
@@ -127,8 +127,9 @@ class TestObliviousRatio:
 
 
 def reference_exact_lp_optimum(inst, node_cap=DEFAULT_NODE_CAP):
-    """exact_lp_optimum as first written: exact_optima enumerates every
-    candidate tree, then the LP enumerates them again."""
+    """exact_lp_optimum as first written, with each level row divided by its
+    optimum: exact_optima enumerates every candidate tree, then the LP
+    enumerates them again."""
     opt = exact_optima(inst, node_cap)
     trees = list(enumerate_candidate_trees(inst, node_cap))
     levels = len(opt.per_level)
@@ -142,15 +143,15 @@ def reference_exact_lp_optimum(inst, node_cap=DEFAULT_NODE_CAP):
     A[0, 1:] = 1.0
     b[0] = 1.0
     for i in range(levels):
-        A[1 + i, 0] = denoms[i]
-        A[1 + i, 1:] = -costs[i]
+        A[1 + i, 0] = 1.0
+        A[1 + i, 1:] = -costs[i] / denoms[i]
     c = np.zeros(1 + n)
     c[0] = 1.0
-    z, theta = simplex.solve_min_ge(c, A, b)
+    z, theta, _ = simplex.solve_min_ge(c, A, b)
     support = [(trees[j], float(w)) for j, w in enumerate(z[1:]) if w > 1e-9]
     total = sum(w for _, w in support)
     dist = TreeDistribution(support=tuple((t, w / total) for t, w in support), theta=float(theta))
-    return float(theta), [(t.sorted_edges(), w) for t, w in dist.support]
+    return float(theta), sorted((t.sorted_edges(), w) for t, w in dist.support)
 
 
 class TestLpOptimum:
@@ -169,7 +170,28 @@ class TestLpOptimum:
         theta, dist = exact_lp_optimum(inst)
         assert len(calls) == 1
         assert theta == theta_ref
-        assert [(t.sorted_edges(), w) for t, w in dist.support] == support_ref
+        support = sorted((t.sorted_edges(), w) for t, w in dist.support)
+        # The master folds a sum-above-one slack into its largest weight
+        # where the reference divides by the sum: the last bits may differ.
+        assert [edges for edges, _ in support] == [edges for edges, _ in support_ref]
+        assert [w for _, w in support] == pytest.approx([w for _, w in support_ref], abs=1e-12)
+
+    @pytest.mark.parametrize("scale", [2.0**-40, 1e-10, 1.0, 1e9, 1e12])
+    def test_theta_independent_of_length_scale(self, scale):
+        base = generate_instance("random-geometric", 7, 3, seed=0)
+        inst = Instance(nodes=base.nodes, root=base.root, demands=base.demands,
+                        lengths={e: w * scale for e, w in base.lengths.items()})
+        theta, dist = exact_lp_optimum(inst)
+        assert theta == pytest.approx(1.0171315420768403, rel=1e-12)
+        ratio, _ = exact_oblivious_ratio(inst, dist)
+        assert ratio <= theta * (1 + 1e-9)
+
+    def test_zero_optimum_returns_zero_cost_tree(self):
+        inst = make_instance({("a", "r"): 0.0, ("a", "b"): 0.0}, {"a": 1, "b": 2}, "r")
+        theta, dist = exact_lp_optimum(inst)
+        (tree, weight), = dist.support
+        assert theta == dist.theta == 1.0 and weight == 1.0
+        assert exact_oblivious_ratio(inst, dist)[0] == 1.0
 
     def test_unique_tree_theta_one(self, path3):
         theta, dist = exact_lp_optimum(path3)

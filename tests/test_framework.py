@@ -5,10 +5,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bulktree.aggregation import RoutedTree, atomic_cost
+import bulktree.framework as framework_mod
+
+from bulktree.aggregation import RoutedTree, TreeDistribution, atomic_cost
 from bulktree.exact import exact_lp_optimum, exact_oblivious_ratio, exact_optima
 from bulktree.framework import (
+    MAX_PRICING_CALLS,
     ConstraintSet,
     DualPoint,
     EllipsoidResult,
@@ -27,6 +32,14 @@ from bulktree.pipes import AlphaVector
 from bulktree.subroutines import PathTable, _mix_seed, rob_lower_bounds
 
 from conftest import make_instance
+
+
+def scaled_solve(inst, factor, seed):
+    """theta and support of a solve with every length times factor."""
+    scaled = Instance(nodes=inst.nodes, root=inst.root, demands=inst.demands,
+                      lengths={e: w * factor for e, w in inst.lengths.items()})
+    dist, _ = solve_oblivious(scaled, SolveConfig(seed=seed, node_cap=0))
+    return dist.theta, [(t.sorted_edges(), w) for t, w in dist.support]
 
 
 def tilde_for(inst, seed=7):
@@ -183,7 +196,7 @@ class TestSmallPrimal:
         tilde = tilde_for(path3)
         costs = tuple(atomic_cost(tree, i, path3.lengths) for i in range(len(tilde)))
         cs = ConstraintSet(tilde=tilde, tree_constraints=[TreeConstraint(tree, costs)])
-        dist = solve_small_primal(cs)
+        dist, _, _ = solve_small_primal(cs)
         assert len(dist.support) == 1
         assert dist.support[0][1] == pytest.approx(1.0)
         assert dist.theta == pytest.approx(max(c / t for c, t in zip(costs, tilde)))
@@ -207,7 +220,7 @@ class TestSmallPrimal:
                 tilde=tilde,
                 tree_constraints=[TreeConstraint(bad, cb), TreeConstraint(good, cg)],
             )
-            dist = solve_small_primal(cs)
+            dist, _, _ = solve_small_primal(cs)
             assert len(dist.support) == 1
             assert dist.support[0][0].sorted_edges() == good.sorted_edges()
 
@@ -231,7 +244,7 @@ class TestSmallPrimal:
                 for t in trees
             ],
         )
-        dist = solve_small_primal(cs)
+        dist, _, _ = solve_small_primal(cs)
         n = len(trees)
         A = np.zeros((1 + levels, 1 + n))
         b = np.zeros(1 + levels)
@@ -247,6 +260,27 @@ class TestSmallPrimal:
         assert dist.theta == pytest.approx(brute_obj, abs=1e-7)
         theta_full, _ = exact_lp_optimum(inst)
         assert dist.theta == pytest.approx(theta_full, abs=1e-7)
+
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_duals_price_every_column(self, seed):
+        from bulktree.exact import enumerate_candidate_trees
+
+        inst = generate_instance("random-geometric", 6, 3, seed=seed)
+        tilde = tilde_for(inst)
+        levels = len(tilde)
+        cs = ConstraintSet(tilde=tilde, tree_constraints=[
+            TreeConstraint(t, tuple(atomic_cost(t, i, inst.lengths) for i in range(levels)))
+            for t in enumerate_candidate_trees(inst)
+        ])
+        dist, y0, alpha = solve_small_primal(cs)
+        # Strong duality, and alpha is a dual-feasible weight vector under
+        # which no tree of the set costs less than y0.
+        assert y0 == pytest.approx(dist.theta, rel=1e-9)
+        assert min(alpha) >= -1e-12 and sum(alpha) <= 1 + 1e-9
+        for tc in cs.tree_constraints:
+            cost = sum(a * c / t for a, c, t in zip(alpha, tc.level_costs, tilde))
+            assert cost >= y0 - 1e-9
 
 
 class TestEllipsoid:
@@ -301,20 +335,20 @@ class TestEllipsoid:
 
 class TestSolveOblivious:
     def test_unique_tree_instance(self, path3):
-        dist, report = solve_oblivious(path3, SolveConfig(seed=2, bit_budget=4))
+        dist, report = solve_oblivious(path3, SolveConfig(seed=2))
         assert len(dist.support) == 1
         assert dist.theta == pytest.approx(1.0, abs=1e-6)
         assert all(r["ratio"] <= 1.0 + 1e-9 for r in report.levels)
 
     def test_star_support_bound_and_consistency(self, star4):
-        dist, report = solve_oblivious(star4, SolveConfig(seed=5, bit_budget=4))
+        dist, report = solve_oblivious(star4, SolveConfig(seed=5))
         D = demand_profile(star4).D
         assert len(dist.support) <= 1 + int(math.log2(D))
         worst = max(r["ratio"] for r in report.levels)
         assert worst <= dist.theta + 1e-7
 
     def test_deterministic(self, two_cluster6):
-        cfg = SolveConfig(seed=11, bit_budget=4)
+        cfg = SolveConfig(seed=11)
         d1, r1 = solve_oblivious(two_cluster6, cfg)
         d2, r2 = solve_oblivious(two_cluster6, cfg)
         assert [(t.sorted_edges(), w) for t, w in d1.support] == [
@@ -323,7 +357,7 @@ class TestSolveOblivious:
         assert r1.beta_final == r2.beta_final
 
     def test_theta_within_certified_beta(self, two_cluster6):
-        dist, report = solve_oblivious(two_cluster6, SolveConfig(seed=11, bit_budget=4))
+        dist, report = solve_oblivious(two_cluster6, SolveConfig(seed=11))
         assert dist.theta <= report.beta_final + 1e-7
 
     def test_repeat_solves_identical_and_leave_no_table(self):
@@ -337,7 +371,7 @@ class TestSolveOblivious:
         before = alive(PathTable), alive(RoutedTree)
         outs = []
         for _ in range(2):
-            dist, report = solve_oblivious(inst, SolveConfig(seed=4, bit_budget=4))
+            dist, report = solve_oblivious(inst, SolveConfig(seed=4))
             outs.append((dist.theta, [(t.sorted_edges(), w) for t, w in dist.support],
                          vars(report)))
         assert outs[0] == outs[1]
@@ -349,15 +383,71 @@ class TestSolveOblivious:
             if name.startswith("bulktree"):
                 assert not any(isinstance(v, PathTable) for v in vars(module).values())
 
-    def test_false_certificate_raises(self):
-        # At this scale the small primal reports theta = 0 while the returned
-        # distribution's worst level ratio is about 1.09; the run must not
-        # hand out that certificate.
-        base = generate_instance("random-geometric", 10, 4, 3)
-        inst = Instance(nodes=base.nodes, root=base.root, demands=base.demands,
-                        lengths={e: w * 1e-10 for e, w in base.lengths.items()})
+    def test_false_certificate_raises(self, two_cluster6, monkeypatch):
+        # A master that reports half its true theta: the run must not hand
+        # out that certificate.
+        master = framework_mod.solve_small_primal
+
+        def too_low(cs):
+            dist, y0, alpha = master(cs)
+            return TreeDistribution(support=dist.support, theta=dist.theta / 2), y0, alpha
+
+        monkeypatch.setattr(framework_mod, "solve_small_primal", too_low)
         with pytest.raises(RuntimeError, match="false certificate"):
-            solve_oblivious(inst, SolveConfig(seed=0))
+            solve_oblivious(two_cluster6, SolveConfig(seed=0))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_theta_at_most_best_rent_or_buy_tree(self, two_cluster6, seed):
+        # The master starts from the rent-or-buy trees, so mixing never does
+        # worse than the best of them alone.
+        bounds = rob_lower_bounds(two_cluster6, _mix_seed(seed, 0xAB))
+        tilde = [v for _, v, _ in bounds]
+        best_single = min(
+            max(atomic_cost(tree, i, two_cluster6.lengths) / tilde[i] for i in range(len(tilde)))
+            for _, _, tree in bounds
+        )
+        dist, report = solve_oblivious(two_cluster6, SolveConfig(seed=seed))
+        assert report.tilde == tuple(tilde)
+        assert dist.theta <= best_single * (1 + 1e-12)
+
+    def test_one_run_row_per_pricing_call(self, two_cluster6):
+        dist, report = solve_oblivious(two_cluster6, SolveConfig(seed=3))
+        assert 1 <= len(report.runs) <= MAX_PRICING_CALLS
+        assert report.runs[-1]["kind"] != "tree_cut" or len(report.runs) == MAX_PRICING_CALLS
+        assert report.runs[-1]["theta"] == dist.theta == report.beta_final
+        thetas = [row["theta"] for row in report.runs]
+        assert all(b <= a * (1 + 1e-12) for a, b in zip(thetas, thetas[1:]))
+
+    def test_capped_run_returns_master_with_last_column(self, monkeypatch):
+        # On this grid the first pricing call adds a column.
+        inst = generate_instance("grid", 16, 7, seed=1)
+        monkeypatch.setattr(framework_mod, "MAX_PRICING_CALLS", 1)
+        dist, report = solve_oblivious(inst, SolveConfig(seed=1, node_cap=0))
+        (row,) = report.runs
+        assert row["kind"] == "tree_cut"
+        assert dist.theta < row["theta"]
+        assert max(r["ratio"] for r in report.levels) <= dist.theta * (1 + 1e-9)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        model=st.sampled_from(["random-geometric", "grid", "path"]),
+        n=st.integers(4, 12),
+        seed=st.integers(0, 50),
+        power=st.integers(-40, 40),
+    )
+    def test_power_of_two_rescaling_is_exact(self, model, n, seed, power):
+        inst = generate_instance(model, n, max(1, (n - 1) // 2), seed)
+        base = scaled_solve(inst, 1.0, seed)
+        assert scaled_solve(inst, 2.0**power, seed) == base
+
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.integers(4, 12), seed=st.integers(0, 50), exponent=st.integers(-12, 12))
+    def test_decimal_rescaling_keeps_theta(self, n, seed, exponent):
+        # Only random-geometric: on grids, float rounding can break ties among
+        # equal-length paths differently at another scale.
+        inst = generate_instance("random-geometric", n, max(1, (n - 1) // 2), seed)
+        theta, _ = scaled_solve(inst, 1.0, seed)
+        assert scaled_solve(inst, 10.0**exponent, seed)[0] == pytest.approx(theta, rel=1e-9)
 
     @pytest.mark.parametrize("inst", [
         make_instance({("a", "r"): 1.0}, {"r": 3}, "r"),
@@ -377,7 +467,7 @@ class TestSolveOblivious:
     @pytest.mark.parametrize("seed", range(4))
     def test_guarantee_chain_random_instances(self, seed):
         inst = generate_instance("random-geometric", 6, 3, seed=seed)
-        dist, report = solve_oblivious(inst, SolveConfig(seed=seed, bit_budget=4))
+        dist, report = solve_oblivious(inst, SolveConfig(seed=seed))
         opt = exact_optima(inst)
         ratio, _ = exact_oblivious_ratio(inst, dist, optima=opt)
         slack = max(report.tilde[i] / opt.value(i) for i in range(len(report.tilde)))

@@ -43,16 +43,22 @@ def test_matches_vertex_enumeration(seed):
         with pytest.raises(LPInfeasible):
             solve_min_ge(c, A, b)
         return
-    z, obj = solve_min_ge(c, A, b)
+    z, obj, y = solve_min_ge(c, A, b)
     assert obj == pytest.approx(brute[0], abs=1e-7)
     assert (A @ z >= b - 1e-7).all()
     assert (z >= -1e-9).all()
+    # The row duals are dual feasible and certify the optimum.
+    assert y.shape == (m,)
+    assert (y >= -1e-9).all()
+    assert (A.T @ y <= c + 1e-7).all()
+    assert b @ y == pytest.approx(obj, abs=1e-7)
 
 
 def test_simple_known_lp():
     # min x + y  s.t. x + y >= 2, x >= 0.5
-    z, obj = solve_min_ge([1.0, 1.0], [[1, 1], [1, 0]], [2.0, 0.5])
+    z, obj, y = solve_min_ge([1.0, 1.0], [[1, 1], [1, 0]], [2.0, 0.5])
     assert obj == pytest.approx(2.0)
+    assert y == pytest.approx([1.0, 0.0])
 
 
 def test_infeasible_detected():
@@ -64,7 +70,7 @@ def test_infeasible_detected():
 def test_degenerate_terminates():
     A = [[1.0, 1.0], [1.0, 1.0], [2.0, 2.0]]
     b = [1.0, 1.0, 2.0]
-    z, obj = solve_min_ge([1.0, 2.0], A, b)
+    z, obj, _ = solve_min_ge([1.0, 2.0], A, b)
     assert obj == pytest.approx(1.0)
 
 
@@ -74,5 +80,5 @@ def test_vertex_solution_is_sparse():
     A = rng.random((2, 6)) + 0.1
     b = [1.0, 1.0]
     c = rng.random(6) + 0.5
-    z, _ = solve_min_ge(c, A, b)
+    z, _, _ = solve_min_ge(c, A, b)
     assert (z > 1e-9).sum() <= 2

@@ -21,7 +21,10 @@ from conftest import make_instance
 
 
 def brute_steiner_cost(inst, terminals, weight) -> float:
-    """Exhaustive optimum over spanning trees of all supersets of the terminals."""
+    """Exhaustive optimum over spanning trees of all supersets of the terminals.
+
+    Exponential in the number of edges; only the cross-check of
+    ``steiner_optimum`` runs it."""
     required = sorted(set(terminals))
     optional = sorted(set(inst.nodes) - set(required))
     best = math.inf
@@ -33,6 +36,55 @@ def brute_steiner_cost(inst, terminals, weight) -> float:
             for tree in _spanning_trees(nodes, edges):
                 best = min(best, sum(float(weight[e]) for e in tree))
     return best
+
+
+def steiner_optimum(inst, terminals, weight) -> float:
+    """Exact Steiner tree cost by the Dreyfus-Wagner dynamic program (1971).
+
+    best[S][v] is the cheapest tree that connects the terminal subset S
+    (a bitmask over all terminals but the first) to node v; the answer is
+    best[all][first terminal].
+    """
+    nodes = sorted(inst.nodes)
+    d = {u: {v: 0.0 if u == v else math.inf for v in nodes} for u in nodes}
+    for u, v in inst.edges:
+        d[u][v] = d[v][u] = min(d[u][v], float(weight[(u, v)]))
+    for k in nodes:
+        for i in nodes:
+            for j in nodes:
+                if d[i][k] + d[k][j] < d[i][j]:
+                    d[i][j] = d[i][k] + d[k][j]
+    first, *rest = sorted(set(terminals))
+    if not rest:
+        return 0.0
+    best = {1 << i: d[t] for i, t in enumerate(rest)}
+    for S in range(1, 1 << len(rest)):
+        if S & (S - 1) == 0:
+            continue
+        # Split S at a node u into two nonempty halves (each split once).
+        merged = {u: math.inf for u in nodes}
+        A = (S - 1) & S
+        while A:
+            if A < S ^ A:
+                for u in nodes:
+                    merged[u] = min(merged[u], best[A][u] + best[S ^ A][u])
+            A = (A - 1) & S
+        best[S] = {v: min(merged[u] + d[u][v] for u in nodes) for v in nodes}
+    return best[(1 << len(rest)) - 1][first]
+
+
+@pytest.mark.parametrize("inst", [
+    make_instance({("a", "b"): 1.0, ("b", "c"): 1.0, ("c", "d"): 1.0, ("a", "d"): 1.0},
+                  {"b": 1, "c": 1}, "a"),
+    generate_instance("random-geometric", 6, 3, seed=0),
+    generate_instance("grid", 6, 3, seed=1),
+], ids=["four-cycle", "geometric-n6", "grid-n6"])
+def test_steiner_optimum_matches_brute_force(inst):
+    nodes = sorted(inst.nodes)
+    for size in (1, 2, 3, 4):
+        for terms in itertools.islice(itertools.combinations(nodes, size), 4):
+            assert steiner_optimum(inst, terms, inst.lengths) == pytest.approx(
+                brute_steiner_cost(inst, terms, inst.lengths), rel=1e-12)
 
 
 class TestDijkstra:
@@ -109,7 +161,7 @@ class TestSteiner:
         )
         terms = ["a", "b", "c"]
         sol = steiner_tree(inst, terms)
-        opt = brute_steiner_cost(inst, terms, inst.lengths)
+        opt = steiner_optimum(inst, terms, inst.lengths)
         assert opt <= sol.cost <= 2 * opt
 
     @pytest.mark.parametrize("seed", range(6))
@@ -117,7 +169,7 @@ class TestSteiner:
         inst = generate_instance("random-geometric", 7, 3, seed=seed)
         terms = sorted(inst.demands) + [inst.root]
         sol = steiner_tree(inst, terms)
-        opt = brute_steiner_cost(inst, terms, inst.lengths)
+        opt = steiner_optimum(inst, terms, inst.lengths)
         assert sol.cost <= 2 * opt + 1e-9
 
     def test_scaling_invariance(self):
