@@ -13,7 +13,7 @@ import argparse
 import sys
 import time
 
-from bulktree.exact import exact_lp_optimum, exact_oblivious_ratio, exact_optima
+from bulktree.exact import DEFAULT_NODE_CAP, exact_lp_optimum, exact_oblivious_ratio, exact_optima
 from bulktree.framework import SolveConfig, solve_oblivious
 from bulktree.instance import generate_instance
 
@@ -24,7 +24,6 @@ def main() -> int:
     ap.add_argument("--sizes", default="5,6,7")
     ap.add_argument("--seeds", default="0,1,2")
     ap.add_argument("--gamma", type=float, default=0.25)
-    ap.add_argument("--node-cap", type=int, default=8)
     args = ap.parse_args()
 
     print("instance\ttheta\texact_ratio\ttheta_opt\tsupport\tseconds")
@@ -37,11 +36,11 @@ def main() -> int:
                 dist, report = solve_oblivious(inst, cfg)
                 elapsed = time.monotonic() - t0
                 exact_ratio = theta_opt = ""
-                if len(inst.nodes) <= args.node_cap:
-                    opt = exact_optima(inst, args.node_cap)
-                    ratio, _ = exact_oblivious_ratio(inst, dist, args.node_cap, optima=opt)
+                if len(inst.nodes) <= DEFAULT_NODE_CAP:
+                    opt = exact_optima(inst)
+                    ratio, _ = exact_oblivious_ratio(inst, dist, optima=opt)
                     exact_ratio = f"{ratio:.4f}"
-                    theta_opt = f"{exact_lp_optimum(inst, args.node_cap)[0]:.4f}"
+                    theta_opt = f"{exact_lp_optimum(inst)[0]:.4f}"
                 print(
                     f"{family}-n{n}-s{seed}\t{dist.theta:.4f}\t{exact_ratio}\t{theta_opt}"
                     f"\t{len(dist.support)}\t{elapsed:.2f}"

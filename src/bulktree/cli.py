@@ -64,7 +64,7 @@ def _effective_config(args, keys) -> dict:
 
     A config file may set only the default keys; any other key is refused.
     """
-    defaults = {"gamma": 0.25, "node_cap": 8}
+    defaults = {"gamma": 0.25}
     merged = dict(defaults)
     if getattr(args, "config", None):
         with open(args.config) as fh:
@@ -142,9 +142,9 @@ def cmd_gen(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    cfg = _effective_config(args, ["gamma", "node_cap"])
+    cfg = _effective_config(args, ["gamma"])
     inst = load_instance(args.instance)
-    config = SolveConfig(seed=args.seed, gamma=cfg["gamma"], node_cap=cfg["node_cap"])
+    config = SolveConfig(seed=args.seed, gamma=cfg["gamma"])
     t0 = time.monotonic()
     dist, report = solve_oblivious(inst, config)
     _log(cmd="solve", instance=args.instance, theta=f"{dist.theta:.6g}",
@@ -152,21 +152,20 @@ def cmd_solve(args) -> int:
     meta = {"seed": args.seed, "config_hash": _config_hash({**cfg, "seed": args.seed})}
     _write_json(args.out, _distribution_to_obj(dist, {
         **meta,
-        "beta_final": report.beta_final,
         "diagnostics": {"levels": report.levels, "tilde": list(report.tilde)},
     }))
     if args.report:
         _write_json(args.report, {
             "schema": SCHEMA, **meta,
-            "beta_final": report.beta_final, "theta": report.theta,
+            "theta": report.theta,
             "support_size": report.support_size, "levels": report.levels,
-            "runs": report.runs, "exact": report.exact,
+            "runs": report.runs,
         })
     return 0
 
 
 def cmd_eval(args) -> int:
-    cfg = _effective_config(args, ["node_cap"])
+    cfg = _effective_config(args, [])
     inst = load_instance(args.instance)
     with open(args.distribution) as fh:
         dist = _distribution_from_obj(json.load(fh), inst)
@@ -189,12 +188,8 @@ def cmd_eval(args) -> int:
         "max_ratio_vs_bound": max(r["ratio"] for r in rows),
     }
     if args.exact:
-        if len(inst.nodes) > cfg["node_cap"]:
-            raise exact_mod.NodeCapExceeded(
-                f"exact mode refused: {len(inst.nodes)} nodes above cap {cfg['node_cap']}"
-            )
-        opt = exact_mod.exact_optima(inst, cfg["node_cap"])
-        ratio, worst = exact_mod.exact_oblivious_ratio(inst, dist, cfg["node_cap"], optima=opt)
+        opt = exact_mod.exact_optima(inst)
+        ratio, worst = exact_mod.exact_oblivious_ratio(inst, dist, optima=opt)
         for row in rows:
             row["exact_optimum"] = opt.value(row["i"])
         out["exact_oblivious_ratio"] = ratio
@@ -255,10 +250,9 @@ def cmd_gmm(args) -> int:
 
 
 def cmd_brute(args) -> int:
-    cfg = _effective_config(args, ["node_cap"])
     inst = load_instance(args.instance)
-    opt = exact_mod.exact_optima(inst, cfg["node_cap"])
-    theta_opt, _ = exact_mod.exact_lp_optimum(inst, cfg["node_cap"])
+    opt = exact_mod.exact_optima(inst)
+    theta_opt, _ = exact_mod.exact_lp_optimum(inst)
     obj = {
         "schema": SCHEMA,
         "levels": [
@@ -279,7 +273,7 @@ def cmd_brute(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    cfg = _effective_config(args, ["gamma", "node_cap"])
+    cfg = _effective_config(args, ["gamma"])
     sizes = [int(s) for s in args.sizes.split(",") if s]
     seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else []
     rows = []
@@ -289,11 +283,10 @@ def cmd_bench(args) -> int:
             instance_id = f"{args.family}-n{n}-s{seed}"
             t0 = time.monotonic()
             try:
-                config = SolveConfig(seed=seed, gamma=cfg["gamma"], node_cap=cfg["node_cap"])
-                dist, report = solve_oblivious(inst, config)
+                dist, _ = solve_oblivious(inst, SolveConfig(seed=seed, gamma=cfg["gamma"]))
                 theta_opt = ""
-                if len(inst.nodes) <= cfg["node_cap"]:
-                    theta_opt = repr(exact_mod.exact_lp_optimum(inst, cfg["node_cap"])[0])
+                if len(inst.nodes) <= exact_mod.DEFAULT_NODE_CAP:
+                    theta_opt = repr(exact_mod.exact_lp_optimum(inst)[0])
                 rows.append(
                     (instance_id, repr(dist.theta), theta_opt, str(len(dist.support)),
                      str(inst.total_demand()))
@@ -360,7 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--report")
     p.add_argument("--gamma", type=float)
-    p.add_argument("--node-cap", dest="node_cap", type=int)
     add_common(p)
     p.set_defaults(func=cmd_solve)
 
@@ -369,7 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("distribution")
     p.add_argument("--out", required=True)
     p.add_argument("--exact", action="store_true", help="also compare against brute-force optima")
-    p.add_argument("--node-cap", dest="node_cap", type=int)
     add_common(p)
     p.set_defaults(func=cmd_eval)
 
@@ -392,8 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("--out", required=True)
     p.add_argument("--tsv")
-    p.add_argument("--node-cap", dest="node_cap", type=int)
-    add_common(p, seed=False)
+    add_common(p, seed=False, config=False)
     p.set_defaults(func=cmd_brute)
 
     p = sub.add_parser("bench", help="solve a family grid and emit a TSV summary")
@@ -402,7 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", required=True, help="comma-separated seeds (may be empty)")
     p.add_argument("--out", required=True)
     p.add_argument("--gamma", type=float)
-    p.add_argument("--node-cap", dest="node_cap", type=int)
     p.add_argument("--config")
     p.set_defaults(func=cmd_bench)
 

@@ -59,8 +59,6 @@ MAX_PRICING_CALLS = 64
 class SolveConfig:
     seed: int
     gamma: float = 0.25
-    node_cap: int = 8
-    rmax: int | None = None
 
     def __post_init__(self):
         if not (0 < self.gamma < 0.5):
@@ -73,7 +71,11 @@ def default_rmax(inst: Instance) -> int:
 
 @dataclass(frozen=True)
 class DualPoint:
-    """A dual query point in scaled coordinates y_i = alpha_i * tilde_i (unit box)."""
+    """A dual query point in scaled coordinates y_i = alpha_i * tilde_i.
+
+    Column generation passes the master's level duals, which are nonnegative
+    and sum to at most 1, with beta just below the master's theta*.
+    """
 
     alpha: tuple[float, ...]
     beta: float
@@ -345,13 +347,11 @@ def solve_small_primal(cs: ConstraintSet) -> tuple[TreeDistribution, float, tupl
 
 @dataclass
 class SolveReport:
-    beta_final: float
     theta: float
     tilde: tuple[float, ...]
     support_size: int
     levels: list
     runs: list
-    exact: dict | None = None
 
 
 def _column_generation(
@@ -374,7 +374,7 @@ def _column_generation(
         beta = dist.theta * (1 - 1e-9)
         res = separation_oracle(
             DualPoint(alpha=alpha, beta=beta), tilde, beta / 2.0, inst, config.gamma,
-            _mix_seed(config.seed, 7919 + call), config.rmax, table=table,
+            _mix_seed(config.seed, 7919 + call), table=table,
         )
         added = res.kind == "tree_cut" and cs.add(
             TreeConstraint(tree=res.tree, level_costs=res.level_costs)
@@ -390,7 +390,7 @@ def _column_generation(
 
 def solve_oblivious(inst: Instance, config: SolveConfig) -> tuple[TreeDistribution, SolveReport]:
     """Compute the level bounds and solve the distribution LP over trees by
-    column generation; ``report.beta_final`` is the final master's theta*.
+    column generation; ``report.theta`` is the final master's theta*.
 
     A level whose bound is zero has a rent-or-buy tree of zero cost there.
     Every edge of that tree carries flow, so all its edges have length zero
@@ -421,27 +421,10 @@ def solve_oblivious(inst: Instance, config: SolveConfig) -> tuple[TreeDistributi
         raise RuntimeError(
             f"false certificate: worst level ratio {worst!r} exceeds theta {dist.theta!r}"
         )
-    report = SolveReport(
-        beta_final=dist.theta,
+    return dist, SolveReport(
         theta=dist.theta,
         tilde=tilde,
         support_size=len(dist.support),
         levels=level_rows,
         runs=runs,
     )
-    if len(inst.nodes) <= config.node_cap:
-        from .exact import exact_optima
-
-        opt = exact_optima(inst, config.node_cap)
-        report.exact = {
-            "per_level_optimum": [opt.value(i) for i in range(profile.levels)],
-            "ratios_vs_exact": [
-                level_rows[i]["expected_cost"] / opt.value(i) if opt.value(i) > 0 else None
-                for i in range(profile.levels)
-            ],
-            "tilde_over_exact": [
-                tilde[i] / opt.value(i) if opt.value(i) > 0 else None
-                for i in range(profile.levels)
-            ],
-        }
-    return dist, report

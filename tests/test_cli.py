@@ -28,7 +28,8 @@ def test_gen_and_solve_and_eval(tmp_path, star_file):
     assert payload["seed"] == 3 and "config_hash" in payload
     assert len(payload["trees"]) >= 1
     report = json.loads(rep.read_text())
-    assert report["theta"] <= report["beta_final"] + 1e-7
+    assert "beta_final" not in payload
+    assert {"theta", "levels", "runs"} <= set(report) and "exact" not in report
 
     out = tmp_path / "eval.json"
     assert run(["eval", star_file, dist, "--out", out, "--exact", "--seed", 3]) == 0
@@ -54,7 +55,7 @@ def test_zero_level_bound_solve_and_eval(tmp_path, instance):
     assert payload["theta"] == 1.0
     assert [t["weight"] for t in payload["trees"]] == [1.0]
     report = json.loads(rep.read_text())
-    assert report["theta"] <= report["beta_final"]
+    assert report["theta"] == 1.0
     assert run(["eval", inst, dist, "--out", out, "--exact", "--seed", 1]) == 0
     ev = json.loads(out.read_text())
     assert ev["max_ratio_vs_bound"] == 1.0 and ev["exact_oblivious_ratio"] == 1.0
@@ -100,13 +101,17 @@ def test_eval_matches_module_calls(tmp_path, star_file):
         )
 
 
-def test_eval_exact_over_cap_refused(tmp_path):
+def test_eval_exact_over_cap_refused(tmp_path, capsys):
     big = tmp_path / "big.json"
     assert run(["gen", "grid", "--n", 12, "--demands", 3, "--out", big, "--seed", 1]) == 0
     dist = tmp_path / "d.json"
     assert run(["solve", big, "--out", dist, "--seed", 2]) == 0
+    capsys.readouterr()
     code = run(["eval", big, dist, "--out", tmp_path / "e.json", "--exact", "--seed", 2])
     assert code == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+    assert err["type"] == "NodeCapExceeded"
+    assert not (tmp_path / "e.json").exists()
 
 
 def test_gmm_and_regularize_and_pipes(tmp_path, star_file, capsys):
@@ -172,25 +177,37 @@ def test_bench_empty_seed_list(tmp_path):
 
 
 def test_config_file_precedence(tmp_path, star_file):
-    # The star has 6 nodes: a node cap of 3 refuses the exact comparison.
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"gamma": 0.2, "node_cap": 3}))
+    cfg.write_text(json.dumps({"gamma": 0.2}))
 
-    def solve(tag, *flags):
-        d, rep = tmp_path / f"{tag}.json", tmp_path / f"{tag}-rep.json"
-        assert run(["solve", star_file, "--out", d, "--report", rep, "--seed", 1, *flags]) == 0
-        return json.loads(rep.read_text())
+    def config_hash(tag, *flags):
+        d = tmp_path / f"{tag}.json"
+        assert run(["solve", star_file, "--out", d, "--seed", 1, *flags]) == 0
+        return json.loads(d.read_text())["config_hash"]
 
-    file_only = solve("file", "--config", cfg)
-    assert file_only["exact"] is None
-    # flag overrides file; the file's gamma overrides the default
-    both = solve("both", "--config", cfg, "--node-cap", 8)
-    assert both["exact"] is not None
-    assert both["config_hash"] == solve("flags", "--gamma", 0.2, "--node-cap", 8)["config_hash"]
-    assert both["config_hash"] != solve("default")["config_hash"]
+    # the file's gamma overrides the default
+    file_only = config_hash("file", "--config", cfg)
+    assert file_only == config_hash("flag", "--gamma", 0.2)
+    assert file_only != config_hash("default")
+    # a flag overrides the file
+    both = config_hash("both", "--config", cfg, "--gamma", 0.3)
+    assert both == config_hash("flag3", "--gamma", 0.3) != file_only
 
 
-@pytest.mark.parametrize("key", ["gama", "bit_budget"], ids=["misspelled", "removed"])
+@pytest.mark.parametrize("argv", [
+    ["solve", "inst", "--out", "d.json", "--seed", 1],
+    ["eval", "inst", "d.json", "--out", "e.json", "--exact", "--seed", 1],
+    ["brute", "inst", "--out", "b.json"],
+    ["bench", "star", "--sizes", 5, "--seeds", 1, "--out", "b.tsv"],
+], ids=["solve", "eval", "brute", "bench"])
+def test_node_cap_flag_removed(argv):
+    with pytest.raises(SystemExit) as exc:
+        run([*argv, "--node-cap", 8])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("key", ["gama", "bit_budget", "node_cap"],
+                         ids=["misspelled", "removed", "removed-node-cap"])
 def test_config_file_unknown_key_exit_2(tmp_path, star_file, capsys, key):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"gamma": 0.2, key: 4}))

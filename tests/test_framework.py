@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bulktree.exact as exact_mod
 import bulktree.framework as framework_mod
 
 from bulktree.aggregation import RoutedTree, TreeDistribution, atomic_cost
@@ -38,7 +39,7 @@ def scaled_solve(inst, factor, seed):
     """theta and support of a solve with every length times factor."""
     scaled = Instance(nodes=inst.nodes, root=inst.root, demands=inst.demands,
                       lengths={e: w * factor for e, w in inst.lengths.items()})
-    dist, _ = solve_oblivious(scaled, SolveConfig(seed=seed, node_cap=0))
+    dist, _ = solve_oblivious(scaled, SolveConfig(seed=seed))
     return dist.theta, [(t.sorted_edges(), w) for t, w in dist.support]
 
 
@@ -354,11 +355,16 @@ class TestSolveOblivious:
         assert [(t.sorted_edges(), w) for t, w in d1.support] == [
             (t.sorted_edges(), w) for t, w in d2.support
         ]
-        assert r1.beta_final == r2.beta_final
+        assert r1.theta == r2.theta
 
-    def test_theta_within_certified_beta(self, two_cluster6):
-        dist, report = solve_oblivious(two_cluster6, SolveConfig(seed=11))
-        assert dist.theta <= report.beta_final + 1e-7
+    def test_no_brute_force_within_node_cap(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("solve_oblivious enumerated candidate trees")
+
+        monkeypatch.setattr(exact_mod, "enumerate_candidate_trees", refuse)
+        inst = generate_instance("random-geometric", exact_mod.DEFAULT_NODE_CAP, 3, seed=1)
+        _, report = solve_oblivious(inst, SolveConfig(seed=1))
+        assert not hasattr(report, "exact")
 
     def test_repeat_solves_identical_and_leave_no_table(self):
         inst = generate_instance("random-geometric", 10, 4, seed=5)
@@ -414,7 +420,7 @@ class TestSolveOblivious:
         dist, report = solve_oblivious(two_cluster6, SolveConfig(seed=3))
         assert 1 <= len(report.runs) <= MAX_PRICING_CALLS
         assert report.runs[-1]["kind"] != "tree_cut" or len(report.runs) == MAX_PRICING_CALLS
-        assert report.runs[-1]["theta"] == dist.theta == report.beta_final
+        assert report.runs[-1]["theta"] == dist.theta
         thetas = [row["theta"] for row in report.runs]
         assert all(b <= a * (1 + 1e-12) for a, b in zip(thetas, thetas[1:]))
 
@@ -422,7 +428,7 @@ class TestSolveOblivious:
         # On this grid the first pricing call adds a column.
         inst = generate_instance("grid", 16, 7, seed=1)
         monkeypatch.setattr(framework_mod, "MAX_PRICING_CALLS", 1)
-        dist, report = solve_oblivious(inst, SolveConfig(seed=1, node_cap=0))
+        dist, report = solve_oblivious(inst, SolveConfig(seed=1))
         (row,) = report.runs
         assert row["kind"] == "tree_cut"
         assert dist.theta < row["theta"]
