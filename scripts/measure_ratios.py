@@ -13,7 +13,7 @@ import argparse
 import sys
 import time
 
-from bulktree.exact import DEFAULT_NODE_CAP, exact_lp_optimum, exact_oblivious_ratio, exact_optima
+from bulktree.exact import DEFAULT_NODE_CAP, exact_oblivious_ratio, exact_optima_and_lp
 from bulktree.framework import SolveConfig, solve_oblivious
 from bulktree.instance import generate_instance
 
@@ -37,10 +37,10 @@ def main() -> int:
                 elapsed = time.monotonic() - t0
                 exact_ratio = theta_opt = ""
                 if len(inst.nodes) <= DEFAULT_NODE_CAP:
-                    opt = exact_optima(inst)
+                    opt, lp_theta, _ = exact_optima_and_lp(inst)
                     ratio, _ = exact_oblivious_ratio(inst, dist, optima=opt)
                     exact_ratio = f"{ratio:.4f}"
-                    theta_opt = f"{exact_lp_optimum(inst)[0]:.4f}"
+                    theta_opt = f"{lp_theta:.4f}"
                 print(
                     f"{family}-n{n}-s{seed}\t{dist.theta:.4f}\t{exact_ratio}\t{theta_opt}"
                     f"\t{len(dist.support)}\t{elapsed:.2f}"

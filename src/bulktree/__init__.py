@@ -20,6 +20,7 @@ from .exact import (
     exact_lp_optimum,
     exact_oblivious_ratio,
     exact_optima,
+    exact_optima_and_lp,
     exact_optimum,
 )
 from .framework import (

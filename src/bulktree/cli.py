@@ -251,8 +251,7 @@ def cmd_gmm(args) -> int:
 
 def cmd_brute(args) -> int:
     inst = load_instance(args.instance)
-    opt = exact_mod.exact_optima(inst)
-    theta_opt, _ = exact_mod.exact_lp_optimum(inst)
+    opt, theta_opt, _ = exact_mod.exact_optima_and_lp(inst)
     obj = {
         "schema": SCHEMA,
         "levels": [

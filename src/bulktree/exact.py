@@ -1,10 +1,18 @@
 """Brute-force oracles for desk-scale verification.
 
-Enumerates every tree spanning the demands and the root (optional extra
-nodes allowed), from which it derives exact per-level optima, the exact
-oblivious ratio of a given distribution, and the true optimum of the full
-tree-distribution LP.  Refuses instances above the node cap instead of
-silently truncating.
+Enumerates every tree spanning the demands and the root whose leaves all
+carry demand or are the root; other nodes may join as Steiner nodes of
+degree at least 2.  From these candidates it derives exact per-level
+optima, the exact oblivious ratio of a given distribution, and the true
+optimum of the full tree-distribution LP.  Refuses instances above the
+node cap instead of silently truncating.
+
+The candidate set is exact.  The edge into a Steiner leaf carries zero
+flow, so removing the leaf leaves every level cost bit-identical: the
+remaining terms are summed in the same order.  Removing Steiner leaves
+until none is left turns any tree into a candidate, so no per-level
+optimum changes, and the LP loses only columns that duplicate a kept one.
+Every edge of a candidate carries positive flow.
 """
 from __future__ import annotations
 
@@ -33,55 +41,79 @@ def _check_cap(inst: Instance, node_cap: int) -> None:
         )
 
 
-def _spanning_trees(nodes: list[str], edges: list) -> Iterator[frozenset]:
-    """All spanning trees of the given node set, as frozensets of edges."""
+def _find(parent: tuple, x: int) -> int:
+    while parent[x] != x:
+        x = parent[x]
+    return x
+
+
+def _spanning_trees(nodes: list[str], edges: list, optional=()) -> Iterator[frozenset]:
+    """Spanning trees of the given node set, as frozensets of edges, in which
+    every node of ``optional`` has degree at least 2.
+
+    A branch that skips an edge is cut as soon as one of its optional ends can
+    no longer reach degree 2 from the edges still to come.
+    """
     need = len(nodes) - 1
     if need == 0:
         yield frozenset()
         return
     index = {v: i for i, v in enumerate(nodes)}
+    ends = [(index[u], index[v]) for u, v in edges]
+    steiner = [index[v] for v in optional]
+    is_steiner = [v in optional for v in nodes]
+    # left[pos][x]: edges at position pos or later that touch node x
+    left = [[0] * len(nodes) for _ in range(len(edges) + 1)]
+    for pos in range(len(edges) - 1, -1, -1):
+        left[pos] = list(left[pos + 1])
+        for x in ends[pos]:
+            left[pos][x] += 1
+    if any(left[0][x] < 2 for x in steiner):
+        return
+    degree = [0] * len(nodes)
 
     def rec(pos: int, chosen: tuple, parent: tuple):
         if len(chosen) == need:
-            yield frozenset(chosen)
+            if all(degree[x] >= 2 for x in steiner):
+                yield frozenset(chosen)
             return
         if len(edges) - pos < need - len(chosen):
             return
-        u, v = edges[pos]
-
-        def find(p, x):
-            while p[x] != x:
-                x = p[x]
-            return x
-
-        ru, rv = find(parent, index[u]), find(parent, index[v])
-        if ru != rv:
+        a, b = ends[pos]
+        ra, rb = _find(parent, a), _find(parent, b)
+        if ra != rb:
             merged = list(parent)
-            merged[max(ru, rv)] = min(ru, rv)
+            merged[max(ra, rb)] = min(ra, rb)
+            degree[a] += 1
+            degree[b] += 1
             yield from rec(pos + 1, chosen + (edges[pos],), tuple(merged))
+            degree[a] -= 1
+            degree[b] -= 1
+        rest = left[pos + 1]
+        if (is_steiner[a] and degree[a] + rest[a] < 2) or (is_steiner[b] and degree[b] + rest[b] < 2):
+            return
         yield from rec(pos + 1, chosen, parent)
 
     yield from rec(0, (), tuple(range(len(nodes))))
 
 
 def enumerate_candidate_trees(inst: Instance, node_cap: int = DEFAULT_NODE_CAP) -> Iterator[RoutedTree]:
-    """Every spanning tree of every node subset containing demands and root.
+    """Every tree spanning the demands and the root whose leaves all carry
+    demand or are the root.
 
-    Steiner nodes are optional; results are deduplicated by edge set.
+    Optional (Steiner) nodes must have degree at least 2.  Each node subset
+    gives distinct trees, so no two candidates share an edge set.
     """
     _check_cap(inst, node_cap)
     required = sorted(set(inst.demands) | {inst.root})
     optional = sorted(set(inst.nodes) - set(required))
-    seen: set[frozenset] = set()
     for r in range(len(optional) + 1):
         for extra in itertools.combinations(optional, r):
             nodes = sorted(set(required) | set(extra))
             nodeset = set(nodes)
             edges = [e for e in inst.edges if e[0] in nodeset and e[1] in nodeset]
-            for tree in _spanning_trees(nodes, edges):
-                if tree not in seen:
-                    seen.add(tree)
-                    yield route_demands(inst, tree)
+            for tree in _spanning_trees(nodes, edges, extra):
+                yield route_demands(inst, tree)
 
 
 @dataclass(frozen=True)
@@ -104,17 +136,17 @@ class ExactOptima:
 
 
 def exact_optima(inst: Instance, node_cap: int = DEFAULT_NODE_CAP) -> ExactOptima:
-    _check_cap(inst, node_cap)
+    return _optima_of(*_costed_candidates(inst, node_cap))
+
+
+def _costed_candidates(inst: Instance, node_cap: int) -> tuple[list[RoutedTree], list[list[float]]]:
+    """The candidate trees and costs[i][j], the atomic cost of trees[j] at level i."""
     trees = list(enumerate_candidate_trees(inst, node_cap))
-    return _optima_of(trees, _level_costs(inst, trees))
-
-
-def _level_costs(inst: Instance, trees: list[RoutedTree]) -> list[list[float]]:
-    """costs[i][j]: atomic cost of trees[j] at level i."""
-    return [
+    costs = [
         [atomic_cost(t, i, inst.lengths) for t in trees]
         for i in range(demand_profile(inst).levels)
     ]
+    return trees, costs
 
 
 def _optima_of(trees: list[RoutedTree], costs) -> ExactOptima:
@@ -150,21 +182,27 @@ def exact_oblivious_ratio(
 def exact_lp_optimum(
     inst: Instance, node_cap: int = DEFAULT_NODE_CAP
 ) -> tuple[float, TreeDistribution]:
-    """Solve the full distribution LP over every enumerated tree with true
-    optima, with the solver's master LP.
+    """Solve the full distribution LP over every candidate tree with true
+    optima, with the solver's master LP."""
+    _, theta, dist = exact_optima_and_lp(inst, node_cap)
+    return theta, dist
+
+
+def exact_optima_and_lp(
+    inst: Instance, node_cap: int = DEFAULT_NODE_CAP
+) -> tuple[ExactOptima, float, TreeDistribution]:
+    """``exact_optima`` and ``exact_lp_optimum`` from one enumeration.
 
     A zero optimum at any level means a tree of zero cost at every level,
     which is then optimal alone with theta 1, the 0/0 rule of ``level_ratio``.
     """
-    _check_cap(inst, node_cap)
-    trees = list(enumerate_candidate_trees(inst, node_cap))
-    cost_rows = _level_costs(inst, trees)
+    trees, cost_rows = _costed_candidates(inst, node_cap)
     opt = _optima_of(trees, cost_rows)
     optima = tuple(opt.value(i) for i in range(len(opt.per_level)))
     if min(optima) == 0:
-        return 1.0, TreeDistribution(support=((opt.tree(0), 1.0),), theta=1.0)
+        return opt, 1.0, TreeDistribution(support=((opt.tree(0), 1.0),), theta=1.0)
     cs = ConstraintSet(tilde=optima, tree_constraints=[
         TreeConstraint(tree=t, level_costs=costs) for t, costs in zip(trees, zip(*cost_rows))
     ])
     dist, _, _ = solve_small_primal(cs)
-    return dist.theta, dist
+    return opt, dist.theta, dist

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+import bulktree.exact as exact_mod
 from bulktree.cli import main
+from bulktree.instance import load_instance
 
 
 def run(argv) -> int:
@@ -155,6 +157,33 @@ def test_brute_outputs(tmp_path, star_file):
     payload = json.loads(out.read_text())
     assert payload["theta_opt"] >= 1.0 - 1e-9
     assert tsv.read_text().startswith("i\toptimum")
+
+
+def test_brute_enumerates_once(tmp_path, monkeypatch):
+    inst_file, out = tmp_path / "inst.json", tmp_path / "b.json"
+    assert run(["gen", "random-geometric", "--n", 8, "--demands", 3, "--out", inst_file,
+                "--seed", 1]) == 0
+    inst = load_instance(inst_file)
+    opt = exact_mod.exact_optima(inst)
+    theta_opt, _ = exact_mod.exact_lp_optimum(inst)
+    calls = []
+    enumerate_trees = exact_mod.enumerate_candidate_trees
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return enumerate_trees(*args, **kwargs)
+
+    monkeypatch.setattr(exact_mod, "enumerate_candidate_trees", counting)
+    assert run(["brute", inst_file, "--out", out]) == 0
+    assert len(calls) == 1
+    assert json.loads(out.read_text()) == {
+        "schema": "bulktree/v1",
+        "levels": [
+            {"i": i, "optimum": val, "edges": [[u, v] for u, v in tree.sorted_edges()]}
+            for i, tree, val in opt.per_level
+        ],
+        "theta_opt": theta_opt,
+    }
 
 
 def test_bench_table_and_determinism(tmp_path):

@@ -1,5 +1,10 @@
+import collections
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bulktree.exact as exact_mod
 from bulktree import simplex
@@ -28,9 +33,14 @@ class TestEnumeration:
         inst = make_instance(
             {("r", "a"): 1.0, ("a", "b"): 1.0, ("b", "r"): 1.0}, {"a": 1}, "r"
         )
-        trees = list(enumerate_candidate_trees(inst))
-        # 3 spanning trees of the triangle plus the direct r-a edge
-        assert len(trees) == 4
+        trees = [t.sorted_edges() for t in enumerate_candidate_trees(inst)]
+        # The direct r-a edge, and the path r-b-a through the Steiner node b.
+        # The other two spanning trees of the triangle leave b as a leaf.
+        assert sorted(trees) == [(("a", "b"), ("b", "r")), (("a", "r"),)]
+
+    def test_geometric_n8_count(self):
+        inst = generate_instance("random-geometric", 8, 3, seed=1)
+        assert sum(1 for _ in enumerate_candidate_trees(inst)) == 4916
 
     def test_cap_refusal(self):
         inst = generate_instance("grid", 9, 3, seed=0)
@@ -40,6 +50,122 @@ class TestEnumeration:
     def test_dedup_by_edge_set(self, star4):
         trees = [t.sorted_edges() for t in enumerate_candidate_trees(star4)]
         assert len(trees) == len(set(trees))
+
+
+def _reference_spanning_trees(nodes, edges):
+    """All spanning trees of the given node set, as frozensets of edges."""
+    need = len(nodes) - 1
+    if need == 0:
+        yield frozenset()
+        return
+    index = {v: i for i, v in enumerate(nodes)}
+
+    def rec(pos, chosen, parent):
+        if len(chosen) == need:
+            yield frozenset(chosen)
+            return
+        if len(edges) - pos < need - len(chosen):
+            return
+        u, v = edges[pos]
+
+        def find(p, x):
+            while p[x] != x:
+                x = p[x]
+            return x
+
+        ru, rv = find(parent, index[u]), find(parent, index[v])
+        if ru != rv:
+            merged = list(parent)
+            merged[max(ru, rv)] = min(ru, rv)
+            yield from rec(pos + 1, chosen + (edges[pos],), tuple(merged))
+        yield from rec(pos + 1, chosen, parent)
+
+    yield from rec(0, (), tuple(range(len(nodes))))
+
+
+def reference_enumerate_candidate_trees(inst):
+    """Every spanning tree of every node subset containing demands and root,
+    Steiner leaves included: the candidate set before leaf pruning."""
+    required = sorted(set(inst.demands) | {inst.root})
+    optional = sorted(set(inst.nodes) - set(required))
+    seen = set()
+    for r in range(len(optional) + 1):
+        for extra in itertools.combinations(optional, r):
+            nodes = sorted(set(required) | set(extra))
+            nodeset = set(nodes)
+            edges = [e for e in inst.edges if e[0] in nodeset and e[1] in nodeset]
+            for tree in _reference_spanning_trees(nodes, edges):
+                if tree not in seen:
+                    seen.add(tree)
+                    yield route_demands(inst, tree)
+
+
+def reference_lp(inst, trees, optima):
+    """The distribution LP over the given trees, with each level row divided
+    by its optimum, by the dense simplex: (weights with theta first, theta)."""
+    levels = len(optima)
+    costs = np.array(
+        [[atomic_cost(t, i, inst.lengths) for t in trees] for i in range(levels)]
+    )
+    n = len(trees)
+    A = np.zeros((1 + levels, 1 + n))
+    b = np.zeros(1 + levels)
+    A[0, 1:] = 1.0
+    b[0] = 1.0
+    for i in range(levels):
+        A[1 + i, 0] = 1.0
+        A[1 + i, 1:] = -costs[i] / optima[i]
+    c = np.zeros(1 + n)
+    c[0] = 1.0
+    z, theta, _ = simplex.solve_min_ge(c, A, b)
+    return z, float(theta)
+
+
+@st.composite
+def small_graphs(draw):
+    """Connected graphs on at most 7 nodes with lengths in {0, 1, 2}, so
+    zero-length edges and cost ties are common."""
+    n = draw(st.integers(2, 7))
+    names = [str(i) for i in range(n)]
+    pairs = {(names[draw(st.integers(0, i - 1))], names[i]) for i in range(1, n)}
+    others = [p for p in itertools.combinations(names, 2) if p not in pairs]
+    if others:
+        pairs |= set(draw(st.lists(st.sampled_from(others), max_size=n, unique=True)))
+    lengths = {p: draw(st.sampled_from([0.0, 1.0, 2.0])) for p in sorted(pairs)}
+    sinks = draw(st.lists(st.sampled_from(names), min_size=1, max_size=min(4, n), unique=True))
+    demands = {v: draw(st.integers(1, 3)) for v in sinks}
+    return make_instance(lengths, demands, names[0])
+
+
+class TestPrunedEnumeration:
+    @settings(max_examples=200, deadline=None)
+    @given(small_graphs())
+    def test_pruned_set_keeps_every_cost_vector(self, inst):
+        levels = demand_profile(inst).levels
+
+        def cost_vector(t):
+            return tuple(atomic_cost(t, i, inst.lengths) for i in range(levels))
+
+        def leaves_carry_demand(t):
+            degree = collections.Counter(v for e in t.edges for v in e)
+            return all(v in inst.demands or v == inst.root for v, d in degree.items() if d == 1)
+
+        reference = list(reference_enumerate_candidate_trees(inst))
+        pruned = list(enumerate_candidate_trees(inst))
+        # The candidates are exactly the reference trees without a Steiner leaf.
+        assert sorted(t.sorted_edges() for t in pruned) == sorted(
+            t.sorted_edges() for t in reference if leaves_carry_demand(t)
+        )
+        assert all(x > 0 for t in pruned for x in t.flow.values())
+        kept = {cost_vector(t) for t in pruned}
+        assert all(cost_vector(t) in kept for t in reference)
+
+        ref_optima = [min(c) for c in zip(*map(cost_vector, reference))]
+        opt = exact_optima(inst)
+        assert [opt.value(i) for i in range(levels)] == ref_optima
+        theta, _ = exact_lp_optimum(inst)
+        ref_theta = 1.0 if min(ref_optima) == 0 else reference_lp(inst, reference, ref_optima)[1]
+        assert theta == pytest.approx(ref_theta, rel=0, abs=1e-12)
 
 
 class TestExactOptimum:
@@ -84,6 +210,12 @@ class TestExactOptimum:
         for i in range(1, levels - 1):
             assert opt.value(0) <= opt.value(i) <= opt.value(levels - 1)
         assert opt.value(0) < opt.value(levels - 1)  # extremes genuinely differ
+
+    def test_optimum_trees_carry_flow_on_every_edge(self):
+        for inst in small_instance_corpus():
+            opt = exact_optima(inst)
+            for i in range(len(opt.per_level)):
+                assert all(x > 0 for x in opt.tree(i).flow.values())
 
     def test_level_chain_doubling(self):
         for inst in small_instance_corpus(count=8, seed=5):
@@ -132,26 +264,11 @@ def reference_exact_lp_optimum(inst, node_cap=DEFAULT_NODE_CAP):
     enumerates them again."""
     opt = exact_optima(inst, node_cap)
     trees = list(enumerate_candidate_trees(inst, node_cap))
-    levels = len(opt.per_level)
-    costs = np.array(
-        [[atomic_cost(t, i, inst.lengths) for t in trees] for i in range(levels)]
-    )
-    denoms = np.array([opt.value(i) for i in range(levels)])
-    n = len(trees)
-    A = np.zeros((1 + levels, 1 + n))
-    b = np.zeros(1 + levels)
-    A[0, 1:] = 1.0
-    b[0] = 1.0
-    for i in range(levels):
-        A[1 + i, 0] = 1.0
-        A[1 + i, 1:] = -costs[i] / denoms[i]
-    c = np.zeros(1 + n)
-    c[0] = 1.0
-    z, theta, _ = simplex.solve_min_ge(c, A, b)
+    z, theta = reference_lp(inst, trees, [opt.value(i) for i in range(len(opt.per_level))])
     support = [(trees[j], float(w)) for j, w in enumerate(z[1:]) if w > 1e-9]
     total = sum(w for _, w in support)
-    dist = TreeDistribution(support=tuple((t, w / total) for t, w in support), theta=float(theta))
-    return float(theta), sorted((t.sorted_edges(), w) for t, w in dist.support)
+    dist = TreeDistribution(support=tuple((t, w / total) for t, w in support), theta=theta)
+    return theta, sorted((t.sorted_edges(), w) for t, w in dist.support)
 
 
 class TestLpOptimum:
