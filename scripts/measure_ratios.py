@@ -23,7 +23,6 @@ def main() -> int:
     ap.add_argument("--families", default="star,path,grid,random-geometric")
     ap.add_argument("--sizes", default="5,6,7")
     ap.add_argument("--seeds", default="0,1,2")
-    ap.add_argument("--gamma", type=float, default=0.25)
     args = ap.parse_args()
 
     print("instance\ttheta\texact_ratio\ttheta_opt\tsupport\tseconds")
@@ -32,8 +31,7 @@ def main() -> int:
             for seed in (int(s) for s in args.seeds.split(",")):
                 inst = generate_instance(family, n, max(1, (n - 1) // 2), seed)
                 t0 = time.monotonic()
-                cfg = SolveConfig(seed=seed, gamma=args.gamma)
-                dist, report = solve_oblivious(inst, cfg)
+                dist, _ = solve_oblivious(inst, SolveConfig(seed=seed))
                 elapsed = time.monotonic() - t0
                 exact_ratio = theta_opt = ""
                 if len(inst.nodes) <= DEFAULT_NODE_CAP:

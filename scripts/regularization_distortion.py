@@ -35,18 +35,16 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--count", type=int, default=500)
     ap.add_argument("--seed", type=int, default=7)
-    ap.add_argument("--gamma", type=float, default=0.25)
     args = ap.parse_args()
 
-    gamma = Fraction(args.gamma)
     rng = np.random.default_rng(args.seed)
     drops = {"capacity": [], "rate": [], "fixed": []}
     removed = []
     for _ in range(args.count):
         a = random_vector(rng)
         capped, r1 = cap_capacity(a)
-        rated, r2 = regularize_delta(capped, gamma)
-        final, r3 = regularize_sigma(rated, gamma)
+        rated, r2 = regularize_delta(capped)
+        final, r3 = regularize_sigma(rated)
         drops["capacity"].append(worst_drop(a, capped, a.D))
         drops["rate"].append(worst_drop(capped, rated, a.D))
         drops["fixed"].append(worst_drop(rated, final, a.D))

@@ -45,6 +45,7 @@ from .instance import (
     save_instance,
 )
 from .pipes import (
+    GAMMA,
     AlphaVector,
     Pipe,
     PipeSchedule,

@@ -4,15 +4,18 @@ Subcommands: gen, solve, eval, regularize, gmm, brute, bench, pipes.
 Artifacts are schema-versioned JSON (or TSV for tables) written to declared
 output paths; logs go to stderr as key=value lines.  Randomized commands
 require an explicit seed (no wall-clock seeding) and every randomized
-artifact embeds the seed and a hash of the effective configuration, so runs
-can be replayed exactly.  Exit codes: 0 success, 2 validation/parse error,
-3 numeric or internal failure.
+artifact embeds the seed and a ``config_hash``, so runs can be replayed
+exactly.  The solver has no setting besides the seed, so for solve, eval and
+gmm the hash covers the seed alone; for gen it covers the model, n, demands
+and seed.  Exit codes: 0 success, 2 validation/parse error, 3 numeric or
+internal failure.
 """
 from __future__ import annotations
 
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -25,12 +28,11 @@ from .instance import (
     Instance,
     ParseError,
     ValidationError,
-    demand_profile,
     generate_instance,
     load_instance,
     save_instance,
 )
-from .pipes import AlphaVector, alpha_to_pipes, indifference_point, significance_point
+from .pipes import GAMMA, AlphaVector, alpha_to_pipes, indifference_point, significance_point
 from .regularize import RegularizationInternalError, regularize
 from .simplex import LPError
 from .subroutines import rob_lower_bounds, _mix_seed
@@ -59,40 +61,37 @@ def _config_hash(cfg: dict) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _effective_config(args, keys) -> dict:
-    """Merge precedence: flags > config file > defaults.
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
-    A config file may set only the default keys; any other key is refused.
-    """
-    defaults = {"gamma": 0.25}
-    merged = dict(defaults)
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
-            loaded = json.load(fh)
-        if not isinstance(loaded, dict):
-            raise ParseError("config file must hold a JSON object")
-        unknown = sorted(set(loaded) - set(defaults))
-        if unknown:
-            raise ParseError(f"unknown config keys {unknown}; known: {sorted(defaults)}")
-        merged.update(loaded)
-    for key in keys:
-        val = getattr(args, key, None)
-        if val is not None:
-            merged[key] = val
-    return {k: merged[k] for k in sorted(merged)}
+
+def _weight_from_obj(v) -> Fraction:
+    """A number, or an exact [numerator, denominator] pair."""
+    if isinstance(v, list):
+        num, den = v
+        return Fraction(int(num), int(den))
+    return Fraction(float(v))
 
 
 def _alpha_from_obj(obj) -> AlphaVector:
     if not isinstance(obj, dict) or "alpha" not in obj or "D" not in obj:
         raise ParseError("alpha JSON needs fields 'alpha' and 'D'")
     src = obj.get("alpha_exact", obj["alpha"])
+    if not isinstance(src, dict):
+        raise ParseError("alpha weights must be an object")
     alpha = {}
     for k, v in src.items():
-        if isinstance(v, list):
-            alpha[int(k)] = Fraction(int(v[0]), int(v[1]))
-        else:
-            alpha[int(k)] = Fraction(float(v))
-    return AlphaVector(alpha=alpha, D=int(obj["D"]))
+        try:
+            alpha[int(k)] = _weight_from_obj(v)
+        except (TypeError, ValueError, ArithmeticError):
+            raise ParseError(
+                f"alpha entry {k!r}: {v!r} must map an integer level to a finite number "
+                "or a pair [numerator, denominator] with a nonzero denominator"
+            ) from None
+    D = obj["D"]
+    if isinstance(D, bool) or not (isinstance(D, int) or (isinstance(D, float) and D.is_integer())):
+        raise ParseError(f"D must be an integer, got {D!r}")
+    return AlphaVector(alpha=alpha, D=int(D))
 
 
 def _alpha_to_obj(a: AlphaVector) -> dict:
@@ -124,13 +123,25 @@ def _distribution_to_obj(dist: TreeDistribution, extra: dict) -> dict:
 
 
 def _distribution_from_obj(obj, inst: Instance) -> TreeDistribution:
-    if "trees" not in obj:
-        raise ParseError("distribution JSON needs field 'trees'")
+    if not isinstance(obj, dict) or not isinstance(obj.get("trees"), list):
+        raise ParseError("distribution JSON needs a list field 'trees'")
+    theta = obj.get("theta", 0.0)
+    if not _is_number(theta):
+        raise ParseError("theta must be a number")
     support = []
-    for entry in obj["trees"]:
-        tree = route_demands(inst, [tuple(e) for e in entry["edges"]])
-        support.append((tree, float(entry["weight"])))
-    return TreeDistribution(support=tuple(support), theta=float(obj.get("theta", 0.0)))
+    for idx, entry in enumerate(obj["trees"]):
+        if not isinstance(entry, dict) or "edges" not in entry or "weight" not in entry:
+            raise ParseError(f"tree #{idx} must be an object with fields 'edges' and 'weight'")
+        edges, weight = entry["edges"], entry["weight"]
+        if not isinstance(edges, list) or not all(
+            isinstance(e, list) and len(e) == 2 and all(isinstance(v, str) for v in e)
+            for e in edges
+        ):
+            raise ParseError(f"tree #{idx}: edges must be a list of [u, v] node pairs")
+        if not (_is_number(weight) and 0 < weight < math.inf):
+            raise ParseError(f"tree #{idx}: weight must be a finite positive number")
+        support.append((route_demands(inst, [tuple(e) for e in edges]), float(weight)))
+    return TreeDistribution(support=tuple(support), theta=float(theta))
 
 
 def cmd_gen(args) -> int:
@@ -142,14 +153,13 @@ def cmd_gen(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    cfg = _effective_config(args, ["gamma"])
     inst = load_instance(args.instance)
-    config = SolveConfig(seed=args.seed, gamma=cfg["gamma"])
+    config = SolveConfig(seed=args.seed)
     t0 = time.monotonic()
     dist, report = solve_oblivious(inst, config)
     _log(cmd="solve", instance=args.instance, theta=f"{dist.theta:.6g}",
          support=len(dist.support), seconds=f"{time.monotonic() - t0:.2f}")
-    meta = {"seed": args.seed, "config_hash": _config_hash({**cfg, "seed": args.seed})}
+    meta = {"seed": args.seed, "config_hash": _config_hash({"seed": args.seed})}
     _write_json(args.out, _distribution_to_obj(dist, {
         **meta,
         "diagnostics": {"levels": report.levels, "tilde": list(report.tilde)},
@@ -165,11 +175,9 @@ def cmd_solve(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg = _effective_config(args, [])
     inst = load_instance(args.instance)
     with open(args.distribution) as fh:
         dist = _distribution_from_obj(json.load(fh), inst)
-    profile = demand_profile(inst)
     bounds = rob_lower_bounds(inst, _mix_seed(args.seed, 0xAB))
     rows = []
     for i, tilde_i, _ in bounds:
@@ -183,7 +191,7 @@ def cmd_eval(args) -> int:
     out = {
         "schema": SCHEMA,
         "seed": args.seed,
-        "config_hash": _config_hash({**cfg, "seed": args.seed}),
+        "config_hash": _config_hash({"seed": args.seed}),
         "levels": rows,
         "max_ratio_vs_bound": max(r["ratio"] for r in rows),
     }
@@ -200,13 +208,12 @@ def cmd_eval(args) -> int:
 
 
 def cmd_regularize(args) -> int:
-    cfg = _effective_config(args, ["gamma"])
     with open(args.alpha) as fh:
         vec = _alpha_from_obj(json.load(fh))
-    out_vec, report = regularize(vec, Fraction(cfg["gamma"]))
+    out_vec, report = regularize(vec)
     _write_json(args.out, {
         "schema": SCHEMA,
-        "gamma": cfg["gamma"],
+        "gamma": float(GAMMA),
         "input": _alpha_to_obj(vec),
         "output": _alpha_to_obj(out_vec),
         "report": {
@@ -227,17 +234,16 @@ def cmd_regularize(args) -> int:
 
 
 def cmd_gmm(args) -> int:
-    cfg = _effective_config(args, ["gamma"])
     inst = load_instance(args.instance)
     with open(args.alpha) as fh:
         vec = _alpha_from_obj(json.load(fh))
-    reg, _ = regularize(vec, Fraction(cfg["gamma"]))
+    reg, _ = regularize(vec)
     trace = GmmTrace()
-    tree, costs = gmm_tree(inst, reg, cfg["gamma"], args.seed, trace=trace)
+    tree, costs = gmm_tree(inst, reg, args.seed, trace=trace)
     _write_json(args.out, {
         "schema": SCHEMA,
         "seed": args.seed,
-        "config_hash": _config_hash({"gamma": cfg["gamma"], "seed": args.seed}),
+        "config_hash": _config_hash({"seed": args.seed}),
         "tree": _tree_to_obj(tree),
         "stage_costs": [
             {"stage": c.stage, "steiner_cost": c.steiner_cost, "facility_cost": c.facility_cost}
@@ -272,7 +278,6 @@ def cmd_brute(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    cfg = _effective_config(args, ["gamma"])
     sizes = [int(s) for s in args.sizes.split(",") if s]
     seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else []
     rows = []
@@ -282,7 +287,7 @@ def cmd_bench(args) -> int:
             instance_id = f"{args.family}-n{n}-s{seed}"
             t0 = time.monotonic()
             try:
-                dist, _ = solve_oblivious(inst, SolveConfig(seed=seed, gamma=cfg["gamma"]))
+                dist, _ = solve_oblivious(inst, SolveConfig(seed=seed))
                 theta_opt = ""
                 if len(inst.nodes) <= exact_mod.DEFAULT_NODE_CAP:
                     theta_opt = repr(exact_mod.exact_lp_optimum(inst)[0])
@@ -301,11 +306,9 @@ def cmd_bench(args) -> int:
 
 
 def cmd_pipes(args) -> int:
-    cfg = _effective_config(args, ["gamma"])
     with open(args.alpha) as fh:
         vec = _alpha_from_obj(json.load(fh))
     schedule = alpha_to_pipes(vec)
-    gamma = Fraction(cfg["gamma"])
     print("k\tsigma\tdelta\tcapacity\tindifference\tsignificance")
     for k, pipe in enumerate(schedule.pipes):
         cap = None if pipe.rate == 0 else pipe.fixed / pipe.rate
@@ -314,7 +317,7 @@ def cmd_pipes(args) -> int:
         if k + 1 < len(schedule.pipes):
             nxt = schedule.pipes[k + 1]
             g = indifference_point(pipe, nxt)
-            b = significance_point(pipe, nxt, gamma)
+            b = significance_point(pipe, nxt)
             undef_b = b is None
 
         def fmt(x, undef=False):
@@ -333,26 +336,22 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="bulktree", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_common(p, seed=True, config=True):
-        if seed:
-            p.add_argument("--seed", type=int, required=True, help="master seed (required; no wall-clock seeding)")
-        if config:
-            p.add_argument("--config", help="JSON config file; flags override its values")
+    def add_seed(p):
+        p.add_argument("--seed", type=int, required=True, help="master seed (required; no wall-clock seeding)")
 
     p = sub.add_parser("gen", help="generate an instance file")
     p.add_argument("model", choices=["random-geometric", "grid", "star", "path"])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--demands", type=int, required=True)
     p.add_argument("--out", required=True)
-    add_common(p, config=False)
+    add_seed(p)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("solve", help="compute an oblivious tree distribution")
     p.add_argument("instance")
     p.add_argument("--out", required=True)
     p.add_argument("--report")
-    p.add_argument("--gamma", type=float)
-    add_common(p)
+    add_seed(p)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("eval", help="evaluate a distribution file against an instance")
@@ -360,29 +359,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("distribution")
     p.add_argument("--out", required=True)
     p.add_argument("--exact", action="store_true", help="also compare against brute-force optima")
-    add_common(p)
+    add_seed(p)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("regularize", help="regularize a weight vector JSON")
     p.add_argument("alpha")
     p.add_argument("--out", required=True)
-    p.add_argument("--gamma", type=float)
-    add_common(p, seed=False)
     p.set_defaults(func=cmd_regularize)
 
     p = sub.add_parser("gmm", help="run the staged tree construction once")
     p.add_argument("instance")
     p.add_argument("alpha")
     p.add_argument("--out", required=True)
-    p.add_argument("--gamma", type=float)
-    add_common(p)
+    add_seed(p)
     p.set_defaults(func=cmd_gmm)
 
     p = sub.add_parser("brute", help="brute-force per-level optima and the LP optimum")
     p.add_argument("instance")
     p.add_argument("--out", required=True)
     p.add_argument("--tsv")
-    add_common(p, seed=False, config=False)
     p.set_defaults(func=cmd_brute)
 
     p = sub.add_parser("bench", help="solve a family grid and emit a TSV summary")
@@ -390,14 +385,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sizes", required=True, help="comma-separated node counts")
     p.add_argument("--seeds", required=True, help="comma-separated seeds (may be empty)")
     p.add_argument("--out", required=True)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--config")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("pipes", help="print a weight vector's pipe table as TSV")
     p.add_argument("alpha")
-    p.add_argument("--gamma", type=float)
-    add_common(p, seed=False)
     p.set_defaults(func=cmd_pipes)
 
     return ap

@@ -19,7 +19,8 @@ solution has at most 1 + levels basic variables, theta among them, hence
 the support of at most 1 + log2(D) trees.
 
 The central-cut ellipsoid over the same dual is kept as
-``ellipsoid_feasibility``; the solver does not call it.
+``ellipsoid_feasibility``; the solver does not call it.  It stays until the
+benchmark's tracer, which wraps it by name, stops doing so.
 """
 from __future__ import annotations
 
@@ -33,7 +34,7 @@ from . import simplex
 from .aggregation import RoutedTree, TreeDistribution, atomic_cost, level_ratio
 from .gmm import StagePlan
 from .instance import Instance, demand_profile
-from .pipes import AlphaVector, as_fraction
+from .pipes import AlphaVector
 from .regularize import regularize
 from .subroutines import PathTable, rob_lower_bounds, _mix_seed
 
@@ -58,11 +59,6 @@ MAX_PRICING_CALLS = 64
 @dataclass(frozen=True)
 class SolveConfig:
     seed: int
-    gamma: float = 0.25
-
-    def __post_init__(self):
-        if not (0 < self.gamma < 0.5):
-            raise ValueError("gamma must lie in (0, 1/2)")
 
 
 def default_rmax(inst: Instance) -> int:
@@ -115,7 +111,6 @@ def separation_oracle(
     tilde,
     c_target: float,
     inst: Instance,
-    gamma,
     seed: int,
     rmax: int | None = None,
     break_on_violation: bool = True,
@@ -133,7 +128,7 @@ def separation_oracle(
 
     The weight vector is regularized and staged once; each attempt repeats
     only the seeded part of the construction, so attempt j returns the tree
-    ``oracle_tree(inst, alpha, gamma, _mix_seed(seed, j))`` would.  The table
+    ``oracle_tree(inst, alpha, _mix_seed(seed, j))`` would.  The table
     routes and costs each distinct tree once.
     """
     scaled = np.asarray(point.alpha, dtype=float)
@@ -152,8 +147,8 @@ def separation_oracle(
     vec = AlphaVector(alpha=alpha_raw, D=profile.D)
     threshold = 2.0 * c_target * budget
     cap = rmax if rmax is not None else default_rmax(inst)
-    regular, _ = regularize(vec, as_fraction(gamma))
-    plan = StagePlan(inst, regular, gamma, table)
+    regular, _ = regularize(vec)
+    plan = StagePlan(inst, regular, table)
     weights = [(i, float(a)) for i, a in alpha_raw.items()]
     best: tuple[float, RoutedTree, tuple[float, ...]] | None = None
     attempts = 0
@@ -199,7 +194,6 @@ def ellipsoid_feasibility(
     inst: Instance,
     beta: float,
     c: float | None,
-    gamma,
     seed: int,
     tilde=None,
     bit_budget: int = 64,
@@ -245,7 +239,7 @@ def ellipsoid_feasibility(
         if cut is None:
             point = DualPoint(alpha=tuple(float(x) for x in center), beta=beta)
             res = separation_oracle(
-                point, tilde, c_target, inst, gamma, _mix_seed(seed, 7919 + iteration), rmax,
+                point, tilde, c_target, inst, _mix_seed(seed, 7919 + iteration), rmax,
                 table=table,
             )
             oracle_calls += 1
@@ -373,7 +367,7 @@ def _column_generation(
             break
         beta = dist.theta * (1 - 1e-9)
         res = separation_oracle(
-            DualPoint(alpha=alpha, beta=beta), tilde, beta / 2.0, inst, config.gamma,
+            DualPoint(alpha=alpha, beta=beta), tilde, beta / 2.0, inst,
             _mix_seed(config.seed, 7919 + call), table=table,
         )
         added = res.kind == "tree_cut" and cs.add(

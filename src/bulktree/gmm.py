@@ -43,7 +43,7 @@ import numpy as np
 
 from .aggregation import RoutedTree
 from .instance import Edge, Instance, canonical_edge
-from .pipes import AlphaVector, as_fraction, is_gamma_regular, thresholds
+from .pipes import AlphaVector, is_gamma_regular, thresholds
 from .regularize import regularize
 from .subroutines import PathTable, lbfl, steiner_tree
 
@@ -181,13 +181,13 @@ class StagePlan:
     used the same edges.
     """
 
-    def __init__(self, inst: Instance, alpha: AlphaVector, gamma, table: PathTable | None = None):
-        check = is_gamma_regular(alpha, gamma)
+    def __init__(self, inst: Instance, alpha: AlphaVector, table: PathTable | None = None):
+        check = is_gamma_regular(alpha)
         if not check:
             raise ValueError(f"weight vector is not gamma-regular: {check}")
         self.inst = inst
         self.pipes = alpha.schedule()
-        self.th = thresholds(self.pipes, gamma)
+        self.th = thresholds(self.pipes)
         self.table = PathTable(inst) if table is None else table
         self._clusters: dict[int, list] = {}
         self._stage0 = self._steiner_forest(0, inst.demands)
@@ -298,20 +298,19 @@ class StagePlan:
 def gmm_tree(
     inst: Instance,
     alpha: AlphaVector,
-    gamma,
     seed: int,
     trace: GmmTrace | None = None,
 ) -> tuple[RoutedTree, list[StageCosts]]:
     """Run the staged construction; requires a gamma-regular weight vector."""
-    return StagePlan(inst, alpha, gamma).run(seed, trace)
+    return StagePlan(inst, alpha).run(seed, trace)
 
 
-def oracle_tree(inst: Instance, alpha: AlphaVector, gamma, seed: int) -> RoutedTree:
+def oracle_tree(inst: Instance, alpha: AlphaVector, seed: int) -> RoutedTree:
     """Regularize an arbitrary weight vector, then run the staged construction.
 
     The returned tree is meant to be evaluated under the ORIGINAL weights;
     the regularization's bounded distortion carries the cost guarantee over.
     """
-    regular, _ = regularize(alpha, as_fraction(gamma))
-    tree, _ = gmm_tree(inst, regular, gamma, seed)
+    regular, _ = regularize(alpha)
+    tree, _ = gmm_tree(inst, regular, seed)
     return tree

@@ -16,7 +16,8 @@ All arithmetic here is exact: values are converted to Fractions on entry
 (floats convert to their exact binary value), so power-of-two breakpoint
 tests can never be corrupted by drift.
 
-Key threshold quantities for a schedule, given a separation parameter gamma:
+Key threshold quantities for a schedule, given the separation constant
+GAMMA = 1/4 (gamma in the formulas below):
 
     capacity     u_k = sigma_k / delta_k   (balance point of pipe k's two terms)
     indifference g_k with  sigma_k + delta_k g = sigma_{k+1} + delta_{k+1} g
@@ -32,6 +33,7 @@ from numbers import Rational
 from typing import Mapping
 
 __all__ = [
+    "GAMMA",
     "AlphaVector",
     "Pipe",
     "PipeSchedule",
@@ -46,6 +48,13 @@ __all__ = [
     "as_fraction",
     "is_power_of_two",
 ]
+
+
+# The separation constant gamma of the oracle, an adaptation of Guha, Meyerson
+# and Munagala (2001).  Its guarantee holds for any one fixed gamma in
+# (0, 1/2), so gamma is a constant, not a setting; 1/4 is the value the solver
+# has always run with.
+GAMMA = Fraction(1, 4)
 
 
 def as_fraction(x) -> Fraction:
@@ -207,34 +216,30 @@ class Thresholds:
     capacities: tuple
     indifference: tuple
     significance: tuple
-    gamma: Fraction
 
 
-def significance_point(a: Pipe, b: Pipe, gamma: Fraction) -> Fraction | None:
-    """Flow at which pipe b costs 2*gamma times pipe a, or None when
-    2*gamma*delta_a - delta_b <= 0 and no such flow exists."""
-    den = 2 * gamma * a.rate - b.rate
+def significance_point(a: Pipe, b: Pipe) -> Fraction | None:
+    """Flow at which pipe b costs 2*GAMMA times pipe a, or None when
+    2*GAMMA*delta_a - delta_b <= 0 and no such flow exists."""
+    den = 2 * GAMMA * a.rate - b.rate
     if den <= 0:
         return None
-    return (b.fixed - 2 * gamma * a.fixed) / den
+    return (b.fixed - 2 * GAMMA * a.fixed) / den
 
 
-def thresholds(p: PipeSchedule, gamma) -> Thresholds:
-    g = as_fraction(gamma)
-    if not (0 < g < Fraction(1, 2)):
-        raise ValueError(f"gamma must lie in (0, 1/2), got {g}")
+def thresholds(p: PipeSchedule) -> Thresholds:
     caps = tuple(None if pipe.rate == 0 else pipe.fixed / pipe.rate for pipe in p.pipes)
     indiff = tuple(indifference_point(a, b) for a, b in zip(p.pipes, p.pipes[1:]))
     signif = []
     for k, (a, b) in enumerate(zip(p.pipes, p.pipes[1:])):
-        point = significance_point(a, b, g)
+        point = significance_point(a, b)
         if point is None:
             raise ValueError(
                 f"significance point undefined at pipe {k}: 2*gamma*delta_{k} - delta_{k+1} <= 0 "
                 "(schedule not separated enough)"
             )
         signif.append(point)
-    return Thresholds(capacities=caps, indifference=indiff, significance=tuple(signif), gamma=g)
+    return Thresholds(capacities=caps, indifference=indiff, significance=tuple(signif))
 
 
 @dataclass(frozen=True)
@@ -247,16 +252,13 @@ class RegularityCheck:
         return self.ok
 
 
-def is_gamma_regular(a: AlphaVector, gamma) -> RegularityCheck:
-    """Check delta_{k+1} < gamma*delta_k and sigma_k < gamma*sigma_{k+1} on the
+def is_gamma_regular(a: AlphaVector) -> RegularityCheck:
+    """Check delta_{k+1} < GAMMA*delta_k and sigma_k < GAMMA*sigma_{k+1} on the
     converted schedule; reports the first violated pair."""
-    g = as_fraction(gamma)
-    if not (0 < g < Fraction(1, 2)):
-        raise ValueError(f"gamma must lie in (0, 1/2), got {g}")
     ps = a.schedule().pipes
     for k in range(len(ps) - 1):
-        if not ps[k + 1].rate < g * ps[k].rate:
+        if not ps[k + 1].rate < GAMMA * ps[k].rate:
             return RegularityCheck(False, k, "rate")
-        if not ps[k].fixed < g * ps[k + 1].fixed:
+        if not ps[k].fixed < GAMMA * ps[k + 1].fixed:
             return RegularityCheck(False, k, "fixed")
     return RegularityCheck(True)

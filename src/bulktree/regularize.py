@@ -39,10 +39,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .pipes import (
+    GAMMA,
     AlphaVector,
     Pipe,
     PipeSchedule,
-    as_fraction,
     indifference_point,
     is_gamma_regular,
     is_power_of_two,
@@ -85,7 +85,6 @@ class StageReport:
 @dataclass
 class RegularizationReport:
     stages: list
-    gamma: Fraction
 
     @property
     def total_f_lower_factor(self) -> Fraction:
@@ -146,8 +145,7 @@ def cap_capacity(a: AlphaVector) -> tuple[AlphaVector, StageReport]:
     return _rebuild(out, a.D), report
 
 
-def regularize_delta(a: AlphaVector, gamma) -> tuple[AlphaVector, StageReport]:
-    g = as_fraction(gamma)
+def regularize_delta(a: AlphaVector) -> tuple[AlphaVector, StageReport]:
     report = StageReport(stage="regularize_delta", distortion_bound=Fraction(3))
     D = Fraction(a.D)
     pipes = list(a.schedule().pipes)
@@ -159,13 +157,13 @@ def regularize_delta(a: AlphaVector, gamma) -> tuple[AlphaVector, StageReport]:
         guard -= 1
         _require(guard >= 0, "iteration safety cap exceeded in regularize_delta")
         k = next(
-            (i for i in range(len(pipes) - 1) if pipes[i + 1].rate >= g * pipes[i].rate),
+            (i for i in range(len(pipes) - 1) if pipes[i + 1].rate >= GAMMA * pipes[i].rate),
             None,
         )
         if k is None:
             break
         m = next(
-            i for i in range(k + 1, len(pipes)) if pipes[i].rate < (g / 3) * pipes[k].rate
+            i for i in range(k + 1, len(pipes)) if pipes[i].rate < (GAMMA / 3) * pipes[k].rate
         )
         _require(m >= k + 2, "deletion step must remove at least one pipe")
         report.pipes_removed += m - (k + 1)
@@ -205,7 +203,7 @@ def regularize_delta(a: AlphaVector, gamma) -> tuple[AlphaVector, StageReport]:
             report.record_rotation("rate", pipes[k], rotated)
             pipes[k] = rotated
         _require(
-            pipes[k + 1].rate < g * pipes[k].rate,
+            pipes[k + 1].rate < GAMMA * pipes[k].rate,
             "pair still violates the rate constraint after rotation",
         )
     out = _rebuild(pipes, a.D)
@@ -214,13 +212,12 @@ def regularize_delta(a: AlphaVector, gamma) -> tuple[AlphaVector, StageReport]:
     return out, report
 
 
-def regularize_sigma(a: AlphaVector, gamma) -> tuple[AlphaVector, StageReport]:
-    g = as_fraction(gamma)
+def regularize_sigma(a: AlphaVector) -> tuple[AlphaVector, StageReport]:
     report = StageReport(stage="regularize_sigma", distortion_bound=Fraction(5, 2))
     D = Fraction(a.D)
     pipes = list(a.schedule().pipes)
     for i in range(len(pipes) - 1):
-        if pipes[i + 1].rate >= g * pipes[i].rate:
+        if pipes[i + 1].rate >= GAMMA * pipes[i].rate:
             raise ValueError("precondition violated: run regularize_delta first")
     last = pipes[-2]
     if last.rate > 0 and last.fixed / last.rate > D:
@@ -233,14 +230,14 @@ def regularize_sigma(a: AlphaVector, gamma) -> tuple[AlphaVector, StageReport]:
             (
                 i
                 for i in range(len(pipes) - 1, 0, -1)
-                if pipes[i - 1].fixed >= g * pipes[i].fixed
+                if pipes[i - 1].fixed >= GAMMA * pipes[i].fixed
             ),
             None,
         )
         if k is None:
             break
         lo = next(
-            i for i in range(k - 2, -1, -1) if pipes[i].fixed < (2 * g / 5) * pipes[k].fixed
+            i for i in range(k - 2, -1, -1) if pipes[i].fixed < (2 * GAMMA / 5) * pipes[k].fixed
         )
         _require(lo <= k - 2, "deletion step must remove at least one pipe")
         report.pipes_removed += (k - 1) - lo
@@ -260,7 +257,7 @@ def regularize_sigma(a: AlphaVector, gamma) -> tuple[AlphaVector, StageReport]:
             report.record_rotation("plateau", plateau, new_plateau)
             pipes[-1] = new_plateau
             _require(
-                survivor.fixed < g * new_plateau.fixed,
+                survivor.fixed < GAMMA * new_plateau.fixed,
                 "plateau raise failed to separate fixed costs",
             )
             continue
@@ -285,32 +282,33 @@ def regularize_sigma(a: AlphaVector, gamma) -> tuple[AlphaVector, StageReport]:
             _require(5 * rotated.rate <= 8 * old.rate, "rotation grew the rate above 8/5")
             _require(survivor.fixed < rotated.fixed, "rotation broke fixed-cost ordering")
             _require(survivor.rate > rotated.rate, "rotation broke rate ordering")
-            _require(rotated.rate < g * survivor.rate, "rotation broke the rate constraint below")
             _require(
-                pipes[ki + 1].rate < g * rotated.rate,
+                rotated.rate < GAMMA * survivor.rate, "rotation broke the rate constraint below"
+            )
+            _require(
+                pipes[ki + 1].rate < GAMMA * rotated.rate,
                 "rotation broke the rate constraint above",
             )
             report.record_rotation("fixed", old, rotated)
             pipes[ki] = rotated
         _require(
-            pipes[ki - 1].fixed < g * pipes[ki].fixed,
+            pipes[ki - 1].fixed < GAMMA * pipes[ki].fixed,
             "pair still violates the fixed-cost constraint",
         )
     out = _rebuild(pipes, a.D)
-    check = is_gamma_regular(out, g)
+    check = is_gamma_regular(out)
     _require(bool(check), f"sigma stage output not regular: {check}")
     last = pipes[-2]
     _require(last.rate == 0 or last.fixed / last.rate <= D, "capacity cap broken by fixed stage")
     return out, report
 
 
-def regularize(a: AlphaVector, gamma) -> tuple[AlphaVector, RegularizationReport]:
+def regularize(a: AlphaVector) -> tuple[AlphaVector, RegularizationReport]:
     """cap_capacity, then rate separation, then fixed-cost separation."""
-    g = as_fraction(gamma)
     capped, rep1 = cap_capacity(a)
-    rated, rep2 = regularize_delta(capped, g)
-    out, rep3 = regularize_sigma(rated, g)
-    report = RegularizationReport(stages=[rep1, rep2, rep3], gamma=g)
-    check = is_gamma_regular(out, g)
+    rated, rep2 = regularize_delta(capped)
+    out, rep3 = regularize_sigma(rated)
+    report = RegularizationReport(stages=[rep1, rep2, rep3])
+    check = is_gamma_regular(out)
     _require(bool(check), f"regularize output failed the regularity check: {check}")
     return out, report

@@ -22,14 +22,19 @@ from bulktree.exact import enumerate_candidate_trees, exact_oblivious_ratio, exa
 from bulktree.framework import DualPoint, SolveConfig, separation_oracle, solve_oblivious
 from bulktree.gmm import GmmTrace, gmm_tree
 from bulktree.instance import demand_profile, generate_instance
-from bulktree.pipes import AlphaVector, alpha_to_pipes, is_gamma_regular, pipes_to_alpha, thresholds
+from bulktree.pipes import (
+    GAMMA,
+    AlphaVector,
+    alpha_to_pipes,
+    is_gamma_regular,
+    pipes_to_alpha,
+    thresholds,
+)
 from bulktree.regularize import cap_capacity, regularize, regularize_delta, regularize_sigma
 from bulktree.subroutines import lbfl, rent_or_buy, rob_lower_bounds, steiner_tree
 
 from conftest import make_instance, random_alpha, small_instance_corpus
 from test_subroutines import steiner_optimum
-
-GAMMA = F(1, 4)
 
 
 def criterion(number, description):
@@ -68,8 +73,8 @@ def test_c01_function_representation_equivalence():
 def test_c02_threshold_sanity():
     bound = (1 - 2 * GAMMA**2) / GAMMA
     for a in alpha_corpus(500, seed=202):
-        reg, _ = regularize(a, GAMMA)
-        th = thresholds(alpha_to_pipes(reg), GAMMA)
+        reg, _ = regularize(a)
+        th = thresholds(alpha_to_pipes(reg))
         k_pairs = len(th.significance)
         for k in range(k_pairs):
             assert th.capacities[k] <= th.significance[k]
@@ -85,9 +90,9 @@ def test_c03_regularization_certificates():
     start = time.monotonic()
     for a in alpha_corpus(200, seed=303):
         capped, _ = cap_capacity(a)          # rotation claims assert in-run
-        rated, _ = regularize_delta(capped, GAMMA)
-        final, _ = regularize_sigma(rated, GAMMA)
-        assert is_gamma_regular(final, GAMMA)
+        rated, _ = regularize_delta(capped)
+        final, _ = regularize_sigma(rated)
+        assert is_gamma_regular(final)
         for x in range(1, a.D + 1):
             fx, cx, rx, gx = a.value(x), capped.value(x), rated.value(x), final.value(x)
             assert fx <= 1 * cx
@@ -133,12 +138,12 @@ def test_c06_consolidation_unbiasedness():
         "r",
     )
     alpha = AlphaVector(alpha={0: F(16), 4: F(4)}, D=16)
-    assert is_gamma_regular(alpha, GAMMA)
+    assert is_gamma_regular(alpha)
     n = 2000
     by_event: dict = {}
     for seed in range(n):
         trace = GmmTrace()
-        gmm_tree(inst, alpha, GAMMA, seed=seed, trace=trace)
+        gmm_tree(inst, alpha, seed=seed, trace=trace)
         for stage, step, snap, delivered in trace.consolidations:
             by_event.setdefault((stage, step), []).append((snap, delivered))
     # Unbiasedness is a statement about the consolidation draw; once demand
@@ -244,7 +249,7 @@ def test_c09_oracle_termination():
         y = rng.random(m)
         y = 0.9 * y / y.sum()
         res = separation_oracle(
-            DualPoint(alpha=tuple(y), beta=1e9), tilde, 1e9, inst, GAMMA,
+            DualPoint(alpha=tuple(y), beta=1e9), tilde, 1e9, inst,
             seed=int(rng.integers(1 << 30)),
         )
         pilot.append(res.cost / y.sum())
@@ -255,7 +260,7 @@ def test_c09_oracle_termination():
         y = rng.random(m)
         y = 0.9 * y / y.sum()
         res = separation_oracle(
-            DualPoint(alpha=tuple(y), beta=1e9), tilde, c_cal, inst, GAMMA,
+            DualPoint(alpha=tuple(y), beta=1e9), tilde, c_cal, inst,
             seed=t, rmax=rmax, break_on_violation=False,
         )
         if res.threshold_met and res.attempts <= rmax:
@@ -263,7 +268,7 @@ def test_c09_oracle_termination():
     assert ok >= 0.95 * trials
 
 
-@criterion(10, "every CLI command is byte-identical under identical seed and config")
+@criterion(10, "every CLI command is byte-identical under identical seed")
 def test_c10_cli_determinism(tmp_path):
     from bulktree.cli import main
 

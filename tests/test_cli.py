@@ -205,43 +205,52 @@ def test_bench_empty_seed_list(tmp_path):
     assert out.read_text().strip().splitlines() == ["instance\ttheta\ttheta_opt\tsupport\ttotal_demand"]
 
 
-def test_config_file_precedence(tmp_path, star_file):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"gamma": 0.2}))
-
-    def config_hash(tag, *flags):
-        d = tmp_path / f"{tag}.json"
-        assert run(["solve", star_file, "--out", d, "--seed", 1, *flags]) == 0
-        return json.loads(d.read_text())["config_hash"]
-
-    # the file's gamma overrides the default
-    file_only = config_hash("file", "--config", cfg)
-    assert file_only == config_hash("flag", "--gamma", 0.2)
-    assert file_only != config_hash("default")
-    # a flag overrides the file
-    both = config_hash("both", "--config", cfg, "--gamma", 0.3)
-    assert both == config_hash("flag3", "--gamma", 0.3) != file_only
-
-
 @pytest.mark.parametrize("argv", [
     ["solve", "inst", "--out", "d.json", "--seed", 1],
     ["eval", "inst", "d.json", "--out", "e.json", "--exact", "--seed", 1],
     ["brute", "inst", "--out", "b.json"],
     ["bench", "star", "--sizes", 5, "--seeds", 1, "--out", "b.tsv"],
-], ids=["solve", "eval", "brute", "bench"])
+    ["regularize", "alpha.json", "--out", "r.json"],
+    ["gmm", "inst", "alpha.json", "--out", "g.json", "--seed", 1],
+    ["pipes", "alpha.json"],
+], ids=["solve", "eval", "brute", "bench", "regularize", "gmm", "pipes"])
 def test_node_cap_flag_removed(argv):
-    with pytest.raises(SystemExit) as exc:
-        run([*argv, "--node-cap", 8])
-    assert exc.value.code == 2
+    # Neither --node-cap nor --gamma nor --config is an option any more.
+    for flag in (["--node-cap", 8], ["--gamma", 0.3], ["--config", "cfg.json"]):
+        with pytest.raises(SystemExit) as exc:
+            run([*argv, *flag])
+        assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("key", ["gama", "bit_budget", "node_cap"],
-                         ids=["misspelled", "removed", "removed-node-cap"])
-def test_config_file_unknown_key_exit_2(tmp_path, star_file, capsys, key):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"gamma": 0.2, key: 4}))
-    code = run(["solve", star_file, "--out", tmp_path / "d.json", "--seed", 1, "--config", cfg])
+@pytest.mark.parametrize("command, payload", [
+    ("eval", {"trees": [{"weight": 1.0}]}),
+    ("eval", {"trees": [[["a", "r"]]]}),
+    ("eval", {"trees": {"weight": 1.0}}),
+    ("eval", {"trees": [{"weight": 1.0, "edges": [["a"]]}]}),
+    ("eval", {"trees": [{"weight": 0.0, "edges": []}]}),
+    ("eval", {"trees": [{"weight": -1.0, "edges": []}]}),
+    ("eval", {"trees": [{"weight": float("nan"), "edges": []}]}),
+    ("eval", {"trees": [{"weight": float("inf"), "edges": []}]}),
+    ("eval", {"trees": [{"weight": "1", "edges": []}]}),
+    ("eval", {"trees": [{"weight": None, "edges": []}]}),
+    ("eval", {"theta": None, "trees": []}),
+    ("pipes", {"D": 4, "alpha": {"0": 1.0}, "alpha_exact": {"0": [1]}}),
+    ("pipes", {"D": 4, "alpha": {"0": 1.0}, "alpha_exact": {"0": [1, 0]}}),
+    ("pipes", {"D": 4, "alpha": {"0": None}}),
+    ("pipes", {"D": 4, "alpha": {"0": float("inf")}}),
+    ("pipes", {"D": None, "alpha": {"0": 1.0}}),
+    ("pipes", {"D": 8.5, "alpha": {"0": 1.0}}),
+], ids=["tree-without-edges", "tree-as-list", "trees-not-list", "edge-not-pair",
+        "weight-zero", "weight-negative", "weight-nan", "weight-inf", "weight-string",
+        "weight-null", "theta-null", "pair-too-short", "pair-zero-denominator", "alpha-null",
+        "alpha-inf", "D-null", "D-fraction"])
+def test_malformed_input_exit_2(tmp_path, star_file, capsys, command, payload):
+    src = tmp_path / "in.json"
+    src.write_text(json.dumps(payload))
+    if command == "eval":
+        code = run(["eval", star_file, src, "--out", tmp_path / "e.json", "--seed", 1])
+    else:
+        code = run(["pipes", src])
     assert code == 2
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
-    assert err["type"] == "ParseError" and key in err["message"]
-    assert not (tmp_path / "d.json").exists()
+    assert err["type"] == "ParseError"

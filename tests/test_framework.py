@@ -47,7 +47,7 @@ def tilde_for(inst, seed=7):
     return tuple(v for _, v, _ in rob_lower_bounds(inst, seed))
 
 
-def reference_separation_oracle(point, tilde, c_target, inst, gamma, seed, rmax=None,
+def reference_separation_oracle(point, tilde, c_target, inst, seed, rmax=None,
                                 break_on_violation=True):
     """The oracle's retry loop as first written: every attempt calls
     oracle_tree, which regularizes and stages the weight vector again."""
@@ -71,7 +71,7 @@ def reference_separation_oracle(point, tilde, c_target, inst, gamma, seed, rmax=
     threshold_met = False
     for attempt in range(cap):
         attempts += 1
-        tree = oracle_tree(inst, vec, gamma, _mix_seed(seed, attempt))
+        tree = oracle_tree(inst, vec, _mix_seed(seed, attempt))
         costs = tuple(atomic_cost(tree, i, inst.lengths) for i in range(levels))
         value = float(sum(float(a) * costs[i] for i, a in alpha_raw.items()))
         if best is None or value < best[0]:
@@ -122,7 +122,7 @@ class TestSeparationOracle:
             y = y / max(y.sum(), 1e-300) * rng.choice([0.3, 0.9, 1.0, 1.2])
             # Betas below, near and above the tree costs; c_target spans the threshold.
             point = DualPoint(alpha=tuple(y), beta=float(rng.choice([0.0, 0.5, 1.0, 1e9])))
-            args = (point, tilde, float(rng.choice([0.1, 0.5, 4.0])), inst, 0.25, trial)
+            args = (point, tilde, float(rng.choice([0.1, 0.5, 4.0])), inst, trial)
             kw = dict(rmax=int(rng.choice([3, 20])), break_on_violation=break_on_violation)
             res = separation_oracle(*args, **kw, table=table)
             assert oracle_outcome(res) == oracle_outcome(reference_separation_oracle(*args, **kw))
@@ -134,21 +134,21 @@ class TestSeparationOracle:
     def test_zero_point_reported(self, two_cluster6):
         tilde = tilde_for(two_cluster6)
         point = DualPoint(alpha=(0.0,) * len(tilde), beta=1.0)
-        res = separation_oracle(point, tilde, 1.0, two_cluster6, 0.25, seed=1)
+        res = separation_oracle(point, tilde, 1.0, two_cluster6, seed=1)
         assert res.kind == "feasible_at_zero"
 
     def test_budget_violation_immediate(self, two_cluster6):
         tilde = tilde_for(two_cluster6)
         m = len(tilde)
         point = DualPoint(alpha=(2.0 / m,) * m, beta=1.0)
-        res = separation_oracle(point, tilde, 1.0, two_cluster6, 0.25, seed=1)
+        res = separation_oracle(point, tilde, 1.0, two_cluster6, seed=1)
         assert res.kind == "rob_cut"
 
     def test_tree_cut_when_beta_large(self, two_cluster6):
         tilde = tilde_for(two_cluster6)
         m = len(tilde)
         point = DualPoint(alpha=(0.5 / m,) * m, beta=1e9)
-        res = separation_oracle(point, tilde, 4.0, two_cluster6, 0.25, seed=1)
+        res = separation_oracle(point, tilde, 4.0, two_cluster6, seed=1)
         assert res.kind == "tree_cut"
         assert res.cost < 1e9
         assert len(res.level_costs) == m
@@ -157,7 +157,7 @@ class TestSeparationOracle:
         tilde = tilde_for(two_cluster6)
         m = len(tilde)
         point = DualPoint(alpha=(0.5 / m,) * m, beta=0.0)
-        res = separation_oracle(point, tilde, 4.0, two_cluster6, 0.25, seed=1)
+        res = separation_oracle(point, tilde, 4.0, two_cluster6, seed=1)
         assert res.kind == "feasible"
 
     def test_markov_retry_terminates_quickly(self, two_cluster6):
@@ -171,7 +171,7 @@ class TestSeparationOracle:
             y = rng.random(m)
             y = 0.9 * y / y.sum()
             point = DualPoint(alpha=tuple(y), beta=1e9)
-            res = separation_oracle(point, tilde, 1e9, two_cluster6, 0.25, seed=int(rng.integers(1 << 30)))
+            res = separation_oracle(point, tilde, 1e9, two_cluster6, seed=int(rng.integers(1 << 30)))
             pilot.append(res.cost / y.sum())
         c_cal = max(pilot)
         budget = 2 * math.ceil(math.log2(len(two_cluster6.nodes) + 2))
@@ -182,7 +182,7 @@ class TestSeparationOracle:
             y = 0.9 * y / y.sum()
             point = DualPoint(alpha=tuple(y), beta=1e9)
             res = separation_oracle(
-                point, tilde, c_cal, two_cluster6, 0.25, seed=t, break_on_violation=False
+                point, tilde, c_cal, two_cluster6, seed=t, break_on_violation=False
             )
             if res.threshold_met and res.attempts <= budget:
                 ok += 1
@@ -298,7 +298,7 @@ class TestEllipsoid:
             atomic_cost(tree, i, two_cluster6.lengths) / tilde[i] for i in range(len(tilde))
         )
         res = ellipsoid_feasibility(
-            two_cluster6, beta=2 * bound + 5, c=None, gamma=0.25, seed=3, tilde=tilde, bit_budget=4
+            two_cluster6, beta=2 * bound + 5, c=None, seed=3, tilde=tilde, bit_budget=4
         )
         assert res.status == "infeasible"
         assert res.theta is not None and res.theta < 2 * bound + 5
@@ -306,7 +306,7 @@ class TestEllipsoid:
     def test_beta_zero_feasible(self, two_cluster6):
         tilde = tilde_for(two_cluster6)
         res = ellipsoid_feasibility(
-            two_cluster6, beta=0.0, c=None, gamma=0.25, seed=3, tilde=tilde, bit_budget=4
+            two_cluster6, beta=0.0, c=None, seed=3, tilde=tilde, bit_budget=4
         )
         assert res.status == "feasible"
 
@@ -321,7 +321,7 @@ class TestEllipsoid:
         m = len(tilde)
         max_iter = min(10 * m * m, int(2 * (m + 1) * m * m * math.log(2)) + 1)
         res = ellipsoid_feasibility(
-            inst, beta=1.0, c=None, gamma=0.25, seed=0, tilde=tilde, bit_budget=1
+            inst, beta=1.0, c=None, seed=0, tilde=tilde, bit_budget=1
         )
         assert res.status == "unresolved"
         assert res.oracle_calls <= res.iterations < max_iter
@@ -329,7 +329,7 @@ class TestEllipsoid:
     def test_harvest_bounded_by_iterations(self, two_cluster6):
         tilde = tilde_for(two_cluster6)
         res = ellipsoid_feasibility(
-            two_cluster6, beta=3.0, c=None, gamma=0.25, seed=3, tilde=tilde, bit_budget=4
+            two_cluster6, beta=3.0, c=None, seed=3, tilde=tilde, bit_budget=4
         )
         assert len(res.constraint_set.tree_constraints) <= res.iterations
 

@@ -9,11 +9,10 @@ from bulktree.aggregation import atomic_cost, function_cost
 from bulktree.exact import exact_optima
 from bulktree.gmm import GmmTrace, _components, _cut_forest, _postorder, gmm_tree, oracle_tree
 from bulktree.instance import canonical_edge, demand_profile, generate_instance
-from bulktree.pipes import AlphaVector, is_gamma_regular, alpha_to_pipes, thresholds
+from bulktree.pipes import AlphaVector, alpha_to_pipes, thresholds
 
 from conftest import make_instance
 
-GAMMA = F(1, 4)
 REGULAR_TWO_LEVEL = AlphaVector(alpha={0: F(16), 4: F(4)}, D=16)
 
 
@@ -82,27 +81,27 @@ class TestGmmTree:
     def test_requires_regular_vector(self, path3):
         irregular = AlphaVector(alpha={0: F(1), 1: F(1)}, D=2)
         with pytest.raises(ValueError, match="not gamma-regular"):
-            gmm_tree(path3, irregular, GAMMA, seed=0)
+            gmm_tree(path3, irregular, seed=0)
 
     def test_single_demand_is_shortest_path(self):
         inst = make_instance(
             {("r", "a"): 1.0, ("a", "b"): 1.0, ("r", "b"): 5.0}, {"b": 1}, "r"
         )
         alpha = AlphaVector(alpha={0: F(1)}, D=1)
-        tree, _ = gmm_tree(inst, alpha, GAMMA, seed=5)
+        tree, _ = gmm_tree(inst, alpha, seed=5)
         assert tree.sorted_edges() == (("a", "b"), ("a", "r"))
 
     def test_deterministic_across_runs(self):
         inst = two_cluster()
-        t1, c1 = gmm_tree(inst, REGULAR_TWO_LEVEL, GAMMA, seed=42)
-        t2, c2 = gmm_tree(inst, REGULAR_TWO_LEVEL, GAMMA, seed=42)
+        t1, c1 = gmm_tree(inst, REGULAR_TWO_LEVEL, seed=42)
+        t2, c2 = gmm_tree(inst, REGULAR_TWO_LEVEL, seed=42)
         assert t1.sorted_edges() == t2.sorted_edges()
         assert c1 == c2
 
     def test_spans_demands_with_conserved_flow(self):
         inst = two_cluster()
         for seed in range(12):
-            tree, costs = gmm_tree(inst, REGULAR_TWO_LEVEL, GAMMA, seed=seed)
+            tree, costs = gmm_tree(inst, REGULAR_TWO_LEVEL, seed=seed)
             assert set(tree.nodes()) >= set(inst.demands) | {inst.root}
             from bulktree.instance import canonical_edge
 
@@ -121,14 +120,14 @@ class TestGmmTree:
         top = demand_profile(inst).levels - 1
         alpha = AlphaVector(alpha={top: F(1)}, D=demand_profile(inst).D)
         trace = GmmTrace()
-        tree, _ = gmm_tree(inst, alpha, GAMMA, seed=3, trace=trace)
+        tree, _ = gmm_tree(inst, alpha, seed=3, trace=trace)
         assert trace.fallback_stage == 0
         opt = exact_optima(inst)
         assert atomic_cost(tree, top, inst.lengths) == pytest.approx(opt.value(top))
 
     def test_stage_costs_accounting(self):
         inst = two_cluster()
-        _, costs = gmm_tree(inst, REGULAR_TWO_LEVEL, GAMMA, seed=42)
+        _, costs = gmm_tree(inst, REGULAR_TWO_LEVEL, seed=42)
         assert costs[0].stage == 0
         assert costs[0].steiner_cost == 0.0  # first pipe has zero fixed cost
         assert sum(c.steiner_cost + c.facility_cost for c in costs) < float("inf")
@@ -140,7 +139,7 @@ class TestGmmTree:
         inst = two_cluster()
         ratios = []
         for seed in range(20):
-            tree, costs = gmm_tree(inst, REGULAR_TWO_LEVEL, GAMMA, seed=seed)
+            tree, costs = gmm_tree(inst, REGULAR_TWO_LEVEL, seed=seed)
             total = sum(c.steiner_cost + c.facility_cost for c in costs)
             assert total > 0
             ratios.append(function_cost(tree, REGULAR_TWO_LEVEL, inst.lengths) / total)
@@ -156,7 +155,7 @@ class TestConsolidationStatistics:
         n = 400
         for seed in range(n):
             trace = GmmTrace()
-            gmm_tree(inst, REGULAR_TWO_LEVEL, GAMMA, seed=seed, trace=trace)
+            gmm_tree(inst, REGULAR_TWO_LEVEL, seed=seed, trace=trace)
             snap = next(s for st, step, s, _ in trace.consolidations if (st, step) == (0, 4))
             for v in inst.demands:
                 sums[v] += snap[v]
@@ -170,11 +169,11 @@ class TestConsolidationStatistics:
     def test_stage_demand_meets_lower_bound(self):
         # Every live node entering stage 1 carries at least b_0 / 3 demand.
         inst = two_cluster()
-        th = thresholds(alpha_to_pipes(REGULAR_TWO_LEVEL), GAMMA)
+        th = thresholds(alpha_to_pipes(REGULAR_TWO_LEVEL))
         b0 = float(th.significance[0])
         for seed in range(40):
             trace = GmmTrace()
-            gmm_tree(inst, REGULAR_TWO_LEVEL, GAMMA, seed=seed, trace=trace)
+            gmm_tree(inst, REGULAR_TWO_LEVEL, seed=seed, trace=trace)
             snap = next(s for st, step, s, _ in trace.consolidations if (st, step) == (0, 4))
             holders = {v: d for v, d in snap.items() if d > 0}
             assert holders
@@ -190,7 +189,7 @@ class TestOracleTree:
             alpha = AlphaVector(alpha={level: F(1)}, D=D)
             ratios = []
             for seed in range(10):
-                tree = oracle_tree(inst, alpha, GAMMA, seed=seed)
+                tree = oracle_tree(inst, alpha, seed=seed)
                 ratios.append(atomic_cost(tree, level, inst.lengths) / opt.value(level))
             assert min(ratios) >= 1 - 1e-9
             assert sum(ratios) / len(ratios) <= 8  # frozen empirical headroom
@@ -203,7 +202,7 @@ class TestOracleTree:
         denom = float(opt.multi_level_cost(alpha))
         ratios = []
         for seed in range(10):
-            tree = oracle_tree(inst, alpha, GAMMA, seed=seed)
+            tree = oracle_tree(inst, alpha, seed=seed)
             ratios.append(function_cost(tree, alpha, inst.lengths) / denom)
         assert min(ratios) >= 1 - 1e-9
         assert sum(ratios) / len(ratios) <= 8  # frozen empirical headroom
@@ -211,5 +210,5 @@ class TestOracleTree:
     def test_degenerate_single_demand(self):
         inst = make_instance({("r", "a"): 2.0, ("a", "b"): 1.0}, {"b": 1}, "r")
         alpha = AlphaVector(alpha={0: F(2), 1: F(3)}, D=2)
-        tree = oracle_tree(inst, alpha, GAMMA, seed=1)
+        tree = oracle_tree(inst, alpha, seed=1)
         assert tree.sorted_edges() == (("a", "b"), ("a", "r"))

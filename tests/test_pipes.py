@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bulktree.pipes import (
+    GAMMA,
     AlphaVector,
     Pipe,
     PipeSchedule,
@@ -20,8 +21,6 @@ from bulktree.pipes import (
 from bulktree.regularize import cap_capacity, regularize, regularize_delta, regularize_sigma
 
 from conftest import random_alpha
-
-GAMMA = F(1, 4)
 
 
 def as_pairs(p: PipeSchedule):
@@ -112,52 +111,51 @@ class TestPipesToAlpha:
 
 class TestThresholds:
     def test_worked_example(self):
-        th = thresholds(make_schedule([(0, 4), (1, 1), (9, 0)]), GAMMA)
+        th = thresholds(make_schedule([(0, 4), (1, 1), (9, 0)]))
         assert th.capacities[0] == 0 and th.capacities[1] == 1
         assert th.capacities[2] is None
         assert th.indifference[0] == F(1, 3)
         assert th.significance[0] == 1
 
     def test_lemma_bound_on_worked_example(self):
-        th = thresholds(make_schedule([(0, 4), (1, 1), (9, 0)]), GAMMA)
+        th = thresholds(make_schedule([(0, 4), (1, 1), (9, 0)]))
         bound = (1 - 2 * GAMMA**2) / GAMMA  # = 3.5
         assert th.indifference[0] <= th.significance[0] <= bound * th.indifference[0]
 
     def test_two_pipe_closed_form(self):
-        th = thresholds(make_schedule([(0, 1), (1, 0)]), GAMMA)
+        th = thresholds(make_schedule([(0, 1), (1, 0)]))
         assert th.indifference[0] == 1
         assert th.significance[0] == 2  # 1 / (2*gamma)
 
     def test_undefined_significance_raises(self):
         schedule = make_schedule([(0, 1), (1, F(9, 10)), (10, 0)])
-        assert significance_point(*schedule.pipes[:2], GAMMA) is None
+        assert significance_point(*schedule.pipes[:2]) is None
         with pytest.raises(ValueError, match="significance point undefined at pipe 0"):
-            thresholds(schedule, GAMMA)
+            thresholds(schedule)
 
     def test_gamma_range_validated(self):
-        with pytest.raises(ValueError, match="gamma"):
-            thresholds(make_schedule([(0, 1), (1, 0)]), F(3, 4))
+        # The oracle's guarantee needs gamma in (0, 1/2); GAMMA is that constant.
+        assert 0 < GAMMA < F(1, 2)
 
 
 class TestRegularity:
     def test_single_level_always_regular(self):
-        for g in (F(1, 10), F(1, 4), F(2, 5)):
-            assert is_gamma_regular(AlphaVector(alpha={0: F(1)}, D=4), g)
+        assert is_gamma_regular(AlphaVector(alpha={0: F(1)}, D=4))
 
     def test_adjacent_equal_weights_irregular(self):
-        chk = is_gamma_regular(AlphaVector(alpha={0: F(1), 1: F(1)}, D=2), GAMMA)
+        chk = is_gamma_regular(AlphaVector(alpha={0: F(1), 1: F(1)}, D=2))
         assert not chk
         assert chk.constraint == "rate" and chk.index == 0
 
     def test_rate_fine_fixed_caught(self):
         # rates separated (0.01 < 1.01/4) but sigma_1 = 1 >= gamma * sigma_2
-        chk = is_gamma_regular(AlphaVector(alpha={0: F(1), 3: F(1, 100)}, D=8), GAMMA)
+        chk = is_gamma_regular(AlphaVector(alpha={0: F(1), 3: F(1, 100)}, D=8))
         assert not chk
         assert chk.constraint == "fixed"
 
     def test_regular_two_level(self):
         a = AlphaVector(alpha={0: F(16), 4: F(4)}, D=16)
-        assert is_gamma_regular(a, GAMMA)
+        assert is_gamma_regular(a)
 
 
 @settings(max_examples=120, deadline=None)
@@ -195,7 +193,7 @@ def test_regular_vector_weight_decay(seed):
     # On regular vectors: alpha_{p(k)} > (1-gamma) delta_k and
     # alpha_{p(k)} > ((1-gamma)/gamma) alpha_{p(k+1)}.
     a = random_alpha(np.random.default_rng(seed))
-    reg, _ = regularize(a, GAMMA)
+    reg, _ = regularize(a)
     pipes = alpha_to_pipes(reg).pipes
     levels = reg.levels()
     for k, lvl in enumerate(levels):
@@ -220,13 +218,13 @@ def test_schedule_kept_by_pipes_to_alpha_is_fresh_derivation(a):
     back = pipes_to_alpha(p, D=a.D)
     assert back.schedule() is p
     capped, _ = cap_capacity(a)
-    rated, _ = regularize_delta(capped, GAMMA)
-    out, _ = regularize_sigma(rated, GAMMA)
+    rated, _ = regularize_delta(capped)
+    out, _ = regularize_sigma(rated)
     for vec in (back, capped, rated, out):
         kept = vec.schedule()
         assert kept == alpha_to_pipes(AlphaVector(alpha=dict(vec.alpha), D=vec.D))
         assert is_exact(kept)
-    assert out == regularize(a, GAMMA)[0]
+    assert out == regularize(a)[0]
 
 
 def test_schedule_derived_once():

@@ -5,12 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bulktree.pipes import AlphaVector, alpha_to_pipes, is_gamma_regular
+from bulktree.pipes import GAMMA, AlphaVector, alpha_to_pipes, is_gamma_regular
 from bulktree.regularize import cap_capacity, regularize, regularize_delta, regularize_sigma
 
 from conftest import random_alpha
-
-GAMMA = F(1, 4)
 
 
 def max_pointwise_drop(before: AlphaVector, after: AlphaVector, D: int) -> F:
@@ -54,13 +52,13 @@ class TestCapCapacity:
 class TestRegularizeDelta:
     def test_regular_input_unchanged(self):
         a = AlphaVector(alpha={0: F(16), 4: F(4)}, D=16)
-        out, report = regularize_delta(a, GAMMA)
+        out, report = regularize_delta(a)
         assert out == a and report.pipes_removed == 0
 
     def test_uniform_three_levels(self):
         a = AlphaVector(alpha={0: F(1), 1: F(1), 2: F(1)}, D=4)
         capped, _ = cap_capacity(a)
-        out, _ = regularize_delta(capped, GAMMA)
+        out, _ = regularize_delta(capped)
         pipes = alpha_to_pipes(out).pipes
         for p, q in zip(pipes, pipes[1:]):
             assert q.rate < GAMMA * p.rate
@@ -72,7 +70,7 @@ class TestRegularizeDelta:
         # survives alone, leveling at D.
         a = AlphaVector(alpha={0: F(1, 10), 3: F(9, 10)}, D=8)
         capped, _ = cap_capacity(a)
-        out, _ = regularize_delta(capped, GAMMA)
+        out, _ = regularize_delta(capped)
         assert len(out.alpha) == 1
         assert max(out.alpha) == 3  # single sloped pipe reaching D = 8
         assert max_pointwise_drop(capped, out, 8) <= 3
@@ -80,29 +78,29 @@ class TestRegularizeDelta:
     def test_precondition_enforced(self):
         a = AlphaVector(alpha={0: F(1), 1: F(1, 10)}, D=4)  # uncapped: u_1 = 10 > 4
         with pytest.raises(ValueError, match="cap_capacity first"):
-            regularize_delta(a, GAMMA)
+            regularize_delta(a)
 
 
 class TestRegularizeSigma:
     def test_regular_input_unchanged(self):
         a = AlphaVector(alpha={0: F(16), 4: F(4)}, D=16)
-        out, report = regularize_sigma(a, GAMMA)
+        out, report = regularize_sigma(a)
         assert out == a and report.pipes_removed == 0
 
     def test_plateau_pair_violation_fixed(self):
         # rate-separated but top-heavy fixed costs: sigma_1 >= gamma * plateau
         a = AlphaVector(alpha={0: F(8, 9), 3: F(1, 9)}, D=8)
-        assert is_gamma_regular(a, GAMMA).constraint == "fixed"
-        out, _ = regularize_sigma(a, GAMMA)
-        assert is_gamma_regular(out, GAMMA)
+        assert is_gamma_regular(a).constraint == "fixed"
+        out, _ = regularize_sigma(a)
+        assert is_gamma_regular(out)
         assert max_pointwise_drop(a, out, 8) <= F(5, 2)
 
     def test_mid_pair_violation_fixed(self):
         a = AlphaVector(alpha={0: F(1), 2: F(1, 5), 4: F(1, 25)}, D=16)
         capped, _ = cap_capacity(a)
-        rated, _ = regularize_delta(capped, GAMMA)
-        out, _ = regularize_sigma(rated, GAMMA)
-        assert is_gamma_regular(out, GAMMA)
+        rated, _ = regularize_delta(capped)
+        out, _ = regularize_sigma(rated)
+        assert is_gamma_regular(out)
         assert max_pointwise_drop(rated, out, 16) <= F(5, 2)
 
     def test_interior_violation_uses_upper_anchor_rotation(self):
@@ -113,46 +111,46 @@ class TestRegularizeSigma:
         # target breakpoint 2).
         a = AlphaVector(alpha={0: F(24), 4: F(4), 9: F(1)}, D=512)
         capped, _ = cap_capacity(a)
-        rated, _ = regularize_delta(capped, GAMMA)
+        rated, _ = regularize_delta(capped)
         assert rated == a  # earlier stages are no-ops here
-        out, report = regularize_sigma(rated, GAMMA)
+        out, report = regularize_sigma(rated)
         assert [r["kind"] for r in report.rotations] == ["fixed"]
         assert out.alpha == {1: F(7124, 255), 9: F(271, 255)}
-        assert is_gamma_regular(out, GAMMA)
+        assert is_gamma_regular(out)
         assert max_pointwise_drop(a, out, 512) <= F(5, 2)
 
     def test_interior_violation_below_sloped_neighbor(self):
         # Same rotation with a sloped pipe (not the plateau) directly above
         # the adjusted one; rate constraints on both sides must survive.
         a = AlphaVector(alpha={0: F(24), 4: F(21, 5), 8: F(6, 5), 13: F(3, 20)}, D=8192)
-        out, report = regularize_sigma(a, GAMMA)
+        out, report = regularize_sigma(a)
         assert [r["kind"] for r in report.rotations] == ["fixed"]
         assert out.alpha == {1: F(3564, 127), 8: F(849, 635), 13: F(3, 20)}
-        assert is_gamma_regular(out, GAMMA)
+        assert is_gamma_regular(out)
         assert max_pointwise_drop(a, out, 8192) <= F(5, 2)
 
     def test_precondition_enforced(self):
         a = AlphaVector(alpha={0: F(1), 1: F(1)}, D=2)
         with pytest.raises(ValueError, match="regularize_delta first"):
-            regularize_sigma(a, GAMMA)
+            regularize_sigma(a)
 
 
 class TestFullPipeline:
     def test_identity_on_regular_input(self):
         a = AlphaVector(alpha={0: F(16), 4: F(4)}, D=16)
-        out, report = regularize(a, GAMMA)
+        out, report = regularize(a)
         assert out == a
         assert report.total_f_lower_factor == F(15, 2)
 
     def test_uniform_over_all_levels(self):
         a = AlphaVector(alpha={i: F(1) for i in range(5)}, D=16)
-        out, _ = regularize(a, GAMMA)
-        assert is_gamma_regular(out, GAMMA)
+        out, _ = regularize(a)
+        assert is_gamma_regular(out)
         assert max_pointwise_drop(a, out, 16) <= F(15, 2)
 
     def test_factor_budget(self):
         a = AlphaVector(alpha={0: F(1)}, D=2)
-        _, report = regularize(a, GAMMA)
+        _, report = regularize(a)
         assert report.total_f_lower_factor == 1 * 3 * F(5, 2) <= F(15, 2)
 
 
@@ -161,12 +159,12 @@ class TestFullPipeline:
 def test_random_vectors_regularize_clean(seed):
     # wide level range so interior fixed-cost violations occur too
     a = random_alpha(np.random.default_rng(seed), max_levels=11)
-    out, report = regularize(a, GAMMA)
-    assert is_gamma_regular(out, GAMMA)
+    out, report = regularize(a)
+    assert is_gamma_regular(out)
     # per-stage pointwise distortion within the certified factors
     capped, _ = cap_capacity(a)
-    rated, _ = regularize_delta(capped, GAMMA)
-    final, _ = regularize_sigma(rated, GAMMA)
+    rated, _ = regularize_delta(capped)
+    final, _ = regularize_sigma(rated)
     assert final == out
     assert max_pointwise_drop(a, capped, a.D) <= 1
     assert max_pointwise_drop(capped, rated, a.D) <= 3
@@ -178,20 +176,11 @@ def test_random_vectors_regularize_clean(seed):
 @given(seed=st.integers(0, 2**32 - 1))
 def test_sigma_zero_preserved_and_cap_kept(seed):
     a = random_alpha(np.random.default_rng(seed))
-    out, _ = regularize(a, GAMMA)
+    out, _ = regularize(a)
     pipes = alpha_to_pipes(out).pipes
     assert pipes[0].fixed == 0
     last_sloped = pipes[-2]
     assert last_sloped.fixed / last_sloped.rate <= a.D
-
-
-@pytest.mark.parametrize("gamma", [F(1, 8), F(1, 4), F(2, 5)])
-def test_other_gammas(gamma):
-    rng = np.random.default_rng(77)
-    for _ in range(20):
-        a = random_alpha(rng)
-        out, _ = regularize(a, gamma)
-        assert is_gamma_regular(out, gamma)
 
 
 def test_multi_level_cost_growth_finite_and_recorded():
@@ -216,7 +205,7 @@ def test_multi_level_cost_growth_finite_and_recorded():
             )
             capped, _ = cap_capacity(a)
             assert opt.multi_level_cost(capped) <= 2 * opt.multi_level_cost(a)
-            out, _ = regularize(a, GAMMA)
+            out, _ = regularize(a)
             before = opt.multi_level_cost(a)
             if before > 0:
                 worst = max(worst, opt.multi_level_cost(out) / before)
