@@ -283,10 +283,10 @@ def cmd_bench(args) -> int:
     rows = []
     for n in sizes:
         for seed in seeds:
-            inst = generate_instance(args.family, n, max(1, (n - 1) // 2), seed)
             instance_id = f"{args.family}-n{n}-s{seed}"
             t0 = time.monotonic()
             try:
+                inst = generate_instance(args.family, n, max(1, (n - 1) // 2), seed)
                 dist, _ = solve_oblivious(inst, SolveConfig(seed=seed))
                 theta_opt = ""
                 if len(inst.nodes) <= exact_mod.DEFAULT_NODE_CAP:

@@ -128,8 +128,12 @@ def separation_oracle(
 
     The weight vector is regularized and staged once; each attempt repeats
     only the seeded part of the construction, so attempt j returns the tree
-    ``oracle_tree(inst, alpha, _mix_seed(seed, j))`` would.  The table
-    routes and costs each distinct tree once.
+    ``oracle_tree(inst, alpha, _mix_seed(seed, j))`` would.  The plan
+    memoizes each step under (stage, step, live demand), and its outcome
+    under the targets drawn, so an attempt builds only the Steiner forests
+    and moves that no earlier attempt of this call reached; its draws are
+    made afresh, from the same streams.  The table routes and costs each
+    distinct tree once.
     """
     scaled = np.asarray(point.alpha, dtype=float)
     budget = float(scaled.sum())

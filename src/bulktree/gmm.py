@@ -27,7 +27,12 @@ every consolidation step.
 Determinism: one named random stream per (stage, step) derived from the
 master seed, components processed in cut-creation order (root first),
 "farthest upstream" resolved by post-order depth-first traversal with
-lexicographic children.
+lexicographic children.  Given the live demand at the start of a step,
+everything but that step's drawn targets is therefore fixed, so a
+``StagePlan`` memoizes each step under (stage, step, live demand) and each
+outcome under the targets drawn as well.  The draws themselves are not
+cached: every run makes the same ``Generator.choice`` calls on the same
+streams in the same order, so memoized runs return what fresh runs would.
 Per-stage cost accounting records the fixed cost of Steiner-step pipes and
 the incremental cost of facility-step pipes; the returned tree is a
 deterministic shortest-path extraction inside the union of all edges that
@@ -38,6 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -155,7 +161,7 @@ def _tree_path(parent: dict[str, str], root: str, u: str, v: str) -> list[str]:
     return up_u + list(reversed(up_v[:-1]))
 
 
-def _move_demand(cur, holders, target, parent, comp_root, edge_flow, used):
+def _move_demand(cur, holders, target, parent, comp_root, edge_flow):
     for h in holders:
         if h == target:
             continue
@@ -164,21 +170,53 @@ def _move_demand(cur, holders, target, parent, comp_root, edge_flow, used):
         for a, b in zip(path, path[1:]):
             e = canonical_edge(a, b)
             edge_flow[e] = edge_flow.get(e, 0) + amount
-            used.add(e)
         cur[target] = cur.get(target, 0) + amount
         cur[h] = 0
+
+
+def _state(cur: dict[str, int]) -> tuple[tuple[str, int], ...]:
+    """The live demand as a memo key: its positive (node, demand) pairs, sorted."""
+    return tuple(sorted((v, d) for v, d in cur.items() if d > 0))
+
+
+class _Group(NamedTuple):
+    """One component or cluster of a step: its demand holders move to one target."""
+
+    holders: tuple[str, ...]
+    choices: tuple[str, ...]  # the candidate targets; the target itself when fixed
+    probs: np.ndarray | None  # draw probabilities over choices; None: no draw
+    parent: dict[str, str]    # the tree the demand moves in, rooted at root
+    root: str
+
+
+STEINER, FACILITY = 2, 4  # step numbers, part of each stream's name
 
 
 class StagePlan:
     """The staged construction for one gamma-regular weight vector.
 
-    Everything that does not depend on the seed is computed once here: the
-    pipes and thresholds, the stage-0 Steiner forest (stage 0 always starts
-    from the original demands), and each stage's facility clustering on the
-    original demands, built when a run first reaches it.  ``run(seed)``
-    repeats only the seeded consolidations and the stages after them; the
-    tree it returns is shared with every other run of the same table that
-    used the same edges.
+    A run is a walk through states, a state being the live demand as a sorted
+    tuple of positive (node, demand) pairs.  Given the state at the start of
+    a step, everything but the drawn consolidation targets is fixed, and the
+    retries of one oracle call keep revisiting the same few states.  So the
+    plan memoizes two maps for its lifetime:
+
+    - (stage, step, state) -> the step's groups: for the Steiner step, stage
+      k's cut Steiner forest, each component's holders and its fixed target
+      or draw probabilities; for the facility step, the facility clusters
+      that hold demand (or the fallback's route to the root);
+    - (stage, step, state, targets drawn) -> the next state, the frozenset of
+      edges that carried flow, and the step's cost, computed on a miss by
+      moving the demand along each group's tree.
+
+    ``run(seed)`` draws from the same stream per (seed, stage, step), in the
+    same order and with the same ``Generator.choice`` calls as a construction
+    without the memo, so it returns the same tree, costs and trace; a stream
+    is created only when its step has a draw to make.  The conservation and
+    parked-demand checks and the trace snapshots still run on every call,
+    read from the memoized states.  The returned tree is shared with every
+    other run of the same table that used the same edges.  The separation
+    oracle builds one plan per call, so the memo lives only that long.
     """
 
     def __init__(self, inst: Instance, alpha: AlphaVector, table: PathTable | None = None):
@@ -189,8 +227,14 @@ class StagePlan:
         self.pipes = alpha.schedule()
         self.th = thresholds(self.pipes)
         self.table = PathTable(inst) if table is None else table
+        self._total = inst.total_demand()
+        # Stage k falls back to routing everything to the root when the total
+        # demand is below its significance point b_k.
+        self._fallback = [Fraction(self._total) < b for b in self.th.significance]
+        self._start = _state(inst.demands)
         self._clusters: dict[int, list] = {}
-        self._stage0 = self._steiner_forest(0, inst.demands)
+        self._groups: dict[tuple, list[_Group] | None] = {}
+        self._moves: dict[tuple, tuple] = {}
 
     def _steiner_forest(self, k: int, cur: dict[str, int]):
         """Stage k's Steiner tree over the live demand and the root, cut at
@@ -213,7 +257,7 @@ class StagePlan:
                 clusters.setdefault(f, []).append(v)
             out = []
             for f in sorted(clusters):
-                group = sorted(clusters[f])
+                group = tuple(sorted(clusters[f]))
                 probs = np.array([inst.demands[v] for v in group], dtype=float)
                 # paths[f] is the facility's shortest-path predecessor map, a
                 # tree rooted at f, so consolidation follows the forest's own edges.
@@ -221,76 +265,109 @@ class StagePlan:
             self._clusters[k] = out
         return self._clusters[k]
 
-    def run(self, seed: int, trace: GmmTrace | None = None) -> tuple[RoutedTree, list[StageCosts]]:
-        """One seeded run: the tree and the per-stage costs gmm_tree returns."""
-        inst, pipes = self.inst, self.pipes.pipes
-        total_original = inst.total_demand()
-        cur: dict[str, int] = dict(inst.demands)
-        used: set[Edge] = set()
-        costs: list[StageCosts] = []
-        last = len(pipes) - 1  # flat pipe index
-        for k in range(last + 1):
-            sigma_k, delta_k = pipes[k].fixed, pipes[k].rate
-            # Steiner step: cheap fixed-cost aggregation, cut at capacity.
-            comps = self._stage0 if k == 0 else self._steiner_forest(k, cur)
+    def _make_groups(self, k: int, step: int, cur: dict[str, int]) -> list[_Group] | None:
+        """The groups of one step from the live demand cur; None when a
+        Steiner step finds no demand live outside the root."""
+        root = self.inst.root
+        groups = []
+        if step == STEINER:
+            comps = self._steiner_forest(k, cur)
             if comps is None:
-                break
-            rng_steiner = np.random.default_rng([int(seed), k, 2])
-            stage_sigma_edges: set[Edge] = set()
+                return None
             for comp_root, parent in comps:
                 members = {comp_root} | set(parent)
-                holders = sorted(v for v in members if cur.get(v, 0) > 0 and v != inst.root)
+                holders = tuple(sorted(v for v in members if cur.get(v, 0) > 0 and v != root))
                 if not holders:
                     continue
-                if comp_root == inst.root:
-                    target = inst.root
-                elif len(holders) == 1:
-                    target = holders[0]
-                else:
+                choices, probs = holders, None
+                if comp_root == root:
+                    choices = (root,)
+                elif len(holders) > 1:
                     probs = np.array([cur[v] for v in holders], dtype=float)
-                    target = holders[int(rng_steiner.choice(len(holders), p=probs / probs.sum()))]
-                stage_flow: dict[Edge, int] = {}
-                _move_demand(cur, holders, target, parent, comp_root, stage_flow, used)
-                stage_sigma_edges.update(stage_flow)
-            steiner_cost = float(sigma_k) * sum(inst.lengths[e] for e in sorted(stage_sigma_edges))
+                    probs /= probs.sum()
+                groups.append(_Group(holders, choices, probs, parent, comp_root))
+        elif self._fallback[k]:
+            holders = tuple(sorted(v for v, d in cur.items() if d > 0 and v != root))
+            if holders:
+                _, pred = self.table.get(root)
+                groups.append(_Group(holders, (root,), None, pred, root))
+        else:
+            for f, group, p, pred in self._facility_clusters(k):
+                holders = tuple(v for v in group if cur.get(v, 0) > 0)
+                if holders:
+                    groups.append(_Group(holders, group, p, pred, f))
+        return groups
+
+    def _step(self, seed: int, k: int, step: int, state: tuple):
+        """One step of one run: (next state, edges that carried flow, cost),
+        or None when a Steiner step finds no demand live outside the root."""
+        key = (k, step, state)
+        if key not in self._groups:
+            self._groups[key] = self._make_groups(k, step, dict(state))
+        groups = self._groups[key]
+        if groups is None:
+            return None
+        rng = None
+        targets = []
+        for g in groups:
+            if g.probs is None:
+                targets.append(g.choices[0])
+                continue
+            if rng is None:
+                rng = np.random.default_rng([int(seed), k, step])
+            targets.append(g.choices[int(rng.choice(len(g.choices), p=g.probs))])
+        key = (k, step, state, tuple(targets))
+        hit = self._moves.get(key)
+        if hit is None:
+            cur = dict(state)
+            flow: dict[Edge, int] = {}
+            for g, target in zip(groups, targets):
+                _move_demand(cur, g.holders, target, g.parent, g.root, flow)
+            pipe, lengths = self.pipes.pipes[k], self.inst.lengths
+            if step == STEINER:  # fixed cost of the pipes laid
+                cost = float(pipe.fixed) * sum(lengths[e] for e in sorted(flow))
+            else:  # incremental cost of the flow
+                cost = float(pipe.rate) * sum(lengths[e] * f for e, f in flow.items())
+            hit = self._moves[key] = (_state(cur), frozenset(flow), cost)
+        return hit
+
+    def _record(self, trace: GmmTrace, k: int, step: int, state: tuple) -> None:
+        inst, cur = self.inst, dict(state)
+        trace.record(k, step, {v: cur.get(v, 0) for v in inst.demands},
+                     cur.get(inst.root, 0) - inst.demands.get(inst.root, 0))
+
+    def run(self, seed: int, trace: GmmTrace | None = None) -> tuple[RoutedTree, list[StageCosts]]:
+        """One seeded run: the tree and the per-stage costs gmm_tree returns."""
+        state = self._start
+        used: set[Edge] = set()
+        costs: list[StageCosts] = []
+        last = len(self.pipes.pipes) - 1  # flat pipe index
+        for k in range(last + 1):
+            # Steiner step: cheap fixed-cost aggregation, cut at capacity.
+            moved = self._step(seed, k, STEINER, state)
+            if moved is None:
+                break
+            state, edges, steiner_cost = moved
+            used |= edges
             if trace is not None:
-                trace.record(k, 2, {v: cur.get(v, 0) for v in inst.demands},
-                             cur.get(inst.root, 0) - inst.demands.get(inst.root, 0))
+                self._record(trace, k, STEINER, state)
             if k == last:
                 costs.append(StageCosts(stage=k, steiner_cost=steiner_cost, facility_cost=0.0))
                 break
             # Facility step on original demands with lower bound b_k.
-            facility_flow: dict[Edge, int] = {}
-            if Fraction(total_original) < self.th.significance[k]:
-                holders = sorted(v for v, d in cur.items() if d > 0 and v != inst.root)
-                if holders:
-                    _, pred = self.table.get(inst.root)
-                    _move_demand(cur, holders, inst.root, pred, inst.root, facility_flow, used)
-                facility_cost = float(delta_k) * sum(
-                    inst.lengths[e] * f for e, f in facility_flow.items()
-                )
-                costs.append(StageCosts(stage=k, steiner_cost=steiner_cost, facility_cost=facility_cost))
+            state, edges, facility_cost = self._step(seed, k, FACILITY, state)
+            used |= edges
+            costs.append(StageCosts(stage=k, steiner_cost=steiner_cost, facility_cost=facility_cost))
+            if self._fallback[k]:
                 if trace is not None:
                     trace.fallback_stage = k
                 break
-            rng_facility = np.random.default_rng([int(seed), k, 4])
-            for f, group, p, pred in self._facility_clusters(k):
-                holders = [v for v in group if cur.get(v, 0) > 0]
-                if not holders:
-                    continue
-                target = group[int(rng_facility.choice(len(group), p=p))]
-                _move_demand(cur, holders, target, pred, f, facility_flow, used)
-            facility_cost = float(delta_k) * sum(
-                inst.lengths[e] * f for e, f in facility_flow.items()
-            )
             if trace is not None:
-                trace.record(k, 4, {v: cur.get(v, 0) for v in inst.demands},
-                             cur.get(inst.root, 0) - inst.demands.get(inst.root, 0))
-            costs.append(StageCosts(stage=k, steiner_cost=steiner_cost, facility_cost=facility_cost))
-        parked = {v: d for v, d in cur.items() if d > 0}
-        if sum(cur.values()) != total_original:
+                self._record(trace, k, FACILITY, state)
+        if sum(d for _, d in state) != self._total:
             raise RuntimeError("consolidation must conserve demand")
-        if not set(parked) <= {inst.root}:
+        parked = dict(state)
+        if not set(parked) <= {self.inst.root}:
             raise RuntimeError(f"live demand left outside the root: {parked}")
         return self.table.routed_tree(used), costs
 

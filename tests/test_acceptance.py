@@ -15,9 +15,7 @@ import time
 from fractions import Fraction as F
 
 import numpy as np
-import pytest
 
-from bulktree.aggregation import atomic_cost, route_demands
 from bulktree.exact import enumerate_candidate_trees, exact_oblivious_ratio, exact_optima
 from bulktree.framework import DualPoint, SolveConfig, separation_oracle, solve_oblivious
 from bulktree.gmm import GmmTrace, gmm_tree

@@ -199,6 +199,16 @@ def test_bench_table_and_determinism(tmp_path):
     assert lines[0].split("\t") == ["instance", "theta", "theta_opt", "support", "total_demand"]
 
 
+def test_bench_records_infeasible_size_as_error_row(tmp_path):
+    # n = 1 cannot be generated; that cell is an error row and the run goes on.
+    out = tmp_path / "b.tsv"
+    assert run(["bench", "star", "--sizes", "1,5", "--seeds", "1", "--out", out]) == 0
+    header, *rows = out.read_text().strip().splitlines()
+    assert rows[0].split("\t") == ["star-n1-s1", "error", "ValidationError", "", ""]
+    assert len(rows) == 2 and rows[1].split("\t")[0] == "star-n5-s1"
+    assert rows[1].split("\t")[1] != "error"
+
+
 def test_bench_empty_seed_list(tmp_path):
     out = tmp_path / "b.tsv"
     assert run(["bench", "star", "--sizes", "5", "--seeds", "", "--out", out]) == 0

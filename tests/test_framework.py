@@ -17,7 +17,6 @@ from bulktree.framework import (
     MAX_PRICING_CALLS,
     ConstraintSet,
     DualPoint,
-    EllipsoidResult,
     OracleResult,
     SolveConfig,
     TreeConstraint,
@@ -27,7 +26,7 @@ from bulktree.framework import (
     solve_oblivious,
     solve_small_primal,
 )
-from bulktree.gmm import oracle_tree
+from bulktree.gmm import StagePlan, oracle_tree
 from bulktree.instance import Instance, demand_profile, generate_instance
 from bulktree.pipes import AlphaVector
 from bulktree.subroutines import PathTable, _mix_seed, rob_lower_bounds
@@ -374,7 +373,7 @@ class TestSolveOblivious:
             gc.collect()
             return sum(isinstance(o, cls) for o in gc.get_objects())
 
-        before = alive(PathTable), alive(RoutedTree)
+        before = alive(PathTable), alive(RoutedTree), alive(StagePlan)
         outs = []
         for _ in range(2):
             dist, report = solve_oblivious(inst, SolveConfig(seed=4))
@@ -383,11 +382,12 @@ class TestSolveOblivious:
         assert outs[0] == outs[1]
         assert set(vars(inst)) == attrs
         del dist, report
-        # No table, and so no memo of routed trees, outlives the solve.
-        assert (alive(PathTable), alive(RoutedTree)) == before
+        # No table or stage plan, and so no memo of routed trees or of
+        # stage steps, outlives the solve.
+        assert (alive(PathTable), alive(RoutedTree), alive(StagePlan)) == before
         for name, module in sys.modules.items():
             if name.startswith("bulktree"):
-                assert not any(isinstance(v, PathTable) for v in vars(module).values())
+                assert not any(isinstance(v, (PathTable, StagePlan)) for v in vars(module).values())
 
     def test_false_certificate_raises(self, two_cluster6, monkeypatch):
         # A master that reports half its true theta: the run must not hand

@@ -2,14 +2,27 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import bulktree.gmm as gmm_mod
 from bulktree.aggregation import atomic_cost, function_cost
 from bulktree.exact import exact_optima
-from bulktree.gmm import GmmTrace, _components, _cut_forest, _postorder, gmm_tree, oracle_tree
-from bulktree.instance import canonical_edge, demand_profile, generate_instance
+from bulktree.gmm import (
+    GmmTrace,
+    StageCosts,
+    StagePlan,
+    _components,
+    _cut_forest,
+    _postorder,
+    _tree_path,
+    gmm_tree,
+    oracle_tree,
+)
+from bulktree.instance import Instance, canonical_edge, demand_profile, generate_instance
 from bulktree.pipes import AlphaVector, alpha_to_pipes, thresholds
+from bulktree.regularize import regularize
+from bulktree.subroutines import lbfl, steiner_tree
 
 from conftest import make_instance
 
@@ -212,3 +225,198 @@ class TestOracleTree:
         alpha = AlphaVector(alpha={0: F(2), 1: F(3)}, D=2)
         tree = oracle_tree(inst, alpha, seed=1)
         assert tree.sorted_edges() == (("a", "b"), ("a", "r"))
+
+
+def _reference_move_demand(cur, holders, target, parent, comp_root, edge_flow, used):
+    for h in holders:
+        if h == target:
+            continue
+        amount = cur[h]
+        path = _tree_path(parent, comp_root, h, target)
+        for a, b in zip(path, path[1:]):
+            e = canonical_edge(a, b)
+            edge_flow[e] = edge_flow.get(e, 0) + amount
+            used.add(e)
+        cur[target] = cur.get(target, 0) + amount
+        cur[h] = 0
+
+
+def reference_run(plan, seed, trace=None):
+    """The staged construction as written before the plan memoized its
+    steps: every run rebuilds each Steiner forest from the live demand and
+    draws every consolidation target afresh.  It reads only the plan's
+    instance, pipes, thresholds and path table."""
+    inst, pipes, th, table = plan.inst, plan.pipes.pipes, plan.th, plan.table
+
+    def steiner_forest(k, cur):
+        active = sorted(v for v, d in cur.items() if d > 0 and v != inst.root)
+        if not active:
+            return None
+        weight = inst.lengths if pipes[k].fixed > 0 else table.hops
+        st_ = steiner_tree(inst, set(active) | {inst.root}, weight, table=table)
+        return _cut_forest(st_.tree_edges, inst.root, cur, th.capacities[k])
+
+    def facility_clusters(k):
+        fl = lbfl(inst, inst.demands, th.significance[k], inst.lengths, table=table)
+        clusters = {}
+        for v, f in sorted(fl.assignment.items()):
+            clusters.setdefault(f, []).append(v)
+        out = []
+        for f in sorted(clusters):
+            group = sorted(clusters[f])
+            probs = np.array([inst.demands[v] for v in group], dtype=float)
+            out.append((f, group, probs / probs.sum(), fl.paths[f]))
+        return out
+
+    total_original = inst.total_demand()
+    cur = dict(inst.demands)
+    used = set()
+    costs = []
+    last = len(pipes) - 1
+    for k in range(last + 1):
+        sigma_k, delta_k = pipes[k].fixed, pipes[k].rate
+        comps = steiner_forest(k, cur)
+        if comps is None:
+            break
+        rng_steiner = np.random.default_rng([int(seed), k, 2])
+        stage_sigma_edges = set()
+        for comp_root, parent in comps:
+            members = {comp_root} | set(parent)
+            holders = sorted(v for v in members if cur.get(v, 0) > 0 and v != inst.root)
+            if not holders:
+                continue
+            if comp_root == inst.root:
+                target = inst.root
+            elif len(holders) == 1:
+                target = holders[0]
+            else:
+                probs = np.array([cur[v] for v in holders], dtype=float)
+                target = holders[int(rng_steiner.choice(len(holders), p=probs / probs.sum()))]
+            stage_flow = {}
+            _reference_move_demand(cur, holders, target, parent, comp_root, stage_flow, used)
+            stage_sigma_edges.update(stage_flow)
+        steiner_cost = float(sigma_k) * sum(inst.lengths[e] for e in sorted(stage_sigma_edges))
+        if trace is not None:
+            trace.record(k, 2, {v: cur.get(v, 0) for v in inst.demands},
+                         cur.get(inst.root, 0) - inst.demands.get(inst.root, 0))
+        if k == last:
+            costs.append(StageCosts(stage=k, steiner_cost=steiner_cost, facility_cost=0.0))
+            break
+        facility_flow = {}
+        if F(total_original) < th.significance[k]:
+            holders = sorted(v for v, d in cur.items() if d > 0 and v != inst.root)
+            if holders:
+                _, pred = table.get(inst.root)
+                _reference_move_demand(cur, holders, inst.root, pred, inst.root, facility_flow, used)
+            facility_cost = float(delta_k) * sum(
+                inst.lengths[e] * f for e, f in facility_flow.items()
+            )
+            costs.append(StageCosts(stage=k, steiner_cost=steiner_cost, facility_cost=facility_cost))
+            if trace is not None:
+                trace.fallback_stage = k
+            break
+        rng_facility = np.random.default_rng([int(seed), k, 4])
+        for f, group, p, pred in facility_clusters(k):
+            holders = [v for v in group if cur.get(v, 0) > 0]
+            if not holders:
+                continue
+            target = group[int(rng_facility.choice(len(group), p=p))]
+            _reference_move_demand(cur, holders, target, pred, f, facility_flow, used)
+        facility_cost = float(delta_k) * sum(
+            inst.lengths[e] * f for e, f in facility_flow.items()
+        )
+        if trace is not None:
+            trace.record(k, 4, {v: cur.get(v, 0) for v in inst.demands},
+                         cur.get(inst.root, 0) - inst.demands.get(inst.root, 0))
+        costs.append(StageCosts(stage=k, steiner_cost=steiner_cost, facility_cost=facility_cost))
+    assert sum(cur.values()) == total_original
+    assert {v for v, d in cur.items() if d > 0} <= {inst.root}
+    return table.routed_tree(used), costs
+
+
+def heavy_plan(model, n, demand_count, instance_seed, demands, offset, ratios):
+    """A plan on a generated graph with the given demands, over weights on
+    every fifth level from offset, each ratios[j] times below the last."""
+    base = generate_instance(model, n, demand_count, instance_seed)
+    inst = Instance(nodes=base.nodes, lengths=base.lengths, demands=demands, root=base.root)
+    profile = demand_profile(inst)
+    alpha = {}
+    weight = F(1)
+    for i, ratio in zip(range(offset, profile.levels, 5), ratios):
+        alpha[i] = weight
+        weight /= ratio
+    regular, _ = regularize(AlphaVector(alpha=alpha, D=profile.D))
+    return StagePlan(inst, regular)
+
+
+@st.composite
+def heavy_cases(draw):
+    """Geometric, grid and path graphs with n <= 10 and demands in 1..1000.
+    Weights 4 to 11 times apart on levels five apart stay separated through
+    regularization: up to four pipes, so runs reach the stage-2 facility step
+    and cut components that share a draw."""
+    model = draw(st.sampled_from(["random-geometric", "grid", "path"]))
+    n = draw(st.integers(6, 10))
+    demand_count = draw(st.integers(n // 2, n - 1))
+    instance_seed = draw(st.integers(0, 99))
+    nodes = sorted(generate_instance(model, n, demand_count, instance_seed).demands)
+    demands = {v: draw(st.integers(1, 1000)) for v in nodes}
+    ratios = draw(st.lists(st.integers(4, 11), min_size=3, max_size=3))
+    return model, n, demand_count, instance_seed, demands, draw(st.integers(0, 2)), ratios
+
+
+def _staged_states(trace, inst):
+    """The distinct (stage, live demand) states the traced runs began a
+    Steiner step from: stage 0 starts from the original demands, and stage
+    k + 1 from the snapshot after stage k's facility step."""
+    states = {(0, tuple(sorted(inst.demands.items())))}
+    for stage, step, snap, _ in trace.consolidations:
+        if step == 4:
+            states.add((stage + 1, tuple(sorted((v, d) for v, d in snap.items() if d > 0))))
+    return states
+
+
+class TestStagePlanMemo:
+    @settings(max_examples=60, deadline=None)
+    @given(case=heavy_cases())
+    # Runs here revisit a live node set with other amounts at stage 2.
+    @example(case=("grid", 10, 9, 13, {"1": 317, "2": 656, "3": 22, "4": 574, "5": 827,
+                                        "6": 788, "7": 62, "8": 275, "9": 93}, 1, [8, 7, 7]))
+    def test_runs_match_reference(self, case):
+        # One plan, many seeds: later runs are served from the memo.
+        plan = heavy_plan(*case)
+        for seed in range(32):
+            got_trace, want_trace = GmmTrace(), GmmTrace()
+            tree, costs = plan.run(seed, got_trace)
+            ref_tree, ref_costs = reference_run(plan, seed, want_trace)
+            assert tree.sorted_edges() == ref_tree.sorted_edges()
+            assert tree.flow == ref_tree.flow
+            assert costs == ref_costs
+            assert got_trace.consolidations == want_trace.consolidations
+            assert got_trace.fallback_stage == want_trace.fallback_stage
+
+    def test_each_state_builds_one_forest(self, monkeypatch):
+        base = generate_instance("grid", 9, 8, seed=3)
+        demands = {v: 37 * int(v) + 11 for v in base.demands}
+        inst = Instance(nodes=base.nodes, lengths=base.lengths, demands=demands, root=base.root)
+        profile = demand_profile(inst)
+        alpha = AlphaVector(alpha={i: F(1, i + 1) for i in range(profile.levels)}, D=profile.D)
+        regular, _ = regularize(alpha)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return steiner_tree(*args, **kwargs)
+
+        monkeypatch.setattr(gmm_mod, "steiner_tree", counted)
+        plan = StagePlan(inst, regular)
+        trace = GmmTrace()
+        steps = 0
+        for seed in range(60):
+            before = len(trace.consolidations)
+            plan.run(seed, trace)
+            steps += sum(step == 2 for _, step, _, _ in trace.consolidations[before:])
+        states = _staged_states(trace, inst)
+        assert len(states) > 1
+        assert len(calls) <= len(states)
+        assert len(calls) < steps  # the memo was hit

@@ -3,7 +3,6 @@ import json
 import pytest
 
 from bulktree.instance import (
-    Instance,
     ParseError,
     ValidationError,
     demand_profile,
