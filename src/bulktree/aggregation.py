@@ -133,3 +133,16 @@ class TreeDistribution:
 def distribution_cost(dist: TreeDistribution, i: int, lengths) -> float:
     """Expected atomic cost of the distribution at level i."""
     return sum(w * atomic_cost(t, i, lengths) for t, w in dist.support)
+
+
+def level_rows(dist: TreeDistribution, tilde, lengths) -> list[dict]:
+    """Per level i: the distribution's expected cost, the bound tilde_i and
+    their ratio."""
+    rows = []
+    for i, bound in enumerate(tilde):
+        expected = distribution_cost(dist, i, lengths)
+        rows.append({
+            "i": i, "expected_cost": expected, "lower_bound": bound,
+            "ratio": level_ratio(expected, bound),
+        })
+    return rows

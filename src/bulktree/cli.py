@@ -21,7 +21,7 @@ import time
 from fractions import Fraction
 
 from . import exact as exact_mod
-from .aggregation import RoutedTree, TreeDistribution, distribution_cost, level_ratio, route_demands
+from .aggregation import RoutedTree, TreeDistribution, level_rows, route_demands
 from .framework import SolveConfig, solve_oblivious
 from .gmm import GmmTrace, gmm_tree
 from .instance import (
@@ -167,8 +167,8 @@ def cmd_solve(args) -> int:
     if args.report:
         _write_json(args.report, {
             "schema": SCHEMA, **meta,
-            "theta": report.theta,
-            "support_size": report.support_size, "levels": report.levels,
+            "theta": dist.theta,
+            "support_size": len(dist.support), "levels": report.levels,
             "runs": report.runs,
         })
     return 0
@@ -179,15 +179,7 @@ def cmd_eval(args) -> int:
     with open(args.distribution) as fh:
         dist = _distribution_from_obj(json.load(fh), inst)
     bounds = rob_lower_bounds(inst, _mix_seed(args.seed, 0xAB))
-    rows = []
-    for i, tilde_i, _ in bounds:
-        expected = distribution_cost(dist, i, inst.lengths)
-        rows.append({
-            "i": i,
-            "expected_cost": expected,
-            "lower_bound": tilde_i,
-            "ratio": level_ratio(expected, tilde_i),
-        })
+    rows = level_rows(dist, [v for _, v, _ in bounds], inst.lengths)
     out = {
         "schema": SCHEMA,
         "seed": args.seed,
@@ -288,18 +280,20 @@ def cmd_bench(args) -> int:
             try:
                 inst = generate_instance(args.family, n, max(1, (n - 1) // 2), seed)
                 dist, _ = solve_oblivious(inst, SolveConfig(seed=seed))
-                theta_opt = ""
+                theta_opt = exact_ratio = ""
                 if len(inst.nodes) <= exact_mod.DEFAULT_NODE_CAP:
-                    theta_opt = repr(exact_mod.exact_lp_optimum(inst)[0])
+                    opt, lp_theta, _ = exact_mod.exact_optima_and_lp(inst)
+                    theta_opt = repr(lp_theta)
+                    exact_ratio = repr(exact_mod.exact_oblivious_ratio(inst, dist, optima=opt)[0])
                 rows.append(
-                    (instance_id, repr(dist.theta), theta_opt, str(len(dist.support)),
-                     str(inst.total_demand()))
+                    (instance_id, repr(dist.theta), theta_opt, exact_ratio,
+                     str(len(dist.support)), str(inst.total_demand()))
                 )
             except Exception as exc:  # per-row failure recorded, run continues
-                rows.append((instance_id, "error", type(exc).__name__, "", ""))
+                rows.append((instance_id, "error", type(exc).__name__, "", "", ""))
             _log(cmd="bench", instance=instance_id, seconds=f"{time.monotonic() - t0:.2f}")
     with open(args.out, "w") as fh:
-        fh.write("instance\ttheta\ttheta_opt\tsupport\ttotal_demand\n")
+        fh.write("instance\ttheta\ttheta_opt\texact_ratio\tsupport\ttotal_demand\n")
         for row in rows:
             fh.write("\t".join(row) + "\n")
     return 0

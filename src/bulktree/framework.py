@@ -31,7 +31,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import simplex
-from .aggregation import RoutedTree, TreeDistribution, atomic_cost, level_ratio
+from .aggregation import RoutedTree, TreeDistribution, level_rows
 from .gmm import StagePlan
 from .instance import Instance, demand_profile
 from .pipes import AlphaVector
@@ -345,9 +345,7 @@ def solve_small_primal(cs: ConstraintSet) -> tuple[TreeDistribution, float, tupl
 
 @dataclass
 class SolveReport:
-    theta: float
     tilde: tuple[float, ...]
-    support_size: int
     levels: list
     runs: list
 
@@ -369,6 +367,12 @@ def _column_generation(
         dist, _, alpha = solve_small_primal(cs)
         if call == MAX_PRICING_CALLS:
             break
+        # Every bound is positive here, so theta* > 0: its column is basic and
+        # its reduced cost, 1 - sum(alpha), is zero.  Any other sum is a
+        # simplex fault, and the oracle would price against the wrong budget.
+        budget = sum(alpha)
+        if abs(budget - 1.0) > 1e-9:
+            raise RuntimeError(f"master level duals sum to {budget!r}, not 1")
         beta = dist.theta * (1 - 1e-9)
         res = separation_oracle(
             DualPoint(alpha=alpha, beta=beta), tilde, beta / 2.0, inst,
@@ -388,7 +392,7 @@ def _column_generation(
 
 def solve_oblivious(inst: Instance, config: SolveConfig) -> tuple[TreeDistribution, SolveReport]:
     """Compute the level bounds and solve the distribution LP over trees by
-    column generation; ``report.theta`` is the final master's theta*.
+    column generation; ``dist.theta`` is the final master's theta*.
 
     A level whose bound is zero has a rent-or-buy tree of zero cost there.
     Every edge of that tree carries flow, so all its edges have length zero
@@ -407,22 +411,10 @@ def solve_oblivious(inst: Instance, config: SolveConfig) -> tuple[TreeDistributi
         dist, runs = TreeDistribution(support=((zero_tree, 1.0),), theta=1.0), []
     if len(dist.support) > 1 + int(math.log2(profile.D)):
         raise RuntimeError("support bound violated")
-    level_rows = []
-    for i in range(profile.levels):
-        expected = sum(w * atomic_cost(t, i, inst.lengths) for t, w in dist.support)
-        level_rows.append({
-            "i": i, "expected_cost": expected, "lower_bound": tilde[i],
-            "ratio": level_ratio(expected, tilde[i]),
-        })
-    worst = max(row["ratio"] for row in level_rows)
+    rows = level_rows(dist, tilde, inst.lengths)
+    worst = max(row["ratio"] for row in rows)
     if worst > dist.theta * (1 + 1e-9):
         raise RuntimeError(
             f"false certificate: worst level ratio {worst!r} exceeds theta {dist.theta!r}"
         )
-    return dist, SolveReport(
-        theta=dist.theta,
-        tilde=tilde,
-        support_size=len(dist.support),
-        levels=level_rows,
-        runs=runs,
-    )
+    return dist, SolveReport(tilde=tilde, levels=rows, runs=runs)

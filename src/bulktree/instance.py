@@ -58,6 +58,8 @@ class Instance:
             adj[v].append((u, w))
         for v in adj:
             adj[v].sort()
+        if len(_connected_from(adj, self.root)) != len(adj):
+            raise ValidationError("graph must be connected")
         object.__setattr__(self, "_adjacency", adj)
 
     @property
@@ -92,6 +94,7 @@ def _connected_from(adj, start: str) -> set[str]:
 
 
 def _validate(inst: Instance) -> None:
+    """Every structural check but connectivity, which needs the adjacency."""
     if not inst.nodes:
         raise ValidationError("instance must have at least one node")
     if len(set(inst.nodes)) != len(inst.nodes):
@@ -117,12 +120,6 @@ def _validate(inst: Instance) -> None:
             raise ValidationError(f"demand at {v!r} must be a positive integer")
     if sum(inst.demands.values()) < 1:
         raise ValidationError("total demand must be >= 1")
-    adj: dict[str, list[tuple[str, float]]] = {v: [] for v in inst.nodes}
-    for (u, v), w in inst.lengths.items():
-        adj[u].append((v, w))
-        adj[v].append((u, w))
-    if _connected_from(adj, inst.root) != nodeset:
-        raise ValidationError("graph must be connected")
 
 
 def demand_profile(inst: Instance) -> DemandProfile:

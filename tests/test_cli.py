@@ -1,10 +1,17 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import bulktree
 import bulktree.exact as exact_mod
 from bulktree.cli import main
-from bulktree.instance import load_instance
+from bulktree.framework import SolveConfig, solve_oblivious
+from bulktree.instance import generate_instance, load_instance
+
+BENCH_HEADER = ["instance", "theta", "theta_opt", "exact_ratio", "support", "total_demand"]
 
 
 def run(argv) -> int:
@@ -37,7 +44,10 @@ def test_gen_and_solve_and_eval(tmp_path, star_file):
     assert run(["eval", star_file, dist, "--out", out, "--exact", "--seed", 3]) == 0
     ev = json.loads(out.read_text())
     assert ev["exact_oblivious_ratio"] >= 1.0 - 1e-9
-    assert all("ratio" in row for row in ev["levels"])
+    # solve and eval build their rows alike; --exact only adds the optimum.
+    assert [{k: v for k, v in row.items() if k != "exact_optimum"} for row in ev["levels"]] \
+        == payload["diagnostics"]["levels"]
+    assert all("exact_optimum" in row for row in ev["levels"])
 
 
 @pytest.mark.parametrize("instance", [
@@ -98,9 +108,7 @@ def test_eval_matches_module_calls(tmp_path, star_file):
     tree = route_demands(inst, tree_edges)
     dist = TreeDistribution(support=((tree, 1.0),), theta=1.0)
     for row in ev["levels"]:
-        assert row["expected_cost"] == pytest.approx(
-            distribution_cost(dist, row["i"], inst.lengths)
-        )
+        assert row["expected_cost"] == distribution_cost(dist, row["i"], inst.lengths)
 
 
 def test_eval_exact_over_cap_refused(tmp_path, capsys):
@@ -189,14 +197,29 @@ def test_brute_enumerates_once(tmp_path, monkeypatch):
 def test_bench_table_and_determinism(tmp_path):
     t1 = tmp_path / "b1.tsv"
     t2 = tmp_path / "b2.tsv"
+    above_cap = exact_mod.DEFAULT_NODE_CAP + 1
     for t in (t1, t2):
         assert run(
-            ["bench", "star", "--sizes", "5", "--seeds", "1,2", "--out", t]
+            ["bench", "star", "--sizes", f"5,{above_cap}", "--seeds", "1,2", "--out", t]
         ) == 0
     assert t1.read_bytes() == t2.read_bytes()
     lines = t1.read_text().strip().splitlines()
-    assert len(lines) == 3  # header + 2 rows
-    assert lines[0].split("\t") == ["instance", "theta", "theta_opt", "support", "total_demand"]
+    assert len(lines) == 5  # header + 4 rows
+    assert lines[0].split("\t") == BENCH_HEADER
+    rows = [dict(zip(BENCH_HEADER, line.split("\t"))) for line in lines[1:]]
+    for seed, row in zip((1, 2), rows):
+        assert row["instance"] == f"star-n5-s{seed}"
+        exact_ratio, theta_opt = float(row["exact_ratio"]), float(row["theta_opt"])
+        assert exact_ratio >= 1.0
+        assert theta_opt <= exact_ratio * (1 + 1e-9)
+        inst = generate_instance("star", 5, 2, seed)
+        dist, _ = solve_oblivious(inst, SolveConfig(seed=seed))
+        assert exact_ratio == exact_mod.exact_oblivious_ratio(inst, dist)[0]
+        assert theta_opt == exact_mod.exact_lp_optimum(inst)[0]
+    for row in rows[2:]:
+        # Above the node cap both brute-force columns stay blank.
+        assert row["instance"].startswith(f"star-n{above_cap}-") and row["theta"] != "error"
+        assert row["theta_opt"] == row["exact_ratio"] == ""
 
 
 def test_bench_records_infeasible_size_as_error_row(tmp_path):
@@ -204,7 +227,7 @@ def test_bench_records_infeasible_size_as_error_row(tmp_path):
     out = tmp_path / "b.tsv"
     assert run(["bench", "star", "--sizes", "1,5", "--seeds", "1", "--out", out]) == 0
     header, *rows = out.read_text().strip().splitlines()
-    assert rows[0].split("\t") == ["star-n1-s1", "error", "ValidationError", "", ""]
+    assert rows[0].split("\t") == ["star-n1-s1", "error", "ValidationError", "", "", ""]
     assert len(rows) == 2 and rows[1].split("\t")[0] == "star-n5-s1"
     assert rows[1].split("\t")[1] != "error"
 
@@ -212,7 +235,18 @@ def test_bench_records_infeasible_size_as_error_row(tmp_path):
 def test_bench_empty_seed_list(tmp_path):
     out = tmp_path / "b.tsv"
     assert run(["bench", "star", "--sizes", "5", "--seeds", "", "--out", out]) == 0
-    assert out.read_text().strip().splitlines() == ["instance\ttheta\ttheta_opt\tsupport\ttotal_demand"]
+    assert out.read_text().splitlines() == ["\t".join(BENCH_HEADER)]
+
+
+def test_import_loads_no_scipy_or_networkx():
+    # Both are installed alongside, but the solver needs neither.
+    src = os.path.dirname(os.path.dirname(bulktree.__file__))
+    code = "import sys, bulktree, bulktree.cli; print(sorted({'scipy', 'networkx'} & set(sys.modules)))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("argv", [

@@ -354,7 +354,7 @@ class TestSolveOblivious:
         assert [(t.sorted_edges(), w) for t, w in d1.support] == [
             (t.sorted_edges(), w) for t, w in d2.support
         ]
-        assert r1.theta == r2.theta
+        assert d1.theta == d2.theta and vars(r1) == vars(r2)
 
     def test_no_brute_force_within_node_cap(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -400,6 +400,21 @@ class TestSolveOblivious:
 
         monkeypatch.setattr(framework_mod, "solve_small_primal", too_low)
         with pytest.raises(RuntimeError, match="false certificate"):
+            solve_oblivious(two_cluster6, SolveConfig(seed=0))
+
+    @pytest.mark.parametrize("factor", [1.1, 0.9])
+    def test_master_duals_off_one_raise(self, two_cluster6, monkeypatch, factor):
+        # A master whose level duals do not sum to 1 is a simplex fault; the
+        # oracle must not price against that budget, nor stop the solve
+        # without saying why.
+        master = framework_mod.solve_small_primal
+
+        def scaled(cs):
+            dist, y0, alpha = master(cs)
+            return dist, y0, tuple(a * factor for a in alpha)
+
+        monkeypatch.setattr(framework_mod, "solve_small_primal", scaled)
+        with pytest.raises(RuntimeError, match="duals sum to"):
             solve_oblivious(two_cluster6, SolveConfig(seed=0))
 
     @pytest.mark.parametrize("seed", range(3))
@@ -463,7 +478,7 @@ class TestSolveOblivious:
     def test_zero_level_bound_returns_zero_cost_tree(self, inst):
         dist, report = solve_oblivious(inst, SolveConfig(seed=1))
         (tree, weight), = dist.support
-        assert weight == 1.0 and dist.theta == 1.0 == report.theta
+        assert weight == 1.0 and dist.theta == 1.0
         assert report.runs == []
         assert all(atomic_cost(tree, r["i"], inst.lengths) == 0.0 for r in report.levels)
         assert [r["ratio"] for r in report.levels] == [1.0] * demand_profile(inst).levels
