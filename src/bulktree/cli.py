@@ -392,7 +392,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ValidationError, exact_mod.NodeCapExceeded, FileNotFoundError, ValueError) as exc:
+    except (ParseError, ValidationError, exact_mod.NodeCapExceeded, OSError, ValueError) as exc:
         return _error_json(exc, 2)
     except (LPError, RegularizationInternalError, ArithmeticError, RuntimeError) as exc:
         return _error_json(exc, 3)

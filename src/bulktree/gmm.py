@@ -7,6 +7,8 @@ k at stage k:
      root, route toward the root, and repeatedly cut the farthest-upstream
      edge carrying more than the pipe capacity sigma_k/delta_k, leaving a
      forest whose non-root components each gathered at least that much flow.
+     Pipe 0 has sigma_0 = 0 and so capacity 0: the cut leaves every demand
+     node alone in its component, nothing moves, and no tree is built.
   2. Consolidation: each non-root component sends all its live demand to one
      of its demand nodes, chosen with probability proportional to live
      demand.  Demand reaching the root component is delivered and parks at
@@ -243,15 +245,16 @@ class StagePlan:
         active = sorted(v for v, d in cur.items() if d > 0 and v != inst.root)
         if not active:
             return None
-        weight = inst.lengths if self.pipes.pipes[k].fixed > 0 else self.table.hops
-        st = steiner_tree(inst, set(active) | {inst.root}, weight, table=self.table)
+        if self.th.capacities[k] == 0:
+            return []  # sub > 0 cuts off every demand node alone: nothing would move
+        st = steiner_tree(inst, set(active) | {inst.root}, table=self.table)
         return _cut_forest(st.tree_edges, inst.root, cur, self.th.capacities[k])
 
     def _facility_clusters(self, k: int) -> list:
         """Stage k's clusters as (facility, members, draw probabilities, path map)."""
         if k not in self._clusters:
             inst = self.inst
-            fl = lbfl(inst, inst.demands, self.th.significance[k], inst.lengths, table=self.table)
+            fl = lbfl(inst, inst.demands, self.th.significance[k], table=self.table)
             clusters: dict[str, list[str]] = {}
             for v, f in sorted(fl.assignment.items()):
                 clusters.setdefault(f, []).append(v)

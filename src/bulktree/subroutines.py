@@ -12,14 +12,14 @@ Constant factors certified by the methods used here (not best-known ratios):
                  expected ratio <= 2 + steiner ratio = 4
 
 All tie-breaking is lexicographic on node ids: Dijkstra orders its heap by
-(distance, node), Kruskal sorts edges by (weight, u, v), and every iteration
-over node sets is over sorted ids.  Edge weights are treated as an opaque
-nonnegative function, so scaling all weights by a positive constant scales
+(distance, node), Kruskal sorts edges by (distance, u, v), and every iteration
+over node sets is over sorted ids.  Edge lengths are treated as an opaque
+nonnegative function, so scaling all lengths by a positive constant scales
 costs and leaves selected edge sets unchanged.
 
 Shortest paths are read through a PathTable: a solve that passes one table
-to every call runs Dijkstra at most once per (source, metric); a call given
-no table fills its own.
+to every call runs Dijkstra at most once per source; a call given no table
+fills its own.
 """
 from __future__ import annotations
 
@@ -33,10 +33,10 @@ from .instance import Edge, Instance, canonical_edge, demand_profile
 from .aggregation import RoutedTree, atomic_cost, route_demands
 
 
-def _shortest_paths(adj, source: str, weight) -> tuple[dict[str, float], dict[str, str]]:
+def _shortest_paths(adj, source: str) -> tuple[dict[str, float], dict[str, str]]:
     """Dijkstra over adj, which maps a node to its sorted (neighbour, length)
-    pairs as ``Instance.adjacency()`` does; each edge's weight is read from
-    weight by canonical edge.  Ties are broken by (distance, node id)."""
+    pairs as ``Instance.adjacency()`` does.  Ties are broken by (distance,
+    node id)."""
     dist = {source: 0.0}
     pred: dict[str, str] = {}
     done: set[str] = set()
@@ -46,8 +46,8 @@ def _shortest_paths(adj, source: str, weight) -> tuple[dict[str, float], dict[st
         if u in done:
             continue
         done.add(u)
-        for v, _ in adj.get(u, ()):
-            nd = d + float(weight[(u, v) if u <= v else (v, u)])
+        for v, w in adj.get(u, ()):
+            nd = d + float(w)
             if v not in dist or nd < dist[v]:
                 dist[v] = nd
                 pred[v] = u
@@ -55,18 +55,17 @@ def _shortest_paths(adj, source: str, weight) -> tuple[dict[str, float], dict[st
     return dist, pred
 
 
-def dijkstra(inst: Instance, source: str, weight=None) -> tuple[dict[str, float], dict[str, str]]:
+def dijkstra(inst: Instance, source: str) -> tuple[dict[str, float], dict[str, str]]:
     """Distances and predecessors from source; ties broken by (distance, node id)."""
-    return _shortest_paths(inst.adjacency(), source, inst.lengths if weight is None else weight)
+    return _shortest_paths(inst.adjacency(), source)
 
 
 class PathTable:
     """The per-solve cache of one instance.
 
-    It keeps the shortest paths under the instance's lengths or under hop
-    counts (``hops``), each source run at most once, and the routed tree that
-    the staged construction extracts from each edge union, with its atomic
-    level costs.  Any other weight mapping runs a fresh ``dijkstra``.
+    It keeps the shortest paths under the instance's lengths, each source run
+    at most once, and the routed tree that the staged construction extracts
+    from each edge union, with its atomic level costs.
 
     A solve builds one table and drops it when it returns.  The maps and
     trees it hands out are shared between callers and must not be mutated.
@@ -74,22 +73,14 @@ class PathTable:
 
     def __init__(self, inst: Instance):
         self.inst = inst
-        self.hops = {e: 1.0 for e in inst.edges}
-        self._lengths: dict[str, tuple[dict[str, float], dict[str, str]]] = {}
-        self._hops: dict[str, tuple[dict[str, float], dict[str, str]]] = {}
+        self._paths: dict[str, tuple[dict[str, float], dict[str, str]]] = {}
         self._trees: dict[frozenset, RoutedTree] = {}
         self._level_costs: dict[tuple[tuple[Edge, ...], int], tuple[float, ...]] = {}
 
-    def get(self, source: str, weight=None) -> tuple[dict[str, float], dict[str, str]]:
-        if weight is None or weight is self.inst.lengths:
-            runs = self._lengths
-        elif weight is self.hops:
-            runs = self._hops
-        else:
-            return dijkstra(self.inst, source, weight)
-        hit = runs.get(source)
+    def get(self, source: str) -> tuple[dict[str, float], dict[str, str]]:
+        hit = self._paths.get(source)
         if hit is None:
-            hit = runs[source] = dijkstra(self.inst, source, weight)
+            hit = self._paths[source] = dijkstra(self.inst, source)
         return hit
 
     def routed_tree(self, used) -> RoutedTree:
@@ -126,14 +117,10 @@ def _walk_path(pred: dict[str, str], source: str, target: str) -> list[str]:
 class SteinerSolution:
     tree_edges: tuple[Edge, ...]
     cost: float
-    ratio_bound: float
 
 
-def steiner_tree(
-    inst: Instance, terminals, weight=None, table: PathTable | None = None
-) -> SteinerSolution:
+def steiner_tree(inst: Instance, terminals, *, table: PathTable | None = None) -> SteinerSolution:
     """Metric-closure MST heuristic; cost within 2x of the optimal Steiner tree."""
-    weight = inst.lengths if weight is None else weight
     table = PathTable(inst) if table is None else table
     terms = sorted(set(terminals))
     if not terms:
@@ -141,7 +128,7 @@ def steiner_tree(
     dists: dict[str, dict[str, float]] = {}
     preds: dict[str, dict[str, str]] = {}
     for t in terms:
-        dists[t], preds[t] = table.get(t, weight)
+        dists[t], preds[t] = table.get(t)
     closure = sorted(
         (dists[a][b], a, b) for i, a in enumerate(terms) for b in terms[i + 1 :]
     )
@@ -161,12 +148,12 @@ def steiner_tree(
         parent[max(ra, rb)] = min(ra, rb)
         path = _walk_path(preds[a], a, b)
         edges.update(canonical_edge(u, v) for u, v in zip(path, path[1:]))
-    pruned = tuple(sorted(_prune_to_tree(edges, terms, weight, min(terms))))
-    cost = float(sum(float(weight[e]) for e in pruned))
-    return SteinerSolution(tree_edges=pruned, cost=cost, ratio_bound=2.0)
+    pruned = tuple(sorted(_prune_to_tree(edges, terms, inst.lengths, min(terms))))
+    cost = float(sum(float(inst.lengths[e]) for e in pruned))
+    return SteinerSolution(tree_edges=pruned, cost=cost)
 
 
-def _prune_to_tree(edges: set[Edge], terminals, weight, start: str) -> set[Edge]:
+def _prune_to_tree(edges: set[Edge], terminals, lengths, start: str) -> set[Edge]:
     """Extract a cycle-free subset spanning the terminals from a path union.
 
     Keeps the union of the shortest paths from start to every terminal inside
@@ -174,12 +161,12 @@ def _prune_to_tree(edges: set[Edge], terminals, weight, start: str) -> set[Edge]
     """
     adj: dict[str, list[tuple[str, float]]] = {}
     for (u, v) in sorted(edges):
-        w = weight[(u, v)]
+        w = lengths[(u, v)]
         adj.setdefault(u, []).append((v, w))
         adj.setdefault(v, []).append((u, w))
     for v in adj:
         adj[v].sort()
-    _, pred = _shortest_paths(adj, start, weight)
+    _, pred = _shortest_paths(adj, start)
     keep: set[Edge] = set()
     for t in sorted(terminals):
         node = t
@@ -201,22 +188,19 @@ class FacilitySolution:
     paths: dict[str, dict[str, str]] = field(default_factory=dict)  # facility -> pred map
 
 
-def lbfl(
-    inst: Instance, demands, lower_bound, weight=None, table: PathTable | None = None
-) -> FacilitySolution:
+def lbfl(inst: Instance, demands, lower_bound, *, table: PathTable | None = None) -> FacilitySolution:
     """Load-balanced facility location via ball-growing greedy.
 
     Opens facilities at demand nodes, each serving >= lower_bound demand;
     leftovers join their nearest open facility.  When total demand is below
     the bound, everything is routed to the root.
     """
-    weight = inst.lengths if weight is None else weight
     table = PathTable(inst) if table is None else table
     L = lower_bound
     clients = sorted(demands)
     total = sum(demands.values())
     if total < L:
-        dist, pred = table.get(inst.root, weight)
+        dist, pred = table.get(inst.root)
         assignment = {c: inst.root for c in clients}
         cost = sum(demands[c] * dist[c] for c in clients)
         return FacilitySolution(
@@ -226,7 +210,7 @@ def lbfl(
             min_load_achieved=float(total),
             paths={inst.root: pred},
         )
-    sp = {c: table.get(c, weight) for c in clients}
+    sp = {c: table.get(c) for c in clients}
     remaining = set(clients)
     opened: list[str] = []
     assignment: dict[str, str] = {}
@@ -261,7 +245,7 @@ def lbfl(
         assignment=assignment,
         cost=float(cost),
         min_load_achieved=float(min(loads.values())),
-        paths={f: table.get(f, weight)[1] for f in sorted(opened)},
+        paths={f: table.get(f)[1] for f in sorted(opened)},
     )
 
 

@@ -80,6 +80,25 @@ def test_solve_missing_file_exit_2(tmp_path, capsys):
     assert json.loads(err.strip().splitlines()[-1])["error"]["type"] == "ParseError"
 
 
+@pytest.mark.parametrize("command", ["solve", "eval", "regularize", "gmm", "brute", "pipes"])
+def test_unreadable_input_exit_2(tmp_path, star_file, capsys, command):
+    # A directory passes argparse but cannot be opened as a file.
+    d = tmp_path / "dir"
+    d.mkdir()
+    out = ["--out", tmp_path / "o.json"]
+    argv = {
+        "solve": ["solve", d, *out, "--seed", 1],
+        "eval": ["eval", star_file, d, *out, "--seed", 1],
+        "regularize": ["regularize", d, *out],
+        "gmm": ["gmm", star_file, d, *out, "--seed", 1],
+        "brute": ["brute", d, *out],
+        "pipes": ["pipes", d],
+    }[command]
+    assert run(argv) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+    assert err["type"] and err["message"]
+
+
 def test_solve_byte_identical_reruns(tmp_path, star_file):
     outs = []
     for name in ("d1.json", "d2.json"):

@@ -9,6 +9,7 @@ import bulktree.gmm as gmm_mod
 from bulktree.aggregation import atomic_cost, function_cost
 from bulktree.exact import exact_optima
 from bulktree.gmm import (
+    STEINER,
     GmmTrace,
     StageCosts,
     StagePlan,
@@ -88,6 +89,16 @@ class TestCutForest:
         assert _cut_forest(edges, root, cur, capacity) == reference_cut_forest(
             edges, root, cur, capacity
         )
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=forest_cut_cases())
+    def test_capacity_zero_isolates_every_demand(self, case):
+        # The fact the plan's capacity-0 Steiner step rests on: with nothing
+        # to consolidate in any component, that step moves no demand.
+        edges, root, cur, _ = case
+        for comp_root, parent in _cut_forest(edges, root, cur, F(0)):
+            live = [v for v in {comp_root} | set(parent) if v != root and cur.get(v, 0) > 0]
+            assert len(live) <= 1
 
 
 class TestGmmTree:
@@ -244,20 +255,26 @@ def _reference_move_demand(cur, holders, target, parent, comp_root, edge_flow, u
 def reference_run(plan, seed, trace=None):
     """The staged construction as written before the plan memoized its
     steps: every run rebuilds each Steiner forest from the live demand and
-    draws every consolidation target afresh.  It reads only the plan's
-    instance, pipes, thresholds and path table."""
+    draws every consolidation target afresh.  Stage 0, whose pipe has no
+    fixed cost, builds its Steiner tree under hop counts, on a copy of the
+    instance with every length 1.0.  It reads only the plan's instance,
+    pipes, thresholds and path table."""
     inst, pipes, th, table = plan.inst, plan.pipes.pipes, plan.th, plan.table
+    unit = Instance(nodes=inst.nodes, lengths={e: 1.0 for e in inst.lengths},
+                    demands=inst.demands, root=inst.root)
 
     def steiner_forest(k, cur):
         active = sorted(v for v, d in cur.items() if d > 0 and v != inst.root)
         if not active:
             return None
-        weight = inst.lengths if pipes[k].fixed > 0 else table.hops
-        st_ = steiner_tree(inst, set(active) | {inst.root}, weight, table=table)
+        if pipes[k].fixed > 0:
+            st_ = steiner_tree(inst, set(active) | {inst.root}, table=table)
+        else:
+            st_ = steiner_tree(unit, set(active) | {inst.root})
         return _cut_forest(st_.tree_edges, inst.root, cur, th.capacities[k])
 
     def facility_clusters(k):
-        fl = lbfl(inst, inst.demands, th.significance[k], inst.lengths, table=table)
+        fl = lbfl(inst, inst.demands, th.significance[k], table=table)
         clusters = {}
         for v, f in sorted(fl.assignment.items()):
             clusters.setdefault(f, []).append(v)
@@ -420,3 +437,17 @@ class TestStagePlanMemo:
         assert len(states) > 1
         assert len(calls) <= len(states)
         assert len(calls) < steps  # the memo was hit
+
+    def test_capacity_zero_step_builds_no_tree(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return steiner_tree(*args, **kwargs)
+
+        monkeypatch.setattr(gmm_mod, "steiner_tree", counted)
+        plan = StagePlan(two_cluster(), REGULAR_TWO_LEVEL)
+        assert plan.th.capacities[0] == 0
+        for seed in range(4):
+            assert plan._step(seed, 0, STEINER, plan._start) == (plan._start, frozenset(), 0.0)
+        assert calls == []

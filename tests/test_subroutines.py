@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bulktree.subroutines as sub_mod
 from bulktree.exact import _spanning_trees, enumerate_candidate_trees
-from bulktree.instance import canonical_edge, generate_instance
+from bulktree.instance import Instance, canonical_edge, generate_instance
 from bulktree.subroutines import (
     PathTable,
     _shortest_paths,
@@ -116,25 +117,27 @@ def tied_length_instances(draw):
 
 class TestPathTable:
     @settings(max_examples=200, deadline=None)
-    @given(inst=tied_length_instances(), scale=st.sampled_from([0.5, 3.0]))
-    def test_matches_fresh_shortest_paths(self, inst, scale):
+    @given(inst=tied_length_instances())
+    def test_matches_fresh_shortest_paths(self, inst):
         table = PathTable(inst)
         adj = inst.adjacency()
-        scaled = {e: w * scale for e, w in inst.lengths.items()}
-        for weight, mapping in ((None, inst.lengths), (inst.lengths, inst.lengths),
-                                (table.hops, {e: 1.0 for e in inst.edges}), (scaled, scaled)):
-            for source in inst.nodes:
-                # Asked twice: a filled entry must still equal a fresh run.
-                for _ in range(2):
-                    assert table.get(source, weight) == _shortest_paths(adj, source, mapping)
+        for source in inst.nodes:
+            # Asked twice: a filled entry must still equal a fresh run.
+            for _ in range(2):
+                assert table.get(source) == _shortest_paths(adj, source)
 
-    def test_each_source_and_metric_runs_once(self, two_cluster6):
+    def test_each_source_runs_once(self, two_cluster6, monkeypatch):
+        sources = []
+
+        def counted(inst, source):
+            sources.append(source)
+            return dijkstra(inst, source)
+
+        monkeypatch.setattr(sub_mod, "dijkstra", counted)
         table = PathTable(two_cluster6)
-        assert table.get("a") is table.get("a", two_cluster6.lengths)
-        assert table.get("a", table.hops) is table.get("a", table.hops)
-        assert table.get("a", table.hops) is not table.get("a")
-        other = dict(two_cluster6.lengths)
-        assert table.get("a", other) is not table.get("a", other)
+        for source in sorted(two_cluster6.nodes) * 3:
+            assert table.get(source) is table.get(source)
+        assert sources == sorted(two_cluster6.nodes)
 
 
 class TestSteiner:
@@ -175,10 +178,11 @@ class TestSteiner:
     def test_scaling_invariance(self):
         inst = generate_instance("random-geometric", 7, 3, seed=11)
         terms = sorted(inst.demands) + [inst.root]
-        base = steiner_tree(inst, terms, inst.lengths)
+        base = steiner_tree(inst, terms)
         for lam in (0.5, 2.0, 4.0):
-            scaled = {e: lam * w for e, w in inst.lengths.items()}
-            sol = steiner_tree(inst, terms, scaled)
+            lengths = {e: lam * w for e, w in inst.lengths.items()}
+            scaled = Instance(nodes=inst.nodes, lengths=lengths, demands=inst.demands, root=inst.root)
+            sol = steiner_tree(scaled, terms)
             assert sol.tree_edges == base.tree_edges
             assert sol.cost == pytest.approx(lam * base.cost, rel=1e-12)
 
