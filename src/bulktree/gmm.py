@@ -33,8 +33,10 @@ lexicographic children.  Given the live demand at the start of a step,
 everything but that step's drawn targets is therefore fixed, so a
 ``StagePlan`` memoizes each step under (stage, step, live demand) and each
 outcome under the targets drawn as well.  The draws themselves are not
-cached: every run makes the same ``Generator.choice`` calls on the same
-streams in the same order, so memoized runs return what fresh runs would.
+cached: every run takes the same uniforms from the same streams in the same
+order, one per drawing group, and inverts each against the group's cached
+cumulative table, which picks the index ``Generator.choice`` would, so
+memoized runs return what fresh runs would.
 Per-stage cost accounting records the fixed cost of Steiner-step pipes and
 the incremental cost of facility-step pipes; the returned tree is a
 deterministic shortest-path extraction inside the union of all edges that
@@ -43,6 +45,7 @@ so the PathTable builds it once per union and hands the same tree out again.
 """
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
@@ -181,12 +184,25 @@ def _state(cur: dict[str, int]) -> tuple[tuple[str, int], ...]:
     return tuple(sorted((v, d) for v, d in cur.items() if d > 0))
 
 
+def _cdf(weights) -> list[float]:
+    """The cumulative table ``Generator.choice`` builds from the weights'
+    probabilities: a uniform u draws index ``bisect_right(table, u)``, the
+    index choice returns for the same u."""
+    p = np.array(weights, dtype=float)
+    if not (p > 0).all():
+        raise ValueError(f"draw weights must be positive: {weights}")
+    p /= p.sum()
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
 class _Group(NamedTuple):
     """One component or cluster of a step: its demand holders move to one target."""
 
     holders: tuple[str, ...]
     choices: tuple[str, ...]  # the candidate targets; the target itself when fixed
-    probs: np.ndarray | None  # draw probabilities over choices; None: no draw
+    cdf: list[float] | None   # cumulative draw table over choices; None: no draw
     parent: dict[str, str]    # the tree the demand moves in, rooted at root
     root: str
 
@@ -205,16 +221,19 @@ class StagePlan:
 
     - (stage, step, state) -> the step's groups: for the Steiner step, stage
       k's cut Steiner forest, each component's holders and its fixed target
-      or draw probabilities; for the facility step, the facility clusters
+      or cumulative draw table; for the facility step, the facility clusters
       that hold demand (or the fallback's route to the root);
     - (stage, step, state, targets drawn) -> the next state, the frozenset of
       edges that carried flow, and the step's cost, computed on a miss by
       moving the demand along each group's tree.
 
-    ``run(seed)`` draws from the same stream per (seed, stage, step), in the
-    same order and with the same ``Generator.choice`` calls as a construction
-    without the memo, so it returns the same tree, costs and trace; a stream
-    is created only when its step has a draw to make.  The conservation and
+    ``run(seed)`` takes the same uniforms from the same stream per (seed,
+    stage, step) as a construction without the memo, one ``random()`` per
+    drawing group in group order, one-member facility clusters included, and
+    inverts each against the group's cached cumulative table; that picks the
+    index ``Generator.choice`` would and leaves the stream where choice
+    would, so it returns the same tree, costs and trace.  A stream is created
+    only when its step has a draw to make.  The conservation and
     parked-demand checks and the trace snapshots still run on every call,
     read from the memoized states.  The returned tree is shared with every
     other run of the same table that used the same edges.  The separation
@@ -251,7 +270,7 @@ class StagePlan:
         return _cut_forest(st.tree_edges, inst.root, cur, self.th.capacities[k])
 
     def _facility_clusters(self, k: int) -> list:
-        """Stage k's clusters as (facility, members, draw probabilities, path map)."""
+        """Stage k's clusters as (facility, members, cumulative draw table, path map)."""
         if k not in self._clusters:
             inst = self.inst
             fl = lbfl(inst, inst.demands, self.th.significance[k], table=self.table)
@@ -261,10 +280,10 @@ class StagePlan:
             out = []
             for f in sorted(clusters):
                 group = tuple(sorted(clusters[f]))
-                probs = np.array([inst.demands[v] for v in group], dtype=float)
+                cdf = _cdf([inst.demands[v] for v in group])
                 # paths[f] is the facility's shortest-path predecessor map, a
                 # tree rooted at f, so consolidation follows the forest's own edges.
-                out.append((f, group, probs / probs.sum(), fl.paths[f]))
+                out.append((f, group, cdf, fl.paths[f]))
             self._clusters[k] = out
         return self._clusters[k]
 
@@ -282,23 +301,22 @@ class StagePlan:
                 holders = tuple(sorted(v for v in members if cur.get(v, 0) > 0 and v != root))
                 if not holders:
                     continue
-                choices, probs = holders, None
+                choices, cdf = holders, None
                 if comp_root == root:
                     choices = (root,)
                 elif len(holders) > 1:
-                    probs = np.array([cur[v] for v in holders], dtype=float)
-                    probs /= probs.sum()
-                groups.append(_Group(holders, choices, probs, parent, comp_root))
+                    cdf = _cdf([cur[v] for v in holders])
+                groups.append(_Group(holders, choices, cdf, parent, comp_root))
         elif self._fallback[k]:
             holders = tuple(sorted(v for v, d in cur.items() if d > 0 and v != root))
             if holders:
                 _, pred = self.table.get(root)
                 groups.append(_Group(holders, (root,), None, pred, root))
         else:
-            for f, group, p, pred in self._facility_clusters(k):
+            for f, group, cdf, pred in self._facility_clusters(k):
                 holders = tuple(v for v in group if cur.get(v, 0) > 0)
                 if holders:
-                    groups.append(_Group(holders, group, p, pred, f))
+                    groups.append(_Group(holders, group, cdf, pred, f))
         return groups
 
     def _step(self, seed: int, k: int, step: int, state: tuple):
@@ -313,12 +331,13 @@ class StagePlan:
         rng = None
         targets = []
         for g in groups:
-            if g.probs is None:
+            if g.cdf is None:
                 targets.append(g.choices[0])
                 continue
             if rng is None:
                 rng = np.random.default_rng([int(seed), k, step])
-            targets.append(g.choices[int(rng.choice(len(g.choices), p=g.probs))])
+            # One-member clusters draw too: their uniform advances the stream.
+            targets.append(g.choices[bisect.bisect_right(g.cdf, rng.random())])
         key = (k, step, state, tuple(targets))
         hit = self._moves.get(key)
         if hit is None:

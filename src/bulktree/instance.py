@@ -223,12 +223,14 @@ def generate_instance(model: str, n: int, demand_count: int, seed: int) -> Insta
     else:  # random-geometric
         pts = rng.random((n, 2))
         radius = max(0.4, math.sqrt(2.0 * math.log(max(n, 2)) / n))
+        diff = pts[:, None] - pts[None, :]
+        dist = np.hypot(diff[..., 0], diff[..., 1]).tolist()
         for i in range(n):
             for j in range(i + 1, n):
-                d = float(np.hypot(*(pts[i] - pts[j])))
+                d = dist[i][j]
                 if d <= radius:
                     lengths[canonical_edge(names[i], names[j])] = max(d, 1e-6)
-        _connect_components(names, pts, lengths)
+        _connect_components(names, dist, lengths)
         root = min(names, key=lambda v: (pts[int(v)][0] + pts[int(v)][1], v))
     candidates = sorted(v for v in names if v != root)
     picks = rng.choice(len(candidates), size=demand_count, replace=False)
@@ -239,7 +241,7 @@ def generate_instance(model: str, n: int, demand_count: int, seed: int) -> Insta
 _MODEL_TAG = {m: i for i, m in enumerate(GENERATOR_MODELS)}
 
 
-def _connect_components(names, pts, lengths) -> None:
+def _connect_components(names, dist, lengths) -> None:
     # Greedily link closest component pairs so geometric samples always validate.
     def comps():
         adj = {v: [] for v in names}
@@ -261,8 +263,7 @@ def _connect_components(names, pts, lengths) -> None:
         for a in parts[0]:
             for other in parts[1:]:
                 for b in other:
-                    d = float(np.hypot(*(pts[int(a)] - pts[int(b)])))
-                    cand = (d, a, b)
+                    cand = (dist[int(a)][int(b)], a, b)
                     if best is None or cand < best:
                         best = cand
         d, a, b = best

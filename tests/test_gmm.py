@@ -1,3 +1,4 @@
+import bisect
 from fractions import Fraction as F
 
 import numpy as np
@@ -9,10 +10,12 @@ import bulktree.gmm as gmm_mod
 from bulktree.aggregation import atomic_cost, function_cost
 from bulktree.exact import exact_optima
 from bulktree.gmm import (
+    FACILITY,
     STEINER,
     GmmTrace,
     StageCosts,
     StagePlan,
+    _cdf,
     _components,
     _cut_forest,
     _postorder,
@@ -399,6 +402,10 @@ class TestStagePlanMemo:
     # Runs here revisit a live node set with other amounts at stage 2.
     @example(case=("grid", 10, 9, 13, {"1": 317, "2": 656, "3": 22, "4": 574, "5": 827,
                                         "6": 788, "7": 62, "8": 275, "9": 93}, 1, [8, 7, 7]))
+    # Every run's one drawing facility step (stage 0) has clusters of 1, 1
+    # and 2 members, in that order: the one-member clusters' draws must
+    # advance the stream, or the two-member cluster reads the wrong uniform.
+    @example(case=("grid", 7, 4, 49, {"1": 99, "2": 622, "3": 447, "6": 14}, 2, [11, 4, 9]))
     def test_runs_match_reference(self, case):
         # One plan, many seeds: later runs are served from the memo.
         plan = heavy_plan(*case)
@@ -451,3 +458,25 @@ class TestStagePlanMemo:
         for seed in range(4):
             assert plan._step(seed, 0, STEINER, plan._start) == (plan._start, frozenset(), 0.0)
         assert calls == []
+
+
+class TestDrawTable:
+    @settings(max_examples=300, deadline=None)
+    @given(weights=st.lists(st.integers(1, 1000), min_size=1, max_size=12),
+           seed=st.integers(0, 2**63 - 1), k=st.integers(0, 16),
+           step=st.sampled_from([STEINER, FACILITY]))
+    def test_inverts_like_generator_choice(self, weights, seed, k, step):
+        # The plan's draws must equal Generator.choice's, index and stream
+        # position both; a numpy release that changes choice fails here.
+        p = np.array(weights, dtype=float)
+        p /= p.sum()
+        table = _cdf(weights)
+        ours = np.random.default_rng([seed, k, step])
+        theirs = np.random.default_rng([seed, k, step])
+        assert bisect.bisect_right(table, ours.random()) == int(theirs.choice(len(weights), p=p))
+        assert ours.random() == theirs.random()
+
+    @pytest.mark.parametrize("weights", [[0], [3, 0, 2], [1, -1]])
+    def test_nonpositive_weight_rejected(self, weights):
+        with pytest.raises(ValueError, match="positive"):
+            _cdf(weights)

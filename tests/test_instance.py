@@ -1,10 +1,14 @@
 import json
+import math
 
+import numpy as np
 import pytest
 
 from bulktree.instance import (
+    GENERATOR_MODELS,
     ParseError,
     ValidationError,
+    canonical_edge,
     demand_profile,
     generate_instance,
     instance_from_obj,
@@ -128,6 +132,50 @@ def test_generated_instances_validate(model, seed):
     inst = generate_instance(model, 8, 3, seed=seed)
     # construction re-validates; also check round-trip through the file format
     assert inst.total_demand() == 3
+
+
+def reference_geometric(n, demand_count, seed):
+    """random-geometric with one numpy scalar call per pair: the lengths in
+    insertion order, the root and the demands."""
+    rng = np.random.default_rng([seed, GENERATOR_MODELS.index("random-geometric")])
+    pts = rng.random((n, 2))
+    names = [str(i) for i in range(n)]
+
+    def dist(a, b):
+        return float(np.hypot(*(pts[int(a)] - pts[int(b)])))
+
+    radius = max(0.4, math.sqrt(2.0 * math.log(max(n, 2)) / n))
+    lengths = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            if dist(i, j) <= radius:
+                lengths[canonical_edge(names[i], names[j])] = max(dist(i, j), 1e-6)
+    while True:  # link node 0's component to its closest outside node
+        reach, stack = {"0"}, ["0"]
+        while stack:
+            u = stack.pop()
+            for a, b in lengths:
+                for x, y in ((a, b), (b, a)):
+                    if x == u and y not in reach:
+                        reach.add(y)
+                        stack.append(y)
+        rest = [v for v in names if v not in reach]
+        if not rest:
+            break
+        d, a, b = min((dist(a, b), a, b) for a in sorted(reach) for b in sorted(rest))
+        lengths[canonical_edge(a, b)] = max(d, 1e-6)
+    root = min(names, key=lambda v: (pts[int(v)][0] + pts[int(v)][1], v))
+    candidates = sorted(v for v in names if v != root)
+    picks = rng.choice(len(candidates), size=demand_count, replace=False)
+    return list(lengths.items()), root, {candidates[i]: 1 for i in sorted(int(p) for p in picks)}
+
+
+@pytest.mark.parametrize("n", [8, 16, 32, 64])
+def test_geometric_matches_scalar_reference(n):
+    for seed in range(50):
+        inst = generate_instance("random-geometric", n, (n - 1) // 2, seed)
+        got = list(inst.lengths.items()), inst.root, inst.demands
+        assert got == reference_geometric(n, (n - 1) // 2, seed)
 
 
 def test_generate_infeasible_params():
