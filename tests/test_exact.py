@@ -1,4 +1,5 @@
 import collections
+import hashlib
 import itertools
 
 import numpy as np
@@ -18,6 +19,7 @@ from bulktree.exact import (
     exact_optima,
     exact_optimum,
 )
+from bulktree.framework import ConstraintSet, TreeConstraint, solve_small_primal
 from bulktree.instance import Instance, demand_profile, generate_instance
 from bulktree.subroutines import dijkstra
 
@@ -168,6 +170,146 @@ class TestPrunedEnumeration:
         assert theta == pytest.approx(ref_theta, rel=0, abs=1e-12)
 
 
+def assert_routed_as_route_demands(inst):
+    """Each candidate matches ``route_demands`` of its edges field for field,
+    dict order included, and each node subset's candidates form one run in
+    ascending sorted-edge order, the LP's column order."""
+    trees = list(enumerate_candidate_trees(inst))
+    for t in trees:
+        ref = route_demands(inst, t.edges)
+        assert t.edges == ref.edges
+        assert list(t.flow.items()) == list(ref.flow.items())
+        assert list(t.parent.items()) == list(ref.parent.items())
+    runs = [
+        (nodes, [t.sorted_edges() for t in group])
+        for nodes, group in itertools.groupby(trees, key=lambda t: frozenset(t.nodes()))
+    ]
+    assert len({nodes for nodes, _ in runs}) == len(runs)
+    for _, edges in runs:
+        assert all(a < b for a, b in zip(edges, edges[1:]))
+
+
+class TestRouting:
+    @settings(max_examples=200, deadline=None)
+    @given(small_graphs())
+    def test_matches_route_demands_on_small_graphs(self, inst):
+        assert_routed_as_route_demands(inst)
+
+    def test_matches_route_demands_on_corpus(self):
+        for inst in small_instance_corpus():
+            assert_routed_as_route_demands(inst)
+
+
+# Recorded before the candidate search was pruned on every node's degree and
+# each candidate routed once.  Per instance: the candidate count; a digest of
+# every candidate's edges, flow and parent, in enumeration order; each level's
+# optimum and its edges; exact_lp_optimum's theta and support.  Values are
+# reprs, so a change in the last bit of any of them fails.  The floats were
+# recorded where ``sum`` adds floats left to right; since Python 3.12 it
+# compensates, which moves the last bits of the costs, so there the oracles
+# are held only to ``reference_oracles``, which routes and costs every
+# candidate through ``route_demands`` and ``atomic_cost``.
+LEFT_TO_RIGHT_SUM = sum([1.0, 1e100, 1.0, -1e100]) == 0.0
+PINNED = {
+    ("random-geometric", 0): (
+        64, "82fc909da112744c",
+        [("0.9707345959504239", (("0", "1"), ("0", "7"), ("6", "7"))),
+         ("1.7368224820281597", (("0", "7"), ("1", "7"), ("6", "7"))),
+         ("2.252279705196002", (("0", "1"), ("1", "7"), ("6", "7")))],
+        "1.0583165914861006",
+        [((("0", "1"), ("0", "7"), ("6", "7")), "0.9014996416566909"),
+         ((("0", "1"), ("1", "7"), ("6", "7")), "0.09850035834330907")],
+    ),
+    ("random-geometric", 9): (
+        368, "bda60124850fd1c7",
+        [("1.6400863219096853", (("1", "4"), ("1", "7"), ("4", "5"))),
+         ("2.309576076095194", (("1", "4"), ("1", "7"), ("4", "5"))),
+         ("2.309576076095194", (("1", "4"), ("1", "7"), ("4", "5")))],
+        "1.0",
+        [((("1", "4"), ("1", "7"), ("4", "5")), "1.0")],
+    ),
+    ("random-geometric", 16): (
+        400, "202c033e0a25ccf1",
+        [("2.019220616848215",
+          (("1", "2"), ("1", "6"), ("3", "5"), ("3", "7"), ("4", "6"), ("5", "6"))),
+         ("2.236042285293821", (("0", "1"), ("0", "7"), ("1", "2"), ("1", "4"))),
+         ("2.236042285293821", (("0", "1"), ("0", "7"), ("1", "2"), ("1", "4")))],
+        "1.0381063316338333",
+        [((("1", "2"), ("1", "6"), ("3", "5"), ("3", "7"), ("4", "6"), ("5", "6")),
+          "0.6451226899086688"),
+         ((("0", "1"), ("0", "7"), ("1", "2"), ("1", "4")), "0.35487731009133117")],
+    ),
+    ("random-geometric", 75): (
+        110, "17a23db40e8e79a3",
+        [("2.0028269038115027", (("0", "1"), ("0", "4"), ("0", "6"), ("1", "7"))),
+         ("2.1939744206289498", (("0", "1"), ("0", "4"), ("0", "6"), ("1", "7"))),
+         ("2.385121937446397", (("0", "1"), ("0", "4"), ("0", "6"), ("1", "7")))],
+        "1.0",
+        [((("0", "1"), ("0", "4"), ("0", "6"), ("1", "7")), "1.0")],
+    ),
+    ("grid", 1): (
+        21, "ba90acbc4b4828c4",
+        [("5.0", (("0", "1"), ("0", "3"), ("1", "2"), ("1", "4"), ("4", "7"))),
+         ("6.0", (("0", "1"), ("0", "3"), ("1", "2"), ("1", "4"), ("4", "7"))),
+         ("6.0", (("0", "1"), ("0", "3"), ("1", "2"), ("1", "4"), ("4", "7")))],
+        "1.0",
+        [((("0", "1"), ("0", "3"), ("1", "2"), ("1", "4"), ("4", "7")), "1.0")],
+    ),
+    ("grid", 2): (
+        21, "7736384ee9a594e4",
+        [("4.0", (("0", "1"), ("0", "3"), ("1", "2"), ("3", "6"))),
+         ("5.0", (("0", "1"), ("0", "3"), ("1", "2"), ("3", "6"))),
+         ("5.0", (("0", "1"), ("0", "3"), ("1", "2"), ("3", "6")))],
+        "1.0",
+        [((("0", "1"), ("0", "3"), ("1", "2"), ("3", "6")), "1.0")],
+    ),
+}
+
+
+def reference_oracles(inst, trees):
+    """Per-level optima and the exact LP as computed before one-pass routing:
+    each candidate routed by ``route_demands``, costed by ``atomic_cost``, and
+    ties broken on ``sorted_edges()``; in the same reprs as ``PINNED``."""
+    routed = [route_demands(inst, t.edges) for t in trees]
+    rows = [
+        [atomic_cost(t, i, inst.lengths) for t in routed]
+        for i in range(demand_profile(inst).levels)
+    ]
+    best = [
+        min(range(len(routed)), key=lambda j: (row[j], routed[j].sorted_edges())) for row in rows
+    ]
+    optima = [(repr(row[j]), routed[j].edges) for row, j in zip(rows, best)]
+    tilde = tuple(row[j] for row, j in zip(rows, best))
+    assert min(tilde) > 0
+    dist, _, _ = solve_small_primal(ConstraintSet(tilde=tilde, tree_constraints=[
+        TreeConstraint(tree=t, level_costs=c) for t, c in zip(routed, zip(*rows))
+    ]))
+    return optima, repr(dist.theta), [(t.edges, repr(w)) for t, w in dist.support]
+
+
+class TestPinnedOutputs:
+    @pytest.mark.parametrize("model,seed", list(PINNED))
+    def test_bit_identical(self, model, seed):
+        inst = generate_instance(model, 8, 3, seed)
+        if model == "random-geometric":
+            assert 15 <= len(inst.lengths) <= 16
+        count, digest, *pinned = PINNED[(model, seed)]
+        trees = list(enumerate_candidate_trees(inst))
+        candidates = [(t.edges, list(t.flow.items()), list(t.parent.items())) for t in trees]
+        assert len(candidates) == count
+        assert hashlib.sha256(repr(candidates).encode()).hexdigest()[:16] == digest
+        opt = exact_optima(inst)
+        theta, dist = exact_lp_optimum(inst)
+        got = (
+            [(repr(v), t.edges) for _, t, v in opt.per_level],
+            repr(theta),
+            [(t.edges, repr(w)) for t, w in dist.support],
+        )
+        assert got == reference_oracles(inst, trees)
+        if LEFT_TO_RIGHT_SUM:
+            assert got == tuple(pinned)
+
+
 class TestExactOptimum:
     def test_level0_is_steiner_optimum(self):
         # detour node d makes the direct edges suboptimal for aggregated flow
@@ -179,6 +321,15 @@ class TestExactOptimum:
         tree, val = exact_optimum(inst, 0)
         assert val == pytest.approx(3.1)  # r-d, d-a, d-b
         assert ("d", "r") in tree.sorted_edges()
+
+    def test_out_of_range_level_refused_before_enumerating(self, path3, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("enumerated the candidates")
+
+        monkeypatch.setattr(exact_mod, "enumerate_candidate_trees", refuse)
+        for i in (-1, demand_profile(path3).levels):
+            with pytest.raises(ValueError, match="level out of range"):
+                exact_optimum(path3, i)
 
     def test_top_level_is_shortest_path_sum(self):
         for inst in small_instance_corpus(count=5, seed=9):
