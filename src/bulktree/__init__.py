@@ -62,14 +62,6 @@ from .regularize import (
     regularize_delta,
     regularize_sigma,
 )
-from .subroutines import (
-    FacilitySolution,
-    RoBSolution,
-    SteinerSolution,
-    lbfl,
-    rent_or_buy,
-    rob_lower_bounds,
-    steiner_tree,
-)
+from .subroutines import lbfl, rent_or_buy, rob_lower_bounds, steiner_tree
 
 __version__ = "0.1.0"

@@ -83,12 +83,43 @@ def route_demands(inst: Instance, tree_edges) -> RoutedTree:
     return RoutedTree(edges=edges, flow=flow, root=inst.root, parent=parent)
 
 
+def add_up(terms) -> float:
+    """The float sum of the terms, added left to right.
+
+    Since Python 3.12 the builtin ``sum`` compensates float sums, so the same
+    terms give other last bits there than on 3.10 and 3.11.  The float sums
+    that reach an artifact are added here or in ``level_costs``, in the same
+    order on every version.
+    """
+    total = 0.0
+    for t in terms:
+        total += t
+    return total
+
+
+def level_costs(tree: RoutedTree, levels, lengths) -> tuple[float, ...]:
+    """The tree's atomic cost at each of the given levels.
+
+    The flow is read once; each level i then adds l_e * min(x_e, 2^i) left to
+    right in flow order."""
+    caps = []
+    for i in levels:
+        if not isinstance(i, int) or i < 0 or i > 62:
+            raise ValueError(f"level out of range: {i}")
+        caps.append(1 << i)
+    terms = [(lengths[e], x) for e, x in tree.flow.items()]
+    costs = []
+    for cap in caps:
+        cost = 0.0
+        for w, x in terms:
+            cost += w * (x if x < cap else cap)
+        costs.append(cost)
+    return tuple(costs)
+
+
 def atomic_cost(tree: RoutedTree, i: int, lengths) -> float:
     """Cost of the tree under the i-th atomic function: sum_e l_e * min(x_e, 2^i)."""
-    if not isinstance(i, int) or i < 0 or i > 62:
-        raise ValueError(f"level out of range: {i}")
-    cap = 1 << i
-    return float(sum(lengths[e] * min(x, cap) for e, x in tree.flow.items()))
+    return level_costs(tree, (i,), lengths)[0]
 
 
 def level_ratio(cost: float, bound: float) -> float:
@@ -103,9 +134,9 @@ def function_cost(tree: RoutedTree, f, lengths) -> float:
     from .pipes import AlphaVector, PipeSchedule
 
     if isinstance(f, AlphaVector):
-        return float(sum(float(a) * atomic_cost(tree, i, lengths) for i, a in f.alpha.items()))
+        return add_up(float(a) * atomic_cost(tree, i, lengths) for i, a in f.alpha.items())
     if isinstance(f, PipeSchedule):
-        return float(sum(lengths[e] * float(f.value(Fraction(x))) for e, x in tree.flow.items()))
+        return add_up(lengths[e] * float(f.value(Fraction(x))) for e, x in tree.flow.items())
     raise TypeError(f"unsupported cost function {type(f).__name__}")
 
 
@@ -119,7 +150,7 @@ class TreeDistribution:
     def __post_init__(self):
         if not self.support:
             raise ValueError("distribution support must be nonempty")
-        total = sum(w for _, w in self.support)
+        total = add_up(w for _, w in self.support)
         if not math.isclose(total, 1.0, rel_tol=0, abs_tol=1e-6):
             raise ValueError(f"weights must sum to 1 (got {total})")
         if any(w <= 0 or w > 1 + EPS for _, w in self.support):
@@ -132,7 +163,7 @@ class TreeDistribution:
 
 def distribution_cost(dist: TreeDistribution, i: int, lengths) -> float:
     """Expected atomic cost of the distribution at level i."""
-    return sum(w * atomic_cost(t, i, lengths) for t, w in dist.support)
+    return add_up(w * atomic_cost(t, i, lengths) for t, w in dist.support)
 
 
 def level_rows(dist: TreeDistribution, tilde, lengths) -> list[dict]:

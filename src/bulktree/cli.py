@@ -66,11 +66,14 @@ def _is_number(x) -> bool:
 
 
 def _weight_from_obj(v) -> Fraction:
-    """A number, or an exact [numerator, denominator] pair."""
-    if isinstance(v, list):
-        num, den = v
-        return Fraction(int(num), int(den))
-    return Fraction(float(v))
+    """A number, or an exact [numerator, denominator] pair of integers."""
+    if _is_number(v):
+        return Fraction(float(v))
+    if isinstance(v, list) and len(v) == 2 and all(
+        isinstance(x, int) and not isinstance(x, bool) for x in v
+    ):
+        return Fraction(*v)
+    raise ValueError(f"not a weight: {v!r}")
 
 
 def _alpha_from_obj(obj) -> AlphaVector:

@@ -21,7 +21,7 @@ every node needs degree at least 1, a Steiner node 2, and a branch dies as
 soon as the edges still to come cannot give every node its minimum.  Each
 tree is routed once, by the same BFS from the root as ``route_demands`` but
 without re-validating what the search already built, and costed at every
-level in one pass over its flow, with the sums ``atomic_cost`` makes.
+level by ``aggregation.level_costs``, the routine ``atomic_cost`` uses.
 """
 from __future__ import annotations
 
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .aggregation import RoutedTree, TreeDistribution, distribution_cost, level_ratio
+from .aggregation import RoutedTree, TreeDistribution, distribution_cost, level_costs, level_ratio
 from .framework import ConstraintSet, TreeConstraint, solve_small_primal
 from .instance import Instance, demand_profile
 
@@ -199,18 +199,12 @@ def exact_optima(inst: Instance, node_cap: int = DEFAULT_NODE_CAP) -> ExactOptim
 def _costed_candidates(inst: Instance, node_cap: int) -> tuple[list[RoutedTree], list[tuple[float, ...]]]:
     """The candidate trees and costs[j][i], the atomic cost of trees[j] at level i.
 
-    One pass over each tree's flow gathers its terms; each level then sums
-    them left to right with ``sum``, as ``atomic_cost`` does, so every cost
-    is bit-identical to ``atomic_cost``'s.
+    ``level_costs`` costs each tree at every level from one read of its flow,
+    so every cost is bit-identical to ``atomic_cost``'s.
     """
     trees = list(enumerate_candidate_trees(inst, node_cap))
-    caps = [1 << i for i in range(demand_profile(inst).levels)]
-    lengths = inst.lengths
-    costs = []
-    for t in trees:
-        terms = [(lengths[e], x) for e, x in t.flow.items()]
-        costs.append(tuple(float(sum(w * min(x, cap) for w, x in terms)) for cap in caps))
-    return trees, costs
+    levels = range(demand_profile(inst).levels)
+    return trees, [level_costs(t, levels, inst.lengths) for t in trees]
 
 
 def _optima_of(trees: list[RoutedTree], costs) -> ExactOptima:

@@ -31,7 +31,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import simplex
-from .aggregation import RoutedTree, TreeDistribution, level_rows
+from .aggregation import RoutedTree, TreeDistribution, add_up, level_rows
 from .gmm import StagePlan
 from .instance import Instance, demand_profile
 from .pipes import AlphaVector
@@ -113,7 +113,6 @@ def separation_oracle(
     inst: Instance,
     seed: int,
     rmax: int | None = None,
-    break_on_violation: bool = True,
     table: PathTable | None = None,
 ) -> OracleResult:
     """Refute the dual point or declare it feasible.
@@ -122,9 +121,9 @@ def separation_oracle(
     randomized construction for a tree whose cost under alpha is below
     2 * c_target * sum(alpha * tilde), capped at rmax attempts, and returns
     the best tree found as a violated constraint when its cost is below
-    beta.  With break_on_violation, the retry loop also stops as soon as
-    a tree already violates beta (the cut is valid regardless of the
-    threshold).
+    beta.  The retry loop also stops as soon as a tree violates beta (the
+    cut is valid regardless of the threshold); at beta 0 no tree does, so
+    the loop runs until the threshold or the cap.
 
     The weight vector is regularized and staged once; each attempt repeats
     only the seeded part of the construction, so attempt j returns the tree
@@ -161,13 +160,13 @@ def separation_oracle(
         attempts += 1
         tree, _ = plan.run(_mix_seed(seed, attempt))
         costs = plan.table.level_costs(tree, levels)
-        value = float(sum(a * costs[i] for i, a in weights))
+        value = add_up(a * costs[i] for i, a in weights)
         if best is None or value < best[0]:
             best = (value, tree, costs)
         if value < threshold:
             threshold_met = True
             break
-        if break_on_violation and value < point.beta:
+        if value < point.beta:
             break
     value, tree, costs = best
     if value < point.beta:
@@ -330,7 +329,7 @@ def solve_small_primal(cs: ConstraintSet) -> tuple[TreeDistribution, float, tupl
     # Fold the sum-above-one slack into the largest weights: shrinking weights
     # only lowers every level cost, so theta* remains valid.
     weights.sort(reverse=True)
-    excess = sum(w for w, _ in weights) - 1.0
+    excess = add_up(w for w, _ in weights) - 1.0
     folded = []
     for w, j in weights:
         if excess > 0:

@@ -52,7 +52,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .aggregation import RoutedTree
+from .aggregation import RoutedTree, add_up
 from .instance import Edge, Instance, canonical_edge
 from .pipes import AlphaVector, is_gamma_regular, thresholds
 from .regularize import regularize
@@ -266,16 +266,16 @@ class StagePlan:
             return None
         if self.th.capacities[k] == 0:
             return []  # sub > 0 cuts off every demand node alone: nothing would move
-        st = steiner_tree(inst, set(active) | {inst.root}, table=self.table)
-        return _cut_forest(st.tree_edges, inst.root, cur, self.th.capacities[k])
+        edges = steiner_tree(inst, set(active) | {inst.root}, table=self.table)
+        return _cut_forest(edges, inst.root, cur, self.th.capacities[k])
 
     def _facility_clusters(self, k: int) -> list:
         """Stage k's clusters as (facility, members, cumulative draw table, path map)."""
         if k not in self._clusters:
             inst = self.inst
-            fl = lbfl(inst, inst.demands, self.th.significance[k], table=self.table)
+            assignment, paths = lbfl(inst, inst.demands, self.th.significance[k], table=self.table)
             clusters: dict[str, list[str]] = {}
-            for v, f in sorted(fl.assignment.items()):
+            for v, f in sorted(assignment.items()):
                 clusters.setdefault(f, []).append(v)
             out = []
             for f in sorted(clusters):
@@ -283,7 +283,7 @@ class StagePlan:
                 cdf = _cdf([inst.demands[v] for v in group])
                 # paths[f] is the facility's shortest-path predecessor map, a
                 # tree rooted at f, so consolidation follows the forest's own edges.
-                out.append((f, group, cdf, fl.paths[f]))
+                out.append((f, group, cdf, paths[f]))
             self._clusters[k] = out
         return self._clusters[k]
 
@@ -347,9 +347,9 @@ class StagePlan:
                 _move_demand(cur, g.holders, target, g.parent, g.root, flow)
             pipe, lengths = self.pipes.pipes[k], self.inst.lengths
             if step == STEINER:  # fixed cost of the pipes laid
-                cost = float(pipe.fixed) * sum(lengths[e] for e in sorted(flow))
+                cost = float(pipe.fixed) * add_up(lengths[e] for e in sorted(flow))
             else:  # incremental cost of the flow
-                cost = float(pipe.rate) * sum(lengths[e] * f for e, f in flow.items())
+                cost = float(pipe.rate) * add_up(lengths[e] * f for e, f in flow.items())
             hit = self._moves[key] = (_state(cur), frozenset(flow), cost)
         return hit
 

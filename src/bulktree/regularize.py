@@ -68,18 +68,7 @@ class StageReport:
     stage: str
     distortion_bound: Fraction
     pipes_removed: int = 0
-    rotations: list = field(default_factory=list)
-
-    def record_rotation(self, kind: str, before: Pipe, after: Pipe) -> None:
-        self.rotations.append(
-            {
-                "kind": kind,
-                "fixed_before": before.fixed,
-                "fixed_after": after.fixed,
-                "rate_before": before.rate,
-                "rate_after": after.rate,
-            }
-        )
+    rotations: list[str] = field(default_factory=list)  # the kind of each rotation, in order
 
 
 @dataclass
@@ -139,7 +128,7 @@ def cap_capacity(a: AlphaVector) -> tuple[AlphaVector, StageReport]:
     rotated = Pipe(new_fixed, new_rate)
     _require(pipes[k - 1].fixed < new_fixed, "rotation must keep fixed costs increasing")
     _require(new_rate < pipes[k - 1].rate, "rotation must keep rates decreasing")
-    report.record_rotation("capacity", pipes[k], rotated)
+    report.rotations.append("capacity")
     report.pipes_removed = len(pipes) - (k + 1)
     out = pipes[:k] + [rotated, Pipe(rotated.cost(D), Fraction(0))]
     return _rebuild(out, a.D), report
@@ -184,7 +173,7 @@ def regularize_delta(a: AlphaVector) -> tuple[AlphaVector, StageReport]:
                 _require(target <= D, "raised plateau breakpoint must stay within D")
                 new_plateau = Pipe(pipes[k].cost(target), Fraction(0))
                 _require(new_plateau.fixed >= survivor.fixed, "plateau must not drop")
-                report.record_rotation("plateau", survivor, new_plateau)
+                report.rotations.append("plateau")
                 pipes[-1] = new_plateau
         elif not is_power_of_two(meet):
             target = _pow2_above(meet)
@@ -200,7 +189,7 @@ def regularize_delta(a: AlphaVector) -> tuple[AlphaVector, StageReport]:
             # survivor's, so the rotated pipe's capacity stays within D.
             _require(rotated.rate == 0 or rotated.fixed / rotated.rate <= D,
                      "rotation broke the capacity cap")
-            report.record_rotation("rate", pipes[k], rotated)
+            report.rotations.append("rate")
             pipes[k] = rotated
         _require(
             pipes[k + 1].rate < GAMMA * pipes[k].rate,
@@ -254,7 +243,7 @@ def regularize_sigma(a: AlphaVector) -> tuple[AlphaVector, StageReport]:
             _require(target <= D, "raised plateau breakpoint must stay within D")
             new_plateau = Pipe(survivor.cost(target), Fraction(0))
             _require(new_plateau.fixed >= plateau.fixed, "plateau must not drop")
-            report.record_rotation("plateau", plateau, new_plateau)
+            report.rotations.append("plateau")
             pipes[-1] = new_plateau
             _require(
                 survivor.fixed < GAMMA * new_plateau.fixed,
@@ -289,7 +278,7 @@ def regularize_sigma(a: AlphaVector) -> tuple[AlphaVector, StageReport]:
                 pipes[ki + 1].rate < GAMMA * rotated.rate,
                 "rotation broke the rate constraint above",
             )
-            report.record_rotation("fixed", old, rotated)
+            report.rotations.append("fixed")
             pipes[ki] = rotated
         _require(
             pipes[ki - 1].fixed < GAMMA * pipes[ki].fixed,

@@ -17,6 +17,11 @@ over node sets is over sorted ids.  Edge lengths are treated as an opaque
 nonnegative function, so scaling all lengths by a positive constant scales
 costs and leaves selected edge sets unchanged.
 
+Each subroutine returns only what its callers read: ``steiner_tree`` its
+sorted edges, ``lbfl`` its assignment and each open facility's shortest-path
+map, ``rent_or_buy`` its routed tree.  Costs are computed from those with
+``aggregation``, which adds every cost in one order.
+
 Shortest paths are read through a PathTable: a solve that passes one table
 to every call runs Dijkstra at most once per source; a call given no table
 fills its own.
@@ -25,12 +30,11 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .instance import Edge, Instance, canonical_edge, demand_profile
-from .aggregation import RoutedTree, atomic_cost, route_demands
+from .aggregation import RoutedTree, atomic_cost, level_costs, route_demands
 
 
 def _shortest_paths(adj, source: str) -> tuple[dict[str, float], dict[str, str]]:
@@ -96,12 +100,12 @@ class PathTable:
         return hit
 
     def level_costs(self, tree: RoutedTree, levels: int) -> tuple[float, ...]:
-        """``atomic_cost`` of the tree at levels 0..levels-1 under the lengths."""
+        """``aggregation.level_costs`` of the tree at levels 0..levels-1 under
+        the lengths."""
         key = (tree.edges, levels)
         hit = self._level_costs.get(key)
         if hit is None:
-            lengths = self.inst.lengths
-            hit = self._level_costs[key] = tuple(atomic_cost(tree, i, lengths) for i in range(levels))
+            hit = self._level_costs[key] = level_costs(tree, range(levels), self.inst.lengths)
         return hit
 
 
@@ -113,14 +117,9 @@ def _walk_path(pred: dict[str, str], source: str, target: str) -> list[str]:
     return path
 
 
-@dataclass(frozen=True)
-class SteinerSolution:
-    tree_edges: tuple[Edge, ...]
-    cost: float
-
-
-def steiner_tree(inst: Instance, terminals, *, table: PathTable | None = None) -> SteinerSolution:
-    """Metric-closure MST heuristic; cost within 2x of the optimal Steiner tree."""
+def steiner_tree(inst: Instance, terminals, *, table: PathTable | None = None) -> tuple[Edge, ...]:
+    """Metric-closure MST heuristic: the sorted edges of a tree spanning the
+    terminals, whose length is within 2x of the optimal Steiner tree's."""
     table = PathTable(inst) if table is None else table
     terms = sorted(set(terminals))
     if not terms:
@@ -148,9 +147,7 @@ def steiner_tree(inst: Instance, terminals, *, table: PathTable | None = None) -
         parent[max(ra, rb)] = min(ra, rb)
         path = _walk_path(preds[a], a, b)
         edges.update(canonical_edge(u, v) for u, v in zip(path, path[1:]))
-    pruned = tuple(sorted(_prune_to_tree(edges, terms, inst.lengths, min(terms))))
-    cost = float(sum(float(inst.lengths[e]) for e in pruned))
-    return SteinerSolution(tree_edges=pruned, cost=cost)
+    return tuple(sorted(_prune_to_tree(edges, terms, inst.lengths, min(terms))))
 
 
 def _prune_to_tree(edges: set[Edge], terminals, lengths, start: str) -> set[Edge]:
@@ -179,37 +176,22 @@ def _prune_to_tree(edges: set[Edge], terminals, lengths, start: str) -> set[Edge
     return keep
 
 
-@dataclass(frozen=True)
-class FacilitySolution:
-    open_facilities: tuple[str, ...]
-    assignment: dict[str, str]
-    cost: float
-    min_load_achieved: float
-    paths: dict[str, dict[str, str]] = field(default_factory=dict)  # facility -> pred map
-
-
-def lbfl(inst: Instance, demands, lower_bound, *, table: PathTable | None = None) -> FacilitySolution:
+def lbfl(
+    inst: Instance, demands, lower_bound, *, table: PathTable | None = None
+) -> tuple[dict[str, str], dict[str, dict[str, str]]]:
     """Load-balanced facility location via ball-growing greedy.
 
     Opens facilities at demand nodes, each serving >= lower_bound demand;
     leftovers join their nearest open facility.  When total demand is below
-    the bound, everything is routed to the root.
+    the bound, everything is routed to the root, which is then the only
+    facility.  Returns the assignment of each client to its facility, and the
+    shortest-path predecessor map of each open facility, keyed by facility.
     """
     table = PathTable(inst) if table is None else table
     L = lower_bound
     clients = sorted(demands)
-    total = sum(demands.values())
-    if total < L:
-        dist, pred = table.get(inst.root)
-        assignment = {c: inst.root for c in clients}
-        cost = sum(demands[c] * dist[c] for c in clients)
-        return FacilitySolution(
-            open_facilities=(inst.root,),
-            assignment=assignment,
-            cost=float(cost),
-            min_load_achieved=float(total),
-            paths={inst.root: pred},
-        )
+    if sum(demands.values()) < L:
+        return {c: inst.root for c in clients}, {inst.root: table.get(inst.root)[1]}
     sp = {c: table.get(c) for c in clients}
     remaining = set(clients)
     opened: list[str] = []
@@ -235,32 +217,16 @@ def lbfl(inst: Instance, demands, lower_bound, *, table: PathTable | None = None
             remaining.discard(v)
     for v in sorted(remaining):
         assignment[v] = min(opened, key=lambda f: (sp[v][0][f], f))
-    loads = {f: 0 for f in opened}
-    cost = 0.0
-    for c, f in assignment.items():
-        loads[f] += demands[c]
-        cost += demands[c] * sp[c][0][f]
-    return FacilitySolution(
-        open_facilities=tuple(sorted(opened)),
-        assignment=assignment,
-        cost=float(cost),
-        min_load_achieved=float(min(loads.values())),
-        paths={f: table.get(f)[1] for f in sorted(opened)},
-    )
+    return assignment, {f: table.get(f)[1] for f in sorted(opened)}
 
 
-@dataclass(frozen=True)
-class RoBSolution:
-    tree: RoutedTree
-    cost_under_f: float
-
-
-def rent_or_buy(inst: Instance, M, seed: int, table: PathTable | None = None) -> RoBSolution:
+def rent_or_buy(inst: Instance, M, seed: int, table: PathTable | None = None) -> RoutedTree:
     """Sample-and-augment for the two-pipe cost min(x, M) per unit length.
 
     Marks each demand independently with probability min(1, d_v/M), buys a
     Steiner tree on the marked set plus the root, and rents shortest paths
-    from the remaining demands into the bought structure.
+    from the remaining demands into the bought structure.  Returns the routed
+    tree.
     """
     if M <= 0:
         raise ValueError("M must be positive")
@@ -269,8 +235,7 @@ def rent_or_buy(inst: Instance, M, seed: int, table: PathTable | None = None) ->
     clients = sorted(inst.demands)
     draws = rng.random(len(clients))
     marked = [c for c, r in zip(clients, draws) if r < min(1.0, inst.demands[c] / float(M))]
-    bought = steiner_tree(inst, set(marked) | {inst.root}, table=table)
-    edges: set[Edge] = set(bought.tree_edges)
+    edges: set[Edge] = set(steiner_tree(inst, set(marked) | {inst.root}, table=table))
     nodes = {inst.root}
     for u, v in edges:
         nodes.add(u)
@@ -288,9 +253,7 @@ def rent_or_buy(inst: Instance, M, seed: int, table: PathTable | None = None) ->
                 break  # reached the bought structure; renting stops here
             nodes.add(v)
     terminals = sorted(set(clients)) + [inst.root]
-    tree = route_demands(inst, _prune_to_tree(edges, terminals, inst.lengths, min(terminals)))
-    cost = sum(inst.lengths[e] * min(x, float(M)) for e, x in tree.flow.items())
-    return RoBSolution(tree=tree, cost_under_f=float(cost))
+    return route_demands(inst, _prune_to_tree(edges, terminals, inst.lengths, min(terminals)))
 
 
 def rob_lower_bounds(
@@ -305,8 +268,8 @@ def rob_lower_bounds(
     table = PathTable(inst) if table is None else table
     out = []
     for i in range(profile.levels):
-        sol = rent_or_buy(inst, 1 << i, seed=_mix_seed(seed, i), table=table)
-        out.append((i, atomic_cost(sol.tree, i, inst.lengths), sol.tree))
+        tree = rent_or_buy(inst, 1 << i, seed=_mix_seed(seed, i), table=table)
+        out.append((i, atomic_cost(tree, i, inst.lengths), tree))
     return out
 
 

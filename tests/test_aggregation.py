@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 from bulktree.aggregation import (
     RoutingError,
     TreeDistribution,
+    add_up,
     atomic_cost,
     distribution_cost,
     function_cost,
+    level_costs,
     route_demands,
 )
 from bulktree.instance import demand_profile
@@ -94,6 +96,31 @@ def test_atomic_level_out_of_range(path3):
     tree = route_demands(path3, [("r", "a"), ("a", "b")])
     with pytest.raises(ValueError, match="level out of range"):
         atomic_cost(tree, -1, path3.lengths)
+
+
+def test_costs_add_left_to_right():
+    # Flow order is (a, r), (a, b), (b, c).  Left to right, each 1e-16 is below
+    # half an ulp of 1.0 and is lost; a compensated sum, as the builtin sum
+    # makes since Python 3.12, gives 1.0000000000000002.
+    inst = make_instance({("r", "a"): 1.0, ("a", "b"): 1e-16, ("b", "c"): 1e-16}, {"c": 1}, "r")
+    tree = route_demands(inst, inst.edges)
+    assert list(tree.flow) == [("a", "r"), ("a", "b"), ("b", "c")]
+    dist = TreeDistribution(support=((tree, 1.0),), theta=1.0)
+    assert atomic_cost(tree, 0, inst.lengths) == 1.0
+    assert level_costs(tree, range(3), inst.lengths) == (1.0, 1.0, 1.0)
+    assert distribution_cost(dist, 0, inst.lengths) == 1.0
+    assert add_up([1.0, 1e100, 1.0, -1e100]) == 0.0
+
+
+def test_level_costs_match_atomic_cost(two_cluster6):
+    tree = route_demands(two_cluster6, _spanning_edges(two_cluster6))
+    levels = range(demand_profile(two_cluster6).levels)
+    assert level_costs(tree, levels, two_cluster6.lengths) == tuple(
+        atomic_cost(tree, i, two_cluster6.lengths) for i in levels
+    )
+    assert level_costs(tree, (), two_cluster6.lengths) == ()
+    with pytest.raises(ValueError, match="level out of range"):
+        level_costs(tree, (0, 63), two_cluster6.lengths)
 
 
 def test_function_cost_single_level(path3):

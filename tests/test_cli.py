@@ -303,10 +303,17 @@ def test_node_cap_flag_removed(argv):
     ("pipes", {"D": 4, "alpha": {"0": float("inf")}}),
     ("pipes", {"D": None, "alpha": {"0": 1.0}}),
     ("pipes", {"D": 8.5, "alpha": {"0": 1.0}}),
+    ("pipes", {"D": 4, "alpha": {"0": 1.0}, "alpha_exact": {"0": [1.9, 2]}}),
+    ("pipes", {"D": 4, "alpha": {"0": 1.0}, "alpha_exact": {"0": [1, 2.0]}}),
+    ("pipes", {"D": 4, "alpha": {"0": 1.0}, "alpha_exact": {"0": [True, 2]}}),
+    ("pipes", {"D": 4, "alpha": {"0": 1.0}, "alpha_exact": {"0": ["1", 2]}}),
+    ("pipes", {"D": 4, "alpha": {"0": "1.5"}}),
+    ("pipes", {"D": 4, "alpha": {"0": True}}),
 ], ids=["tree-without-edges", "tree-as-list", "trees-not-list", "edge-not-pair",
         "weight-zero", "weight-negative", "weight-nan", "weight-inf", "weight-string",
         "weight-null", "theta-null", "pair-too-short", "pair-zero-denominator", "alpha-null",
-        "alpha-inf", "D-null", "D-fraction"])
+        "alpha-inf", "D-null", "D-fraction", "pair-float-numerator", "pair-float-denominator",
+        "pair-bool", "pair-string", "alpha-string", "alpha-bool"])
 def test_malformed_input_exit_2(tmp_path, star_file, capsys, command, payload):
     src = tmp_path / "in.json"
     src.write_text(json.dumps(payload))

@@ -46,10 +46,10 @@ def tilde_for(inst, seed=7):
     return tuple(v for _, v, _ in rob_lower_bounds(inst, seed))
 
 
-def reference_separation_oracle(point, tilde, c_target, inst, seed, rmax=None,
-                                break_on_violation=True):
+def reference_separation_oracle(point, tilde, c_target, inst, seed, rmax=None):
     """The oracle's retry loop as first written: every attempt calls
-    oracle_tree, which regularizes and stages the weight vector again."""
+    oracle_tree, which regularizes and stages the weight vector again.  The
+    weighted value is added left to right, as the oracle adds it."""
     scaled = np.asarray(point.alpha, dtype=float)
     budget = float(scaled.sum())
     if budget > 1.0 + 1e-12:
@@ -72,13 +72,15 @@ def reference_separation_oracle(point, tilde, c_target, inst, seed, rmax=None,
         attempts += 1
         tree = oracle_tree(inst, vec, _mix_seed(seed, attempt))
         costs = tuple(atomic_cost(tree, i, inst.lengths) for i in range(levels))
-        value = float(sum(float(a) * costs[i] for i, a in alpha_raw.items()))
+        value = 0.0
+        for i, a in alpha_raw.items():
+            value += float(a) * costs[i]
         if best is None or value < best[0]:
             best = (value, tree, costs)
         if value < threshold:
             threshold_met = True
             break
-        if break_on_violation and value < point.beta:
+        if value < point.beta:
             break
     value, tree, costs = best
     if value < point.beta:
@@ -105,8 +107,7 @@ class TestSeparationOracle:
         lambda: generate_instance("path", 7, 3, seed=1),
         heavy_grid,
     ])
-    @pytest.mark.parametrize("break_on_violation", [True, False])
-    def test_hoisted_retry_loop_matches_reference(self, make, break_on_violation):
+    def test_hoisted_retry_loop_matches_reference(self, make):
         inst = make()
         tilde = tilde_for(inst)
         m = len(tilde)
@@ -122,7 +123,7 @@ class TestSeparationOracle:
             # Betas below, near and above the tree costs; c_target spans the threshold.
             point = DualPoint(alpha=tuple(y), beta=float(rng.choice([0.0, 0.5, 1.0, 1e9])))
             args = (point, tilde, float(rng.choice([0.1, 0.5, 4.0])), inst, trial)
-            kw = dict(rmax=int(rng.choice([3, 20])), break_on_violation=break_on_violation)
+            kw = dict(rmax=int(rng.choice([3, 20])))
             res = separation_oracle(*args, **kw, table=table)
             assert oracle_outcome(res) == oracle_outcome(reference_separation_oracle(*args, **kw))
             kinds.add(res.kind)
@@ -179,10 +180,9 @@ class TestSeparationOracle:
         for t in range(trials):
             y = rng.random(m)
             y = 0.9 * y / y.sum()
-            point = DualPoint(alpha=tuple(y), beta=1e9)
-            res = separation_oracle(
-                point, tilde, c_cal, two_cluster6, seed=t, break_on_violation=False
-            )
+            # At beta 0 no tree violates, so only the threshold or rmax ends the loop.
+            point = DualPoint(alpha=tuple(y), beta=0.0)
+            res = separation_oracle(point, tilde, c_cal, two_cluster6, seed=t)
             if res.threshold_met and res.attempts <= budget:
                 ok += 1
         assert ok >= 0.95 * trials
@@ -292,7 +292,7 @@ class TestEllipsoid:
         from bulktree.subroutines import steiner_tree
 
         terminals = sorted(two_cluster6.demands) + [two_cluster6.root]
-        tree = route_demands(two_cluster6, steiner_tree(two_cluster6, terminals).tree_edges)
+        tree = route_demands(two_cluster6, steiner_tree(two_cluster6, terminals))
         bound = sum(
             atomic_cost(tree, i, two_cluster6.lengths) / tilde[i] for i in range(len(tilde))
         )

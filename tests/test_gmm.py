@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bulktree.gmm as gmm_mod
-from bulktree.aggregation import atomic_cost, function_cost
+from bulktree.aggregation import add_up, atomic_cost, function_cost
 from bulktree.exact import exact_optima
 from bulktree.gmm import (
     FACILITY,
@@ -271,21 +271,21 @@ def reference_run(plan, seed, trace=None):
         if not active:
             return None
         if pipes[k].fixed > 0:
-            st_ = steiner_tree(inst, set(active) | {inst.root}, table=table)
+            edges = steiner_tree(inst, set(active) | {inst.root}, table=table)
         else:
-            st_ = steiner_tree(unit, set(active) | {inst.root})
-        return _cut_forest(st_.tree_edges, inst.root, cur, th.capacities[k])
+            edges = steiner_tree(unit, set(active) | {inst.root})
+        return _cut_forest(edges, inst.root, cur, th.capacities[k])
 
     def facility_clusters(k):
-        fl = lbfl(inst, inst.demands, th.significance[k], table=table)
+        assignment, paths = lbfl(inst, inst.demands, th.significance[k], table=table)
         clusters = {}
-        for v, f in sorted(fl.assignment.items()):
+        for v, f in sorted(assignment.items()):
             clusters.setdefault(f, []).append(v)
         out = []
         for f in sorted(clusters):
             group = sorted(clusters[f])
             probs = np.array([inst.demands[v] for v in group], dtype=float)
-            out.append((f, group, probs / probs.sum(), fl.paths[f]))
+            out.append((f, group, probs / probs.sum(), paths[f]))
         return out
 
     total_original = inst.total_demand()
@@ -315,7 +315,7 @@ def reference_run(plan, seed, trace=None):
             stage_flow = {}
             _reference_move_demand(cur, holders, target, parent, comp_root, stage_flow, used)
             stage_sigma_edges.update(stage_flow)
-        steiner_cost = float(sigma_k) * sum(inst.lengths[e] for e in sorted(stage_sigma_edges))
+        steiner_cost = float(sigma_k) * add_up(inst.lengths[e] for e in sorted(stage_sigma_edges))
         if trace is not None:
             trace.record(k, 2, {v: cur.get(v, 0) for v in inst.demands},
                          cur.get(inst.root, 0) - inst.demands.get(inst.root, 0))
@@ -328,7 +328,7 @@ def reference_run(plan, seed, trace=None):
             if holders:
                 _, pred = table.get(inst.root)
                 _reference_move_demand(cur, holders, inst.root, pred, inst.root, facility_flow, used)
-            facility_cost = float(delta_k) * sum(
+            facility_cost = float(delta_k) * add_up(
                 inst.lengths[e] * f for e, f in facility_flow.items()
             )
             costs.append(StageCosts(stage=k, steiner_cost=steiner_cost, facility_cost=facility_cost))
@@ -342,7 +342,7 @@ def reference_run(plan, seed, trace=None):
                 continue
             target = group[int(rng_facility.choice(len(group), p=p))]
             _reference_move_demand(cur, holders, target, pred, f, facility_flow, used)
-        facility_cost = float(delta_k) * sum(
+        facility_cost = float(delta_k) * add_up(
             inst.lengths[e] * f for e, f in facility_flow.items()
         )
         if trace is not None:

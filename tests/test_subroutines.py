@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bulktree.subroutines as sub_mod
+from bulktree.aggregation import add_up, atomic_cost
 from bulktree.exact import _spanning_trees, enumerate_candidate_trees
 from bulktree.instance import Instance, canonical_edge, generate_instance
 from bulktree.subroutines import (
@@ -140,21 +141,25 @@ class TestPathTable:
         assert sources == sorted(two_cluster6.nodes)
 
 
+def tree_length(inst, edges) -> float:
+    return add_up(inst.lengths[e] for e in edges)
+
+
 class TestSteiner:
     def test_all_nodes_terminal_is_mst(self):
         inst = make_instance(
             {("r", "a"): 1.0, ("a", "b"): 2.0, ("b", "r"): 4.0}, {"a": 1, "b": 1}, "r"
         )
-        sol = steiner_tree(inst, inst.nodes)
-        assert sol.cost == 3.0  # MST picks the two cheap edges
+        edges = steiner_tree(inst, inst.nodes)
+        assert tree_length(inst, edges) == 3.0  # MST picks the two cheap edges
 
     def test_two_terminals_is_shortest_path(self):
         inst = make_instance(
             {("r", "a"): 1.0, ("a", "b"): 1.0, ("b", "r"): 3.0}, {"b": 1}, "r"
         )
-        sol = steiner_tree(inst, ["r", "b"])
-        assert sol.cost == 2.0
-        assert sol.tree_edges == (("a", "b"), ("a", "r"))
+        edges = steiner_tree(inst, ["r", "b"])
+        assert edges == (("a", "b"), ("a", "r"))
+        assert tree_length(inst, edges) == 2.0
 
     def test_four_cycle_within_ratio(self):
         inst = make_instance(
@@ -163,17 +168,17 @@ class TestSteiner:
             "a",
         )
         terms = ["a", "b", "c"]
-        sol = steiner_tree(inst, terms)
+        cost = tree_length(inst, steiner_tree(inst, terms))
         opt = steiner_optimum(inst, terms, inst.lengths)
-        assert opt <= sol.cost <= 2 * opt
+        assert opt <= cost <= 2 * opt
 
     @pytest.mark.parametrize("seed", range(6))
     def test_corpus_within_ratio(self, seed):
         inst = generate_instance("random-geometric", 7, 3, seed=seed)
         terms = sorted(inst.demands) + [inst.root]
-        sol = steiner_tree(inst, terms)
+        cost = tree_length(inst, steiner_tree(inst, terms))
         opt = steiner_optimum(inst, terms, inst.lengths)
-        assert sol.cost <= 2 * opt + 1e-9
+        assert cost <= 2 * opt + 1e-9
 
     def test_scaling_invariance(self):
         inst = generate_instance("random-geometric", 7, 3, seed=11)
@@ -182,20 +187,22 @@ class TestSteiner:
         for lam in (0.5, 2.0, 4.0):
             lengths = {e: lam * w for e, w in inst.lengths.items()}
             scaled = Instance(nodes=inst.nodes, lengths=lengths, demands=inst.demands, root=inst.root)
-            sol = steiner_tree(scaled, terms)
-            assert sol.tree_edges == base.tree_edges
-            assert sol.cost == pytest.approx(lam * base.cost, rel=1e-12)
+            edges = steiner_tree(scaled, terms)
+            assert edges == base
+            assert tree_length(scaled, edges) == pytest.approx(
+                lam * tree_length(inst, base), rel=1e-12
+            )
 
 
 class TestLBFL:
     def test_fallback_routes_to_root(self, star4):
-        sol = lbfl(star4, star4.demands, lower_bound=10)
-        assert sol.open_facilities == ("r",)
-        assert sol.min_load_achieved == star4.total_demand()
+        assignment, paths = lbfl(star4, star4.demands, lower_bound=10)
+        assert list(paths) == ["r"]
+        assert self._loads(star4, assignment, paths) == {"r": star4.total_demand()}
 
     def test_tiny_bound_allows_singletons(self, star4):
-        sol = lbfl(star4, star4.demands, lower_bound=1)
-        assert all(load >= 1 for load in self._loads(sol, star4).values())
+        loads = self._loads(star4, *lbfl(star4, star4.demands, lower_bound=1))
+        assert all(load >= 1 for load in loads.values())
 
     def test_star_load_bound(self):
         inst = make_instance(
@@ -203,56 +210,52 @@ class TestLBFL:
             {v: 1 for v in "abcd"},
             "r",
         )
-        sol = lbfl(inst, inst.demands, lower_bound=2)
-        loads = self._loads(sol, inst)
+        loads = self._loads(inst, *lbfl(inst, inst.demands, lower_bound=2))
         assert all(load >= 2 / 3 for load in loads.values())
 
     @pytest.mark.parametrize("seed,bound", [(0, 2), (1, 3), (2, 2), (3, 4)])
     def test_load_relaxation_on_corpus(self, seed, bound):
         inst = generate_instance("random-geometric", 7, 4, seed=seed)
-        sol = lbfl(inst, inst.demands, lower_bound=bound)
-        if sol.open_facilities != (inst.root,):
-            loads = self._loads(sol, inst)
+        assignment, paths = lbfl(inst, inst.demands, lower_bound=bound)
+        if list(paths) != [inst.root]:
+            loads = self._loads(inst, assignment, paths)
             assert all(load >= bound / 3 for load in loads.values())
 
     @staticmethod
-    def _loads(sol, inst):
-        loads = {f: 0 for f in sol.open_facilities}
-        for c, f in sol.assignment.items():
+    def _loads(inst, assignment, paths):
+        """Demand served per open facility; ``paths`` is keyed by them."""
+        loads = {f: 0 for f in paths}
+        for c, f in assignment.items():
             loads[f] += inst.demands[c]
         return loads
 
 
 class TestRentOrBuy:
     def test_large_m_still_valid_tree(self, two_cluster6):
-        sol = rent_or_buy(two_cluster6, M=1000, seed=3)
-        assert set(sol.tree.nodes()) >= set(two_cluster6.demands) | {two_cluster6.root}
+        tree = rent_or_buy(two_cluster6, M=1000, seed=3)
+        assert set(tree.nodes()) >= set(two_cluster6.demands) | {two_cluster6.root}
 
     def test_tiny_m_marks_everything(self, two_cluster6):
-        sol = rent_or_buy(two_cluster6, M=1, seed=3)
+        tree = rent_or_buy(two_cluster6, M=1, seed=3)
         buy_all = steiner_tree(two_cluster6, sorted(two_cluster6.demands) + ["r"])
-        assert set(sol.tree.sorted_edges()) == set(buy_all.tree_edges)
+        assert tree.sorted_edges() == buy_all
 
     def test_deterministic(self, two_cluster6):
         a = rent_or_buy(two_cluster6, M=4, seed=9)
         b = rent_or_buy(two_cluster6, M=4, seed=9)
-        assert a.tree.sorted_edges() == b.tree.sorted_edges()
+        assert a.sorted_edges() == b.sorted_edges()
 
     @pytest.mark.parametrize("seed", range(3))
     def test_mean_ratio_within_four(self, seed):
         inst = generate_instance("random-geometric", 5, 3, seed=seed)
-        M = 2
-        opt = min(
-            sum(inst.lengths[e] * min(x, M) for e, x in t.flow.items())
-            for t in enumerate_candidate_trees(inst)
-        )
-        costs = [rent_or_buy(inst, M, seed=s).cost_under_f for s in range(50)]
+        M = 2  # the cost min(x, M) is atomic level 1
+        opt = min(atomic_cost(t, 1, inst.lengths) for t in enumerate_candidate_trees(inst))
+        costs = [atomic_cost(rent_or_buy(inst, M, seed=s), 1, inst.lengths) for s in range(50)]
         assert sum(costs) / len(costs) <= 4 * opt + 1e-9
 
 
 class TestRobLowerBounds:
     def test_levels_and_consistency(self, two_cluster6):
-        from bulktree.aggregation import atomic_cost
         from bulktree.instance import demand_profile
 
         bounds = rob_lower_bounds(two_cluster6, seed=7)
