@@ -168,10 +168,13 @@ def distribution_cost(dist: TreeDistribution, i: int, lengths) -> float:
 
 def level_rows(dist: TreeDistribution, tilde, lengths) -> list[dict]:
     """Per level i: the distribution's expected cost, the bound tilde_i and
-    their ratio."""
+    their ratio.  Each support tree is costed at every level in one pass;
+    the expected cost adds the same terms in the same order as
+    ``distribution_cost``."""
+    costs = [(w, level_costs(t, range(len(tilde)), lengths)) for t, w in dist.support]
     rows = []
     for i, bound in enumerate(tilde):
-        expected = distribution_cost(dist, i, lengths)
+        expected = add_up(w * c[i] for w, c in costs)
         rows.append({
             "i": i, "expected_cost": expected, "lower_bound": bound,
             "ratio": level_ratio(expected, bound),

@@ -131,8 +131,9 @@ def separation_oracle(
     memoizes each step under (stage, step, live demand), and its outcome
     under the targets drawn, so an attempt builds only the Steiner forests
     and moves that no earlier attempt of this call reached; its draws are
-    made afresh, from the same streams.  The table routes and costs each
-    distinct tree once.
+    made afresh, from the same streams, which the plan seeds for all the
+    attempts' seeds at once.  The table routes and costs each distinct tree
+    once.
     """
     scaled = np.asarray(point.alpha, dtype=float)
     budget = float(scaled.sum())
@@ -156,9 +157,8 @@ def separation_oracle(
     best: tuple[float, RoutedTree, tuple[float, ...]] | None = None
     attempts = 0
     threshold_met = False
-    for attempt in range(cap):
+    for tree, _ in plan.runs([_mix_seed(seed, attempt) for attempt in range(cap)]):
         attempts += 1
-        tree, _ = plan.run(_mix_seed(seed, attempt))
         costs = plan.table.level_costs(tree, levels)
         value = add_up(a * costs[i] for i, a in weights)
         if best is None or value < best[0]:

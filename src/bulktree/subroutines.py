@@ -23,8 +23,9 @@ map, ``rent_or_buy`` its routed tree.  Costs are computed from those with
 ``aggregation``, which adds every cost in one order.
 
 Shortest paths are read through a PathTable: a solve that passes one table
-to every call runs Dijkstra at most once per source; a call given no table
-fills its own.
+to every call runs Dijkstra at most once per source, builds each Steiner
+tree once per terminal set and each rent-or-buy tree once per marked set; a
+call given no table fills its own.
 """
 from __future__ import annotations
 
@@ -34,7 +35,7 @@ import math
 import numpy as np
 
 from .instance import Edge, Instance, canonical_edge, demand_profile
-from .aggregation import RoutedTree, atomic_cost, level_costs, route_demands
+from .aggregation import RoutedTree, level_costs, route_demands
 
 
 def _shortest_paths(adj, source: str) -> tuple[dict[str, float], dict[str, str]]:
@@ -67,9 +68,14 @@ def dijkstra(inst: Instance, source: str) -> tuple[dict[str, float], dict[str, s
 class PathTable:
     """The per-solve cache of one instance.
 
-    It keeps the shortest paths under the instance's lengths, each source run
-    at most once, and the routed tree that the staged construction extracts
-    from each edge union, with its atomic level costs.
+    It keeps, each computed at most once:
+
+    - the shortest paths from each source under the instance's lengths;
+    - ``steiner_tree``'s edges per terminal set;
+    - ``rent_or_buy``'s routed tree per marked set, on which alone it depends;
+    - the routed tree that the staged construction extracts from each edge
+      union;
+    - each routed tree's atomic level costs.
 
     A solve builds one table and drops it when it returns.  The maps and
     trees it hands out are shared between callers and must not be mutated.
@@ -78,6 +84,8 @@ class PathTable:
     def __init__(self, inst: Instance):
         self.inst = inst
         self._paths: dict[str, tuple[dict[str, float], dict[str, str]]] = {}
+        self._steiner: dict[frozenset, tuple[Edge, ...]] = {}
+        self._rob: dict[frozenset, RoutedTree] = {}
         self._trees: dict[frozenset, RoutedTree] = {}
         self._level_costs: dict[tuple[tuple[Edge, ...], int], tuple[float, ...]] = {}
 
@@ -121,9 +129,17 @@ def steiner_tree(inst: Instance, terminals, *, table: PathTable | None = None) -
     """Metric-closure MST heuristic: the sorted edges of a tree spanning the
     terminals, whose length is within 2x of the optimal Steiner tree's."""
     table = PathTable(inst) if table is None else table
-    terms = sorted(set(terminals))
-    if not terms:
+    key = frozenset(terminals)
+    if not key:
         raise ValueError("terminals must be nonempty")
+    hit = table._steiner.get(key)
+    if hit is None:
+        hit = table._steiner[key] = _closure_tree(inst, sorted(key), table)
+    return hit
+
+
+def _closure_tree(inst: Instance, terms: list[str], table: PathTable) -> tuple[Edge, ...]:
+    """``steiner_tree`` of the sorted terminals, built afresh."""
     dists: dict[str, dict[str, float]] = {}
     preds: dict[str, dict[str, str]] = {}
     for t in terms:
@@ -234,8 +250,17 @@ def rent_or_buy(inst: Instance, M, seed: int, table: PathTable | None = None) ->
     rng = np.random.default_rng([int(seed), 0x726F62])
     clients = sorted(inst.demands)
     draws = rng.random(len(clients))
-    marked = [c for c, r in zip(clients, draws) if r < min(1.0, inst.demands[c] / float(M))]
-    edges: set[Edge] = set(steiner_tree(inst, set(marked) | {inst.root}, table=table))
+    key = frozenset(c for c, r in zip(clients, draws) if r < min(1.0, inst.demands[c] / float(M)))
+    hit = table._rob.get(key)
+    if hit is None:
+        hit = table._rob[key] = _augmented_tree(inst, key, table)
+    return hit
+
+
+def _augmented_tree(inst: Instance, marked: frozenset, table: PathTable) -> RoutedTree:
+    """``rent_or_buy``'s tree for the marked clients, built afresh."""
+    clients = sorted(inst.demands)
+    edges: set[Edge] = set(steiner_tree(inst, marked | {inst.root}, table=table))
     nodes = {inst.root}
     for u, v in edges:
         nodes.add(u)
@@ -263,13 +288,14 @@ def rob_lower_bounds(
 
     The values upper-bound each level's optimum within the rent-or-buy
     method's expected constant and feed the dual constraint of the solver.
+    Each distinct tree is built and costed at every level once.
     """
-    profile = demand_profile(inst)
+    levels = demand_profile(inst).levels
     table = PathTable(inst) if table is None else table
     out = []
-    for i in range(profile.levels):
+    for i in range(levels):
         tree = rent_or_buy(inst, 1 << i, seed=_mix_seed(seed, i), table=table)
-        out.append((i, atomic_cost(tree, i, inst.lengths), tree))
+        out.append((i, table.level_costs(tree, levels)[i], tree))
     return out
 
 

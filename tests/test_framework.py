@@ -26,7 +26,7 @@ from bulktree.framework import (
     solve_oblivious,
     solve_small_primal,
 )
-from bulktree.gmm import StagePlan, oracle_tree
+from bulktree.gmm import FACILITY, STEINER, StagePlan, oracle_tree
 from bulktree.instance import Instance, demand_profile, generate_instance
 from bulktree.pipes import AlphaVector
 from bulktree.subroutines import PathTable, _mix_seed, rob_lower_bounds
@@ -100,36 +100,71 @@ def heavy_grid():
                     demands={v: 37 * (i + 1) for i, v in enumerate(sorted(base.demands))})
 
 
+def crowded_grid():
+    """Twelve heavy demands on a 16-node grid: one Steiner or facility step
+    cuts several components or clusters that each draw from the stream."""
+    base = generate_instance("grid", 16, 12, seed=3)
+    return Instance(nodes=base.nodes, lengths=base.lengths, root=base.root,
+                    demands={v: 37 * int(v) + 11 for v in base.demands})
+
+
+def oracle_trials(inst, tilde):
+    """Twelve oracle calls' arguments (positional, keyword) on random points."""
+    m = len(tilde)
+    rng = np.random.default_rng(m)
+    for trial in range(12):
+        y = rng.random(m) * (rng.random(m) < 0.7)
+        y = y / max(y.sum(), 1e-300) * rng.choice([0.3, 0.9, 1.0, 1.2])
+        # Betas below, near and above the tree costs; c_target spans the threshold.
+        point = DualPoint(alpha=tuple(y), beta=float(rng.choice([0.0, 0.5, 1.0, 1e9])))
+        yield (point, tilde, float(rng.choice([0.1, 0.5, 4.0])), inst, trial), \
+            dict(rmax=int(rng.choice([3, 20])))
+
+
 class TestSeparationOracle:
     @pytest.mark.parametrize("make", [
         lambda: generate_instance("random-geometric", 10, 4, seed=3),
         lambda: generate_instance("random-geometric", 12, 6, seed=8),
         lambda: generate_instance("path", 7, 3, seed=1),
         heavy_grid,
+        crowded_grid,
     ])
     def test_hoisted_retry_loop_matches_reference(self, make):
         inst = make()
         tilde = tilde_for(inst)
-        m = len(tilde)
-        rng = np.random.default_rng(m)
         kinds = set()
         # One table across the trials, as in a solve, so later trials reuse
         # the routed trees and level costs of earlier ones.
         table = PathTable(inst)
         attempts = 0
-        for trial in range(12):
-            y = rng.random(m) * (rng.random(m) < 0.7)
-            y = y / max(y.sum(), 1e-300) * rng.choice([0.3, 0.9, 1.0, 1.2])
-            # Betas below, near and above the tree costs; c_target spans the threshold.
-            point = DualPoint(alpha=tuple(y), beta=float(rng.choice([0.0, 0.5, 1.0, 1e9])))
-            args = (point, tilde, float(rng.choice([0.1, 0.5, 4.0])), inst, trial)
-            kw = dict(rmax=int(rng.choice([3, 20])))
+        for args, kw in oracle_trials(inst, tilde):
             res = separation_oracle(*args, **kw, table=table)
             assert oracle_outcome(res) == oracle_outcome(reference_separation_oracle(*args, **kw))
             kinds.add(res.kind)
             attempts += res.attempts
         assert {"tree_cut", "feasible"} <= kinds
         assert len(table._trees) < attempts
+
+    def test_crowded_grid_draws_several_groups_per_step(self, monkeypatch):
+        # The premise of the crowded_grid case above: within one Steiner or
+        # facility step, later groups read later uniforms of the same stream.
+        plans = []
+
+        class Recorded(StagePlan):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                plans.append(self)
+
+        monkeypatch.setattr(framework_mod, "StagePlan", Recorded)
+        inst = crowded_grid()
+        for args, kw in oracle_trials(inst, tilde_for(inst)):
+            separation_oracle(*args, **kw)
+        drawing = {STEINER: 0, FACILITY: 0}
+        for plan in plans:
+            for (_, step, _), groups in plan._groups.items():
+                if groups:
+                    drawing[step] = max(drawing[step], sum(g.cdf is not None for g in groups))
+        assert drawing[STEINER] >= 2 and drawing[FACILITY] >= 2
 
     def test_zero_point_reported(self, two_cluster6):
         tilde = tilde_for(two_cluster6)

@@ -1,4 +1,5 @@
 import bisect
+import re
 from fractions import Fraction as F
 
 import numpy as np
@@ -16,6 +17,7 @@ from bulktree.gmm import (
     StageCosts,
     StagePlan,
     _cdf,
+    _SeedBatch,
     _components,
     _cut_forest,
     _postorder,
@@ -409,6 +411,7 @@ class TestStagePlanMemo:
     def test_runs_match_reference(self, case):
         # One plan, many seeds: later runs are served from the memo.
         plan = heavy_plan(*case)
+        runs = []
         for seed in range(32):
             got_trace, want_trace = GmmTrace(), GmmTrace()
             tree, costs = plan.run(seed, got_trace)
@@ -418,6 +421,9 @@ class TestStagePlanMemo:
             assert costs == ref_costs
             assert got_trace.consolidations == want_trace.consolidations
             assert got_trace.fallback_stage == want_trace.fallback_stage
+            runs.append((tree, costs))
+        # The same seeds as one batch, whose streams are seeded together.
+        assert list(plan.runs(range(32))) == runs
 
     def test_each_state_builds_one_forest(self, monkeypatch):
         base = generate_instance("grid", 9, 8, seed=3)
@@ -455,8 +461,9 @@ class TestStagePlanMemo:
         monkeypatch.setattr(gmm_mod, "steiner_tree", counted)
         plan = StagePlan(two_cluster(), REGULAR_TWO_LEVEL)
         assert plan.th.capacities[0] == 0
-        for seed in range(4):
-            assert plan._step(seed, 0, STEINER, plan._start) == (plan._start, frozenset(), 0.0)
+        for _ in range(4):
+            # No stream either: a step that asked for one would call None.
+            assert plan._step(None, 0, STEINER, plan._start) == (plan._start, frozenset(), 0.0)
         assert calls == []
 
 
@@ -480,3 +487,39 @@ class TestDrawTable:
     def test_nonpositive_weight_rejected(self, weights):
         with pytest.raises(ValueError, match="positive"):
             _cdf(weights)
+
+
+class TestSeedBatch:
+    @pytest.mark.filterwarnings("error")  # no op may warn on uint32 overflow
+    @settings(max_examples=300, deadline=None)
+    @given(seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=6),
+           k=st.integers(0, 16), step=st.sampled_from([STEINER, FACILITY]))
+    @example(seeds=[0, 2**32 - 1, 2**32, 2**63 - 1], k=0, step=STEINER)
+    @example(seeds=[2**63 - 1, 2**32, 2**32 - 1, 0], k=16, step=FACILITY)
+    def test_streams_match_default_rng(self, seeds, k, step):
+        # The batch's streams must equal default_rng's, uniform for uniform;
+        # a numpy release that changes SeedSequence or PCG64 fails here.
+        # Seeds below 2^32 hash one entropy word and larger ones two, so a
+        # batch may mix both layouts.
+        batch = _SeedBatch(seeds)
+        for j, seed in enumerate(seeds):
+            ours = batch.stream(j, k, step)
+            theirs = np.random.default_rng([seed, k, step])
+            assert [ours.random() for _ in range(4)] == [theirs.random() for _ in range(4)]
+
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_seed_above_range_falls_back(self, k):
+        seeds = [5, 2**64, 2**70 + 3]
+        batch = _SeedBatch(seeds)
+        for j, seed in enumerate(seeds):
+            ours = batch.stream(j, k, STEINER)
+            assert isinstance(ours, np.random.Generator)
+            theirs = np.random.default_rng([seed, k, STEINER])
+            assert [ours.random() for _ in range(4)] == [theirs.random() for _ in range(4)]
+
+    def test_negative_seed_refused_as_numpy_does(self):
+        with pytest.raises(ValueError) as numpy_error:
+            np.random.default_rng([-1, 0, STEINER])
+        batch = _SeedBatch([7, -1])
+        with pytest.raises(ValueError, match=re.escape(str(numpy_error.value))):
+            batch.stream(1, 0, STEINER)

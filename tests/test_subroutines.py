@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 import bulktree.subroutines as sub_mod
 from bulktree.aggregation import add_up, atomic_cost
 from bulktree.exact import _spanning_trees, enumerate_candidate_trees
-from bulktree.instance import Instance, canonical_edge, generate_instance
+from bulktree.instance import Instance, canonical_edge, demand_profile, generate_instance
 from bulktree.subroutines import (
     PathTable,
+    _mix_seed,
     _shortest_paths,
     dijkstra,
     lbfl,
@@ -19,7 +20,7 @@ from bulktree.subroutines import (
     steiner_tree,
 )
 
-from conftest import make_instance
+from conftest import make_instance, small_instance_corpus
 
 
 def brute_steiner_cost(inst, terminals, weight) -> float:
@@ -139,6 +140,19 @@ class TestPathTable:
         for source in sorted(two_cluster6.nodes) * 3:
             assert table.get(source) is table.get(source)
         assert sources == sorted(two_cluster6.nodes)
+
+    @settings(max_examples=200, deadline=None)
+    @given(inst=tied_length_instances(), data=st.data())
+    def test_filled_steiner_entry_matches_fresh_tree(self, inst, data):
+        nodes = sorted(inst.nodes)
+        subsets = st.lists(st.sampled_from(nodes), min_size=1, max_size=len(nodes))
+        table = PathTable(inst)
+        for terminals in data.draw(st.lists(subsets, min_size=1, max_size=6)):
+            # Asked twice, in another order: a filled entry must still equal a
+            # table-less tree of the same terminal set.
+            first = steiner_tree(inst, terminals, table=table)
+            assert steiner_tree(inst, terminals[::-1], table=table) is first
+            assert first == steiner_tree(inst, terminals)
 
 
 def tree_length(inst, edges) -> float:
@@ -262,6 +276,48 @@ class TestRobLowerBounds:
         assert [i for i, _, _ in bounds] == list(range(demand_profile(two_cluster6).levels))
         for i, val, tree in bounds:
             assert val == atomic_cost(tree, i, two_cluster6.lengths)
+
+    @pytest.mark.parametrize("inst", small_instance_corpus(count=6) + [
+        generate_instance("random-geometric", 12, 6, seed=8),
+    ])
+    def test_shared_table_matches_fresh_calls(self, inst):
+        # One table across the levels and eight seeds, so later calls are
+        # served from its memo, against a fresh rent_or_buy per level.
+        table = PathTable(inst)
+        for seed in range(8):
+            for i, val, tree in rob_lower_bounds(inst, seed, table):
+                fresh = rent_or_buy(inst, 1 << i, seed=_mix_seed(seed, i))
+                assert tree.edges == fresh.edges
+                assert tree.flow == fresh.flow
+                assert val == atomic_cost(fresh, i, inst.lengths)
+
+    def test_each_marked_set_builds_one_tree(self, monkeypatch):
+        # Demands of at least 37 mark every client at levels 0..5 (M <= 32),
+        # so those six levels share one marked set.
+        base = generate_instance("grid", 9, 8, seed=3)
+        demands = {v: 37 * int(v) for v in base.demands if v != base.root}
+        inst = Instance(nodes=base.nodes, lengths=base.lengths, demands=demands, root=base.root)
+        built, steiner, routed = [], [], []
+
+        def counting(record, fn):
+            def counted(*args):
+                record.append(args[1])
+                return fn(*args)
+            return counted
+
+        monkeypatch.setattr(sub_mod, "_augmented_tree", counting(built, sub_mod._augmented_tree))
+        monkeypatch.setattr(sub_mod, "_closure_tree", counting(steiner, sub_mod._closure_tree))
+        monkeypatch.setattr(sub_mod, "route_demands", counting(routed, sub_mod.route_demands))
+        levels = demand_profile(inst).levels
+        for seed in range(3):
+            for record in (built, steiner, routed):
+                record.clear()
+            rob_lower_bounds(inst, seed)
+            assert len(set(built)) == len(built)  # no marked set twice
+            assert frozenset(demands) in built
+            assert len(built) <= levels - 5
+            # One Steiner tree and one routing per marked set, no more.
+            assert len(steiner) == len(routed) == len(built)
 
     def test_values_dominate_exact_optima(self):
         from bulktree.exact import exact_optima
