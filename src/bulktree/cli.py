@@ -3,12 +3,12 @@
 Subcommands: gen, solve, eval, regularize, gmm, brute, bench, pipes.
 Artifacts are schema-versioned JSON (or TSV for tables) written to declared
 output paths; logs go to stderr as key=value lines.  Randomized commands
-require an explicit seed (no wall-clock seeding) and every randomized
-artifact embeds the seed and a ``config_hash``, so runs can be replayed
-exactly.  The solver has no setting besides the seed, so for solve, eval and
-gmm the hash covers the seed alone; for gen it covers the model, n, demands
-and seed.  Exit codes: 0 success, 2 validation/parse error, 3 numeric or
-internal failure.
+require an explicit nonnegative seed (no wall-clock seeding) and every
+randomized artifact embeds the seed and a ``config_hash``, so runs can be
+replayed exactly.  The solver has no setting besides the seed, so for solve,
+eval and gmm the hash covers the seed alone; for gen it covers the model, n,
+demands and seed.  Exit codes: 0 success, 2 validation/parse error, 3
+numeric or internal failure.
 """
 from __future__ import annotations
 
@@ -25,6 +25,7 @@ from .aggregation import RoutedTree, TreeDistribution, level_rows, route_demands
 from .framework import SolveConfig, solve_oblivious
 from .gmm import GmmTrace, gmm_tree
 from .instance import (
+    GENERATOR_MODELS,
     Instance,
     ParseError,
     ValidationError,
@@ -329,15 +330,23 @@ def cmd_pipes(args) -> int:
     return 0
 
 
+def _seed(text: str) -> int:
+    """A --seed value: numpy's generators take only nonnegative integers."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="bulktree", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add_seed(p):
-        p.add_argument("--seed", type=int, required=True, help="master seed (required; no wall-clock seeding)")
+        p.add_argument("--seed", type=_seed, required=True,
+                       help="master seed, a nonnegative integer (required; no wall-clock seeding)")
 
     p = sub.add_parser("gen", help="generate an instance file")
-    p.add_argument("model", choices=["random-geometric", "grid", "star", "path"])
+    p.add_argument("model", choices=GENERATOR_MODELS)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--demands", type=int, required=True)
     p.add_argument("--out", required=True)
@@ -378,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_brute)
 
     p = sub.add_parser("bench", help="solve a family grid and emit a TSV summary")
-    p.add_argument("family", choices=["random-geometric", "grid", "star", "path"])
+    p.add_argument("family", choices=GENERATOR_MODELS)
     p.add_argument("--sizes", required=True, help="comma-separated node counts")
     p.add_argument("--seeds", required=True, help="comma-separated seeds (may be empty)")
     p.add_argument("--out", required=True)

@@ -126,14 +126,14 @@ def separation_oracle(
     the loop runs until the threshold or the cap.
 
     The weight vector is regularized and staged once; each attempt repeats
-    only the seeded part of the construction, so attempt j returns the tree
-    ``oracle_tree(inst, alpha, _mix_seed(seed, j))`` would.  The plan
-    memoizes each step under (stage, step, live demand), and its outcome
-    under the targets drawn, so an attempt builds only the Steiner forests
-    and moves that no earlier attempt of this call reached; its draws are
-    made afresh, from the same streams, which the plan seeds for all the
-    attempts' seeds at once.  The table routes and costs each distinct tree
-    once.
+    only the seeded part of the construction.  All attempts read one set of
+    streams, ``default_rng([seed, stage, step])``, each from where the one
+    before it stopped, so attempt 0 returns the tree
+    ``oracle_tree(inst, alpha, seed)`` would.  The plan memoizes each step
+    under (stage, step, live demand), and its outcome under the targets
+    drawn, so an attempt builds only the Steiner forests and moves that no
+    earlier attempt of this call reached; its draws are made afresh.  The
+    table routes and costs each distinct tree once.
     """
     scaled = np.asarray(point.alpha, dtype=float)
     budget = float(scaled.sum())
@@ -157,7 +157,7 @@ def separation_oracle(
     best: tuple[float, RoutedTree, tuple[float, ...]] | None = None
     attempts = 0
     threshold_met = False
-    for tree, _ in plan.runs([_mix_seed(seed, attempt) for attempt in range(cap)]):
+    for tree, _ in plan.runs(seed, cap):
         attempts += 1
         costs = plan.table.level_costs(tree, levels)
         value = add_up(a * costs[i] for i, a in weights)

@@ -33,15 +33,12 @@ by post-order depth-first traversal with lexicographic children.  Given the
 live demand at the start of a step, everything but that step's drawn
 targets is therefore fixed, so a ``StagePlan`` memoizes each step under
 (stage, step, live demand) and each outcome under the targets drawn as
-well.  The draws themselves are not cached: every run takes the same
-uniforms from the same streams in the same order, one per drawing group,
-and inverts each against the group's cached cumulative table, which picks
-the index ``Generator.choice`` would, so memoized runs return what fresh
-runs would.  The retries of one oracle call know all their seeds in
-advance, so ``StagePlan.runs`` seeds their streams of one (stage, step)
-together: numpy's SeedSequence hashing in one vectorized pass over the
-seeds, then PCG64 in Python integers, which gives the same uniforms as
-``default_rng`` for every seed in [0, 2^64).
+well.  The draws themselves are not cached: a run takes one uniform per
+drawing group, in group order, from its step's stream and inverts it
+against the group's cached cumulative table, which picks the index
+``Generator.choice`` would, so memoized runs return what fresh runs would.
+The retries of one oracle call share one seed's streams: each retry reads
+on where the one before it stopped, so the first is the single run.
 Per-stage cost accounting records the fixed cost of Steiner-step pipes and
 the incremental cost of facility-step pipes; the returned tree is a
 deterministic shortest-path extraction inside the union of all edges that
@@ -51,7 +48,6 @@ so the PathTable builds it once per union and hands the same tree out again.
 from __future__ import annotations
 
 import bisect
-import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
@@ -203,100 +199,6 @@ def _cdf(weights) -> list[float]:
     return cdf.tolist()
 
 
-# numpy's SeedSequence with its pool of four 32-bit words, and the PCG64
-# generator that ``default_rng`` seeds from it, written out so that the
-# streams of many seeds can be seeded at once.  A numpy release that changes
-# either changes ``default_rng`` and fails the stream pin test.
-_M64, _M128 = (1 << 64) - 1, (1 << 128) - 1
-_SHIFT = np.uint32(16)
-_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _hash_constants(init: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """The multipliers of ``count`` successive SeedSequence hashes, before
-    and after each step of the running constant, as column vectors.  They
-    do not depend on the data, so they are computed once."""
-    h = [init]
-    for _ in range(count):
-        h.append(h[-1] * mult & 0xFFFFFFFF)
-    return (np.array(h[:-1], dtype=np.uint32)[:, None],
-            np.array(h[1:], dtype=np.uint32)[:, None])
-
-
-_POOL_HASH = _hash_constants(0x43B0D7E5, 0x931E8875, 16)  # 4 words in, 12 cross-mixes
-_STATE_HASH = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)  # generate_state(4, uint64)
-
-
-def _hashmix(words: np.ndarray, before: np.ndarray, after: np.ndarray) -> np.ndarray:
-    v = (words ^ before) * after  # uint32 arrays wrap, as the C code does
-    return v ^ (v >> _SHIFT)
-
-
-def _seed_states(seeds: list[int], k: int, step: int) -> np.ndarray:
-    """Row j: for seeds[j] in [0, 2^64), the eight 32-bit words of
-    ``SeedSequence([seed, k, step]).generate_state(4, np.uint64)``, low
-    word first, hashed for all seeds in one pass."""
-    n = len(seeds)
-    s = np.array(seeds, dtype=np.uint64)
-    lo, hi = (s & np.uint64(0xFFFFFFFF)).astype(np.uint32), (s >> np.uint64(32)).astype(np.uint32)
-    k_, step_, zero = (np.full(n, x, dtype=np.uint32) for x in (k, step, 0))
-    # The entropy words: [s, k, step] padded with 0 below 2^32, [lo, hi, k, step] above.
-    entropy = np.where(hi > 0, np.stack([lo, hi, k_, step_]), np.stack([lo, k_, step_, zero]))
-    before, after = _POOL_HASH
-    pool = _hashmix(entropy, before[:4], after[:4])
-    t = 4
-    for src in range(4):
-        dst = [d for d in range(4) if d != src]
-        h = _hashmix(pool[src], before[t:t + 3], after[t:t + 3])
-        t += 3
-        x = pool[dst] * _MIX_L - h * _MIX_R
-        pool[dst] = x ^ (x >> _SHIFT)
-    return np.ascontiguousarray(_hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], *_STATE_HASH).T)
-
-
-class _Pcg64:
-    """The stream ``Generator.random`` reads from a PCG64 seeded with the
-    given generate_state words: a 128-bit LCG with XSL-RR output."""
-
-    __slots__ = ("_state", "_inc")
-
-    def __init__(self, w: list[int]):
-        initstate = w[1] << 96 | w[0] << 64 | w[3] << 32 | w[2]
-        initseq = w[5] << 96 | w[4] << 64 | w[7] << 32 | w[6]
-        self._inc = inc = (initseq << 1 | 1) & _M128
-        self._state = ((inc + initstate) * _PCG_MULT + inc) & _M128
-
-    def random(self) -> float:
-        s = self._state = (self._state * _PCG_MULT + self._inc) & _M128
-        rot = s >> 122
-        x = ((s >> 64) ^ s) & _M64
-        x = (x >> rot | x << (64 - rot)) & _M64
-        return (x >> 11) * 2.0 ** -53
-
-
-class _SeedBatch:
-    """The draw streams of a list of seeds, one per (seed, stage, step).
-
-    The first stream asked for at a (stage, step) hashes every seed's state
-    for it in one pass.  A batch holding a seed outside [0, 2^64) calls
-    ``default_rng`` for every stream, which refuses a negative seed."""
-
-    def __init__(self, seeds):
-        self.seeds = [int(s) for s in seeds]
-        self._hashed = all(0 <= s < 1 << 64 for s in self.seeds)
-        self._states: dict[tuple[int, int], np.ndarray] = {}
-
-    def stream(self, j: int, k: int, step: int):
-        """The stream of seed j at stage k's step."""
-        if not self._hashed:
-            return np.random.default_rng([self.seeds[j], k, step])
-        states = self._states.get((k, step))
-        if states is None:
-            states = self._states[(k, step)] = _seed_states(self.seeds, k, step)
-        return _Pcg64(states[j].tolist())
-
-
 class _Group(NamedTuple):
     """One component or cluster of a step: its demand holders move to one target."""
 
@@ -308,6 +210,21 @@ class _Group(NamedTuple):
 
 
 STEINER, FACILITY = 2, 4  # step numbers, part of each stream's name
+
+
+def _streams(seed: int):
+    """The stream source of one seed: ``(k, step)`` gives stage k's step
+    its stream ``default_rng([seed, k, step])``, made at the first ask and
+    handed out again after, so whoever shares the source reads on in it."""
+    made: dict[tuple[int, int], np.random.Generator] = {}
+
+    def stream(k: int, step: int) -> np.random.Generator:
+        rng = made.get((k, step))
+        if rng is None:
+            rng = made[(k, step)] = np.random.default_rng([int(seed), k, step])
+        return rng
+
+    return stream
 
 
 class StagePlan:
@@ -333,10 +250,10 @@ class StagePlan:
     inverts each against the group's cached cumulative table; that picks the
     index ``Generator.choice`` would and leaves the stream where choice
     would, so it returns the same tree, costs and trace.  A stream is created
-    only when its step has a draw to make: ``run`` calls ``default_rng``,
-    and ``runs(seeds)`` takes it from a batch that hashes all the seeds'
-    states of a (stage, step) the first time any of them draws there, with
-    the same uniforms.  The conservation and
+    only when its step has a draw to make.  ``runs(seed, count)`` gives its
+    runs one set of streams: a (stage, step) stream is created the first
+    time any of them draws there, and each run reads on where the one before
+    it stopped.  The conservation and
     parked-demand checks and the trace snapshots still run on every call,
     read from the memoized states.  The returned tree is shared with every
     other run of the same table that used the same edges.  The separation
@@ -465,14 +382,15 @@ class StagePlan:
 
     def run(self, seed: int, trace: GmmTrace | None = None) -> tuple[RoutedTree, list[StageCosts]]:
         """One seeded run: the tree and the per-stage costs gmm_tree returns."""
-        return self._run(lambda k, step: np.random.default_rng([int(seed), k, step]), trace)
+        return self._run(_streams(seed), trace)
 
-    def runs(self, seeds):
-        """``run(seed)`` for each seed in turn, yielded one at a time, so the
-        caller may stop early; the streams come from one batch."""
-        batch = _SeedBatch(seeds)
-        for j in range(len(batch.seeds)):
-            yield self._run(functools.partial(batch.stream, j))
+    def runs(self, seed: int, count: int):
+        """``count`` runs on one set of streams, yielded one at a time, so the
+        caller may stop early.  Each run reads on where the one before it
+        stopped, so the first is ``run(seed)``."""
+        streams = _streams(seed)
+        for _ in range(count):
+            yield self._run(streams)
 
     def _run(self, streams, trace: GmmTrace | None = None) -> tuple[RoutedTree, list[StageCosts]]:
         state = self._start

@@ -177,6 +177,38 @@ def test_gmm_deterministic(tmp_path, star_file):
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("command, gen, alpha", [
+    ("gen", None, None),
+    ("solve", ("random-geometric", 8, 3, 1), None),
+    ("eval", ("random-geometric", 8, 3, 1), None),
+    # The CLI smoke's inputs: no step of this run draws, so numpy never sees the seed.
+    ("gmm", ("random-geometric", 8, 3, 1), {"D": 8, "alpha": {"0": 1.0, "1": 0.5, "3": 0.25}}),
+    # A stage-0 facility step draws here.
+    ("gmm", ("random-geometric", 14, 6, 5), {"D": 8, "alpha": {"0": 1.0, "2": 0.05}}),
+], ids=["gen", "solve", "eval", "gmm-no-draw", "gmm-draws"])
+def test_negative_seed_refused(tmp_path, command, gen, alpha):
+    inst, dist = tmp_path / "inst.json", tmp_path / "dist.json"
+    if gen is not None:
+        model, n, demands, seed = gen
+        assert run(["gen", model, "--n", n, "--demands", demands, "--seed", seed, "--out", inst]) == 0
+    if command == "eval":
+        assert run(["solve", inst, "--seed", 1, "--out", dist]) == 0
+    if alpha is not None:
+        (tmp_path / "alpha.json").write_text(json.dumps(alpha))
+    argv = {
+        "gen": ["gen", "star", "--n", 6, "--demands", 4],
+        "solve": ["solve", inst],
+        "eval": ["eval", inst, dist],
+        "gmm": ["gmm", inst, tmp_path / "alpha.json"],
+    }[command] + ["--out", tmp_path / "out.json"]
+    assert run([*argv, "--seed", 0]) == 0
+    try:
+        code = run([*argv, "--seed", -1])
+    except SystemExit as exc:  # argparse refuses by exiting
+        code = exc.code
+    assert code == 2
+
+
 def test_brute_outputs(tmp_path, star_file):
     out = tmp_path / "b.json"
     tsv = tmp_path / "b.tsv"

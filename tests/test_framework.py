@@ -26,9 +26,10 @@ from bulktree.framework import (
     solve_oblivious,
     solve_small_primal,
 )
-from bulktree.gmm import FACILITY, STEINER, StagePlan, oracle_tree
+from bulktree.gmm import FACILITY, STEINER, StagePlan
 from bulktree.instance import Instance, demand_profile, generate_instance
 from bulktree.pipes import AlphaVector
+from bulktree.regularize import regularize
 from bulktree.subroutines import PathTable, _mix_seed, rob_lower_bounds
 
 from conftest import make_instance
@@ -47,9 +48,11 @@ def tilde_for(inst, seed=7):
 
 
 def reference_separation_oracle(point, tilde, c_target, inst, seed, rmax=None):
-    """The oracle's retry loop as first written: every attempt calls
-    oracle_tree, which regularizes and stages the weight vector again.  The
-    weighted value is added left to right, as the oracle adds it."""
+    """The oracle's retry loop as first written: every attempt regularizes
+    and stages the weight vector again, on a fresh plan with no memo.  All
+    attempts read one set of ``default_rng([seed, k, step])`` streams, each
+    from where the one before it stopped.  The weighted value is added left
+    to right, as the oracle adds it."""
     scaled = np.asarray(point.alpha, dtype=float)
     budget = float(scaled.sum())
     if budget > 1.0 + 1e-12:
@@ -65,12 +68,20 @@ def reference_separation_oracle(point, tilde, c_target, inst, seed, rmax=None):
     vec = AlphaVector(alpha=alpha_raw, D=demand_profile(inst).D)
     threshold = 2.0 * c_target * budget
     cap = rmax if rmax is not None else default_rmax(inst)
+    streams = {}
+
+    def stream(k, step):
+        if (k, step) not in streams:
+            streams[(k, step)] = np.random.default_rng([int(seed), k, step])
+        return streams[(k, step)]
+
     best = None
     attempts = 0
     threshold_met = False
     for attempt in range(cap):
         attempts += 1
-        tree = oracle_tree(inst, vec, _mix_seed(seed, attempt))
+        regular, _ = regularize(vec)
+        tree, _ = StagePlan(inst, regular)._run(stream)
         costs = tuple(atomic_cost(tree, i, inst.lengths) for i in range(levels))
         value = 0.0
         for i, a in alpha_raw.items():

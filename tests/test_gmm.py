@@ -17,7 +17,6 @@ from bulktree.gmm import (
     StageCosts,
     StagePlan,
     _cdf,
-    _SeedBatch,
     _components,
     _cut_forest,
     _postorder,
@@ -257,13 +256,22 @@ def _reference_move_demand(cur, holders, target, parent, comp_root, edge_flow, u
         cur[h] = 0
 
 
-def reference_run(plan, seed, trace=None):
+def reference_run(plan, seed, trace=None, streams=None):
     """The staged construction as written before the plan memoized its
     steps: every run rebuilds each Steiner forest from the live demand and
     draws every consolidation target afresh.  Stage 0, whose pipe has no
     fixed cost, builds its Steiner tree under hop counts, on a copy of the
     instance with every length 1.0.  It reads only the plan's instance,
-    pipes, thresholds and path table."""
+    pipes, thresholds and path table.  Stage k's step draws from
+    ``default_rng([seed, k, step])``, kept in streams under (k, step): runs
+    given the same dict read on where the run before stopped."""
+    streams = {} if streams is None else streams
+
+    def stream(k, step):
+        if (k, step) not in streams:
+            streams[(k, step)] = np.random.default_rng([int(seed), k, step])
+        return streams[(k, step)]
+
     inst, pipes, th, table = plan.inst, plan.pipes.pipes, plan.th, plan.table
     unit = Instance(nodes=inst.nodes, lengths={e: 1.0 for e in inst.lengths},
                     demands=inst.demands, root=inst.root)
@@ -300,7 +308,7 @@ def reference_run(plan, seed, trace=None):
         comps = steiner_forest(k, cur)
         if comps is None:
             break
-        rng_steiner = np.random.default_rng([int(seed), k, 2])
+        rng_steiner = stream(k, 2)
         stage_sigma_edges = set()
         for comp_root, parent in comps:
             members = {comp_root} | set(parent)
@@ -337,7 +345,7 @@ def reference_run(plan, seed, trace=None):
             if trace is not None:
                 trace.fallback_stage = k
             break
-        rng_facility = np.random.default_rng([int(seed), k, 4])
+        rng_facility = stream(k, 4)
         for f, group, p, pred in facility_clusters(k):
             holders = [v for v in group if cur.get(v, 0) > 0]
             if not holders:
@@ -409,21 +417,33 @@ class TestStagePlanMemo:
     # advance the stream, or the two-member cluster reads the wrong uniform.
     @example(case=("grid", 7, 4, 49, {"1": 99, "2": 622, "3": 447, "6": 14}, 2, [11, 4, 9]))
     def test_runs_match_reference(self, case):
-        # One plan, many seeds: later runs are served from the memo.
+        # One plan, one seed, 32 runs on one set of streams: later runs are
+        # served from the memo and read on where the run before stopped.
         plan = heavy_plan(*case)
-        runs = []
-        for seed in range(32):
-            got_trace, want_trace = GmmTrace(), GmmTrace()
-            tree, costs = plan.run(seed, got_trace)
-            ref_tree, ref_costs = reference_run(plan, seed, want_trace)
+        seed = 7
+        streams = {}
+        runs, traces = [], []
+        for _ in range(32):
+            trace = GmmTrace()
+            runs.append(reference_run(plan, seed, trace, streams))
+            traces.append(trace)
+        got = list(plan.runs(seed, 32))
+        assert len(got) == len(runs)
+        for (tree, costs), (ref_tree, ref_costs) in zip(got, runs):
             assert tree.sorted_edges() == ref_tree.sorted_edges()
             assert tree.flow == ref_tree.flow
             assert costs == ref_costs
-            assert got_trace.consolidations == want_trace.consolidations
-            assert got_trace.fallback_stage == want_trace.fallback_stage
-            runs.append((tree, costs))
-        # The same seeds as one batch, whose streams are seeded together.
-        assert list(plan.runs(range(32))) == runs
+        # The traces, through the stream source run and runs share.
+        source = gmm_mod._streams(seed)
+        for want in traces:
+            trace = GmmTrace()
+            plan._run(source, trace)
+            assert trace.consolidations == want.consolidations
+            assert trace.fallback_stage == want.fallback_stage
+        # The first run is the single run of that seed.
+        trace = GmmTrace()
+        assert plan.run(seed, trace) == got[0]
+        assert trace.consolidations == traces[0].consolidations
 
     def test_each_state_builds_one_forest(self, monkeypatch):
         base = generate_instance("grid", 9, 8, seed=3)
@@ -489,37 +509,26 @@ class TestDrawTable:
             _cdf(weights)
 
 
-class TestSeedBatch:
-    @pytest.mark.filterwarnings("error")  # no op may warn on uint32 overflow
-    @settings(max_examples=300, deadline=None)
-    @given(seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=6),
-           k=st.integers(0, 16), step=st.sampled_from([STEINER, FACILITY]))
-    @example(seeds=[0, 2**32 - 1, 2**32, 2**63 - 1], k=0, step=STEINER)
-    @example(seeds=[2**63 - 1, 2**32, 2**32 - 1, 0], k=16, step=FACILITY)
-    def test_streams_match_default_rng(self, seeds, k, step):
-        # The batch's streams must equal default_rng's, uniform for uniform;
-        # a numpy release that changes SeedSequence or PCG64 fails here.
-        # Seeds below 2^32 hash one entropy word and larger ones two, so a
-        # batch may mix both layouts.
-        batch = _SeedBatch(seeds)
-        for j, seed in enumerate(seeds):
-            ours = batch.stream(j, k, step)
-            theirs = np.random.default_rng([seed, k, step])
-            assert [ours.random() for _ in range(4)] == [theirs.random() for _ in range(4)]
-
-    @pytest.mark.parametrize("k", [0, 3])
-    def test_seed_above_range_falls_back(self, k):
-        seeds = [5, 2**64, 2**70 + 3]
-        batch = _SeedBatch(seeds)
-        for j, seed in enumerate(seeds):
-            ours = batch.stream(j, k, STEINER)
-            assert isinstance(ours, np.random.Generator)
-            theirs = np.random.default_rng([seed, k, STEINER])
-            assert [ours.random() for _ in range(4)] == [theirs.random() for _ in range(4)]
+class TestStagePlanSeeds:
+    @staticmethod
+    def drawing_plan():
+        # Every run of this plan draws at stage 0's facility step.
+        return heavy_plan("grid", 7, 4, 49, {"1": 99, "2": 622, "3": 447, "6": 14}, 2, [11, 4, 9])
 
     def test_negative_seed_refused_as_numpy_does(self):
         with pytest.raises(ValueError) as numpy_error:
-            np.random.default_rng([-1, 0, STEINER])
-        batch = _SeedBatch([7, -1])
+            np.random.default_rng([-1, 0, FACILITY])
+        plan = self.drawing_plan()
         with pytest.raises(ValueError, match=re.escape(str(numpy_error.value))):
-            batch.stream(1, 0, STEINER)
+            plan.run(-1)
+        with pytest.raises(ValueError, match=re.escape(str(numpy_error.value))):
+            next(plan.runs(-1, 3))
+
+    @pytest.mark.parametrize("seed", [2**64, 2**70 + 3])
+    def test_seed_above_64_bits_runs(self, seed):
+        plan = self.drawing_plan()
+        streams = {}
+        want = [reference_run(plan, seed, streams=streams) for _ in range(4)]
+        got = list(plan.runs(seed, 4))
+        assert [(t.sorted_edges(), c) for t, c in got] == [(t.sorted_edges(), c) for t, c in want]
+        assert plan.run(seed) == got[0]
