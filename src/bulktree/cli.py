@@ -275,10 +275,9 @@ def cmd_brute(args) -> int:
 
 def cmd_bench(args) -> int:
     sizes = [int(s) for s in args.sizes.split(",") if s]
-    seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else []
     rows = []
     for n in sizes:
-        for seed in seeds:
+        for seed in args.seeds:
             instance_id = f"{args.family}-n{n}-s{seed}"
             t0 = time.monotonic()
             try:
@@ -337,6 +336,11 @@ def _seed(text: str) -> int:
     return int(text)
 
 
+def _seeds(text: str) -> list[int]:
+    """A --seeds value: comma-separated seeds, each one a --seed; may be empty."""
+    return [_seed(s) for s in text.split(",")] if text else []
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="bulktree", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
@@ -389,7 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="solve a family grid and emit a TSV summary")
     p.add_argument("family", choices=GENERATOR_MODELS)
     p.add_argument("--sizes", required=True, help="comma-separated node counts")
-    p.add_argument("--seeds", required=True, help="comma-separated seeds (may be empty)")
+    p.add_argument("--seeds", type=_seeds, required=True,
+                   help="comma-separated nonnegative integer seeds (may be empty)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_bench)
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .aggregation import RoutedTree, TreeDistribution, distribution_cost, level_costs, level_ratio
+from .aggregation import RoutedTree, TreeDistribution, level_costs, level_rows
 from .framework import ConstraintSet, TreeConstraint, solve_small_primal
 from .instance import Instance, demand_profile
 
@@ -230,12 +230,9 @@ def exact_oblivious_ratio(
 ) -> tuple[float, int]:
     """Worst over levels of expected distribution cost divided by the exact optimum."""
     opt = optima if optima is not None else exact_optima(inst, node_cap)
-    worst, worst_level = 0.0, 0
-    for i, _, denom in opt.per_level:
-        ratio = level_ratio(distribution_cost(dist, i, inst.lengths), denom)
-        if ratio > worst:
-            worst, worst_level = ratio, i
-    return worst, worst_level
+    rows = level_rows(dist, [value for _, _, value in opt.per_level], inst.lengths)
+    worst = max(rows, key=lambda row: row["ratio"])  # the first of equal ratios
+    return worst["ratio"], worst["i"]
 
 
 def exact_lp_optimum(

@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -86,97 +85,69 @@ class GmmTrace:
         self.consolidations.append((stage, step, dict(sorted(demand.items())), delivered))
 
 
-def _components(edges: set, roots: list[str]) -> list[tuple[str, dict[str, str]]]:
-    """Parent maps of the forest, one per root, in the given root order."""
+def _cut_forest(tree_edges, root: str, cur: dict[str, int], capacity):
+    """Cut every farthest-upstream over-capacity edge in one rooted walk.
+
+    The pre-order from the root takes the largest child first, so its reverse
+    is the post-order with sorted children.  In that order a node whose uncut
+    subtree demand exceeds capacity is cut from its parent and carries
+    nothing further up; capacity None (the flat pipe) cuts nothing.  Returns
+    (component root, parent map) pairs: the true root's first, then the cut
+    components in cut order.  ``StagePlan`` keeps the result in its
+    (stage, step, state) map of groups; nothing here is cached.
+    """
     adj: dict[str, list[str]] = {}
-    for u, v in sorted(edges):
+    for u, v in tree_edges:
         adj.setdefault(u, []).append(v)
         adj.setdefault(v, []).append(u)
-    out = []
-    seen: set[str] = set()
-    for root in roots:
-        parent: dict[str, str] = {}
-        order = [root]
-        seen.add(root)
-        for u in order:
-            for v in sorted(adj.get(u, ())):
-                if v not in seen:
-                    seen.add(v)
-                    parent[v] = u
-                    order.append(v)
-        out.append((root, parent))
-    return out
-
-
-def _postorder(parent: dict[str, str], root: str) -> list[str]:
-    children: dict[str, list[str]] = {}
-    for v, p in parent.items():
-        children.setdefault(p, []).append(v)
-    for p in children:
-        children[p].sort()
-    out: list[str] = []
-
-    def visit(u: str) -> None:
-        for ch in children.get(u, ()):
-            visit(ch)
-        out.append(u)
-
-    visit(root)
-    return out
-
-
-def _cut_forest(tree_edges, root: str, cur: dict[str, int], capacity):
-    """Cut every farthest-upstream over-capacity edge in one post-order pass.
-
-    A node whose uncut subtree demand exceeds capacity is cut from its parent
-    and carries nothing further up.  capacity None means unbounded (the flat
-    pipe): no cutting.  Returns the component list (root, parent map) with
-    the true root's component first, then the cut components in cut order.
-    """
-    edges = set(tree_edges)
-    roots = [root]
+    parent: dict[str, str] = {}
+    order: list[str] = []
+    stack = [root]
+    while stack:
+        u = stack.pop()
+        order.append(u)
+        for v in sorted(adj.get(u, ())):
+            if v != parent.get(u):
+                parent[v] = u
+                stack.append(v)
+    cuts: list[str] = []
     if capacity is not None:
-        _, parent = _components(edges, roots)[0]
         carried: dict[str, int] = {}
-        for v in _postorder(parent, root)[:-1]:  # the root comes last
+        for v in reversed(order[1:]):  # post-order without the root
             sub = cur.get(v, 0) + carried.get(v, 0)
-            if Fraction(sub) > capacity:
-                edges.discard(canonical_edge(v, parent[v]))
-                roots.append(v)
+            if sub > capacity:
+                cuts.append(v)
             else:
                 carried[parent[v]] = carried.get(parent[v], 0) + sub
-    return _components(edges, roots)
+    comps: dict[str, dict[str, str]] = {c: {} for c in [root, *cuts]}
+    comp_of = {root: root}
+    for v in order[1:]:  # parents come before their children
+        if v in comps:
+            comp_of[v] = v
+        else:
+            c = comp_of[v] = comp_of[parent[v]]
+            comps[c][v] = parent[v]
+    return list(comps.items())
 
 
-def _path_to_ancestor(parent: dict[str, str], node: str, stop: set[str]) -> list[str]:
-    path = [node]
-    while path[-1] not in stop:
-        path.append(parent[path[-1]])
-    return path
-
-
-def _tree_path(parent: dict[str, str], root: str, u: str, v: str) -> list[str]:
-    """Unique path between u and v in the tree given by the parent map."""
-    anc_u = {u}
-    x = u
-    while x != root:
-        x = parent[x]
-        anc_u.add(x)
-    up_v = _path_to_ancestor(parent, v, anc_u)
-    junction = up_v[-1]
-    up_u = _path_to_ancestor(parent, u, {junction})
-    return up_u + list(reversed(up_v[:-1]))
-
-
-def _move_demand(cur, holders, target, parent, comp_root, edge_flow):
+def _move_demand(cur, holders, target, parent, flow):
+    """Move each holder's demand to target along the tree of the parent map,
+    adding it to flow on the path h -> junction -> target."""
+    chain = [target]
+    while chain[-1] in parent:
+        chain.append(parent[chain[-1]])
+    depth = {v: i for i, v in enumerate(chain)}
     for h in holders:
         if h == target:
             continue
         amount = cur[h]
-        path = _tree_path(parent, comp_root, h, target)
+        path = [h]
+        while path[-1] not in depth:
+            path.append(parent[path[-1]])
+        path.extend(reversed(chain[:depth[path[-1]]]))
         for a, b in zip(path, path[1:]):
             e = canonical_edge(a, b)
-            edge_flow[e] = edge_flow.get(e, 0) + amount
+            flow[e] = flow.get(e, 0) + amount
         cur[target] = cur.get(target, 0) + amount
         cur[h] = 0
 
@@ -205,8 +176,7 @@ class _Group(NamedTuple):
     holders: tuple[str, ...]
     choices: tuple[str, ...]  # the candidate targets; the target itself when fixed
     cdf: list[float] | None   # cumulative draw table over choices; None: no draw
-    parent: dict[str, str]    # the tree the demand moves in, rooted at root
-    root: str
+    parent: dict[str, str]    # the tree the demand moves in
 
 
 STEINER, FACILITY = 2, 4  # step numbers, part of each stream's name
@@ -234,12 +204,14 @@ class StagePlan:
     tuple of positive (node, demand) pairs.  Given the state at the start of
     a step, everything but the drawn consolidation targets is fixed, and the
     retries of one oracle call keep revisiting the same few states.  So the
-    plan memoizes two maps for its lifetime:
+    plan memoizes two maps for its lifetime, and no others:
 
     - (stage, step, state) -> the step's groups: for the Steiner step, stage
       k's cut Steiner forest, each component's holders and its fixed target
       or cumulative draw table; for the facility step, the facility clusters
-      that hold demand (or the fallback's route to the root);
+      that hold demand (or the fallback's route to the root).  The clusters
+      depend on the stage alone but are computed on each miss: no plan of
+      the benchmark workloads reaches a stage's facility step from two states;
     - (stage, step, state, targets drawn) -> the next state, the frozenset of
       edges that carried flow, and the step's cost, computed on a miss by
       moving the demand along each group's tree.
@@ -253,11 +225,11 @@ class StagePlan:
     only when its step has a draw to make.  ``runs(seed, count)`` gives its
     runs one set of streams: a (stage, step) stream is created the first
     time any of them draws there, and each run reads on where the one before
-    it stopped.  The conservation and
-    parked-demand checks and the trace snapshots still run on every call,
-    read from the memoized states.  The returned tree is shared with every
-    other run of the same table that used the same edges.  The separation
-    oracle builds one plan per call, so the memo lives only that long.
+    it stopped.  The conservation and parked-demand checks and the trace
+    snapshots still run on every call, read from the memoized states.  The
+    returned tree is shared with every other run of the same table that used
+    the same edges.  The separation oracle builds one plan per call, so the
+    memo lives only that long.
     """
 
     def __init__(self, inst: Instance, alpha: AlphaVector, table: PathTable | None = None):
@@ -271,9 +243,8 @@ class StagePlan:
         self._total = inst.total_demand()
         # Stage k falls back to routing everything to the root when the total
         # demand is below its significance point b_k.
-        self._fallback = [Fraction(self._total) < b for b in self.th.significance]
+        self._fallback = [self._total < b for b in self.th.significance]
         self._start = _state(inst.demands)
-        self._clusters: dict[int, list] = {}
         self._groups: dict[tuple, list[_Group] | None] = {}
         self._moves: dict[tuple, tuple] = {}
 
@@ -290,22 +261,20 @@ class StagePlan:
         return _cut_forest(edges, inst.root, cur, self.th.capacities[k])
 
     def _facility_clusters(self, k: int) -> list:
-        """Stage k's clusters as (facility, members, cumulative draw table, path map)."""
-        if k not in self._clusters:
-            inst = self.inst
-            assignment, paths = lbfl(inst, inst.demands, self.th.significance[k], table=self.table)
-            clusters: dict[str, list[str]] = {}
-            for v, f in sorted(assignment.items()):
-                clusters.setdefault(f, []).append(v)
-            out = []
-            for f in sorted(clusters):
-                group = tuple(sorted(clusters[f]))
-                cdf = _cdf([inst.demands[v] for v in group])
-                # paths[f] is the facility's shortest-path predecessor map, a
-                # tree rooted at f, so consolidation follows the forest's own edges.
-                out.append((f, group, cdf, paths[f]))
-            self._clusters[k] = out
-        return self._clusters[k]
+        """Stage k's clusters as (members, cumulative draw table, path map)."""
+        inst = self.inst
+        assignment, paths = lbfl(inst, inst.demands, self.th.significance[k], table=self.table)
+        clusters: dict[str, list[str]] = {}
+        for v, f in sorted(assignment.items()):
+            clusters.setdefault(f, []).append(v)
+        out = []
+        for f in sorted(clusters):
+            group = tuple(sorted(clusters[f]))
+            cdf = _cdf([inst.demands[v] for v in group])
+            # paths[f] is the facility's shortest-path predecessor map, a
+            # tree rooted at f, so consolidation follows the forest's own edges.
+            out.append((group, cdf, paths[f]))
+        return out
 
     def _make_groups(self, k: int, step: int, cur: dict[str, int]) -> list[_Group] | None:
         """The groups of one step from the live demand cur; None when a
@@ -326,17 +295,17 @@ class StagePlan:
                     choices = (root,)
                 elif len(holders) > 1:
                     cdf = _cdf([cur[v] for v in holders])
-                groups.append(_Group(holders, choices, cdf, parent, comp_root))
+                groups.append(_Group(holders, choices, cdf, parent))
         elif self._fallback[k]:
             holders = tuple(sorted(v for v, d in cur.items() if d > 0 and v != root))
             if holders:
                 _, pred = self.table.get(root)
-                groups.append(_Group(holders, (root,), None, pred, root))
+                groups.append(_Group(holders, (root,), None, pred))
         else:
-            for f, group, cdf, pred in self._facility_clusters(k):
+            for group, cdf, pred in self._facility_clusters(k):
                 holders = tuple(v for v in group if cur.get(v, 0) > 0)
                 if holders:
-                    groups.append(_Group(holders, group, cdf, pred, f))
+                    groups.append(_Group(holders, group, cdf, pred))
         return groups
 
     def _step(self, streams, k: int, step: int, state: tuple):
@@ -366,7 +335,7 @@ class StagePlan:
             cur = dict(state)
             flow: dict[Edge, int] = {}
             for g, target in zip(groups, targets):
-                _move_demand(cur, g.holders, target, g.parent, g.root, flow)
+                _move_demand(cur, g.holders, target, g.parent, flow)
             pipe, lengths = self.pipes.pipes[k], self.inst.lengths
             if step == STEINER:  # fixed cost of the pipes laid
                 cost = float(pipe.fixed) * add_up(lengths[e] for e in sorted(flow))

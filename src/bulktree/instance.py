@@ -2,9 +2,8 @@
 
 An instance is immutable after construction and safe to share across workers.
 Node ids are strings everywhere; edges are stored canonically as (min, max)
-pairs.  Edge lengths are nonnegative finite doubles; comparisons elsewhere in
-the package use an epsilon of 1e-9 (exact rational arithmetic is reserved for
-the pipe algebra, where breakpoint identities matter).
+pairs.  Edge lengths are nonnegative finite doubles; the pipe algebra works in
+exact rationals, where breakpoint identities matter.
 
 File format (JSON, schema "bulktree/v1"):
 
@@ -24,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 SCHEMA = "bulktree/v1"
-EPS = 1e-9
 
 Edge = tuple[str, str]
 

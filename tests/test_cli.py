@@ -289,6 +289,16 @@ def test_bench_empty_seed_list(tmp_path):
     assert out.read_text().splitlines() == ["\t".join(BENCH_HEADER)]
 
 
+@pytest.mark.parametrize("seeds", ["1,-1", "1,x", "-1"])
+def test_bench_bad_seed_is_usage_error(tmp_path, seeds):
+    # Each listed seed is parsed as --seed is: a usage error, and no table.
+    out = tmp_path / "b.tsv"
+    with pytest.raises(SystemExit) as exc:
+        run(["bench", "star", "--sizes", 5, "--seeds", seeds, "--out", out])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
 def test_import_loads_no_scipy_or_networkx():
     # Both are installed alongside, but the solver needs neither.
     src = os.path.dirname(os.path.dirname(bulktree.__file__))

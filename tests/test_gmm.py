@@ -17,10 +17,7 @@ from bulktree.gmm import (
     StageCosts,
     StagePlan,
     _cdf,
-    _components,
     _cut_forest,
-    _postorder,
-    _tree_path,
     gmm_tree,
     oracle_tree,
 )
@@ -40,6 +37,65 @@ def two_cluster():
         {v: 2 for v in "abcde"},
         "r",
     )
+
+
+def _components(edges, roots):
+    """Parent maps of the forest, one per root, in the given root order."""
+    adj = {}
+    for u, v in sorted(edges):
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    out = []
+    seen = set()
+    for root in roots:
+        parent = {}
+        order = [root]
+        seen.add(root)
+        for u in order:
+            for v in sorted(adj.get(u, ())):
+                if v not in seen:
+                    seen.add(v)
+                    parent[v] = u
+                    order.append(v)
+        out.append((root, parent))
+    return out
+
+
+def _postorder(parent, root):
+    children = {}
+    for v, p in parent.items():
+        children.setdefault(p, []).append(v)
+    for p in children:
+        children[p].sort()
+    out = []
+
+    def visit(u):
+        for ch in children.get(u, ()):
+            visit(ch)
+        out.append(u)
+
+    visit(root)
+    return out
+
+
+def _path_to_ancestor(parent, node, stop):
+    path = [node]
+    while path[-1] not in stop:
+        path.append(parent[path[-1]])
+    return path
+
+
+def _tree_path(parent, root, u, v):
+    """Unique path between u and v in the tree given by the parent map."""
+    anc_u = {u}
+    x = u
+    while x != root:
+        x = parent[x]
+        anc_u.add(x)
+    up_v = _path_to_ancestor(parent, v, anc_u)
+    junction = up_v[-1]
+    up_u = _path_to_ancestor(parent, u, {junction})
+    return up_u + list(reversed(up_v[:-1]))
 
 
 def reference_cut_forest(tree_edges, root, cur, capacity):
@@ -93,6 +149,16 @@ class TestCutForest:
         assert _cut_forest(edges, root, cur, capacity) == reference_cut_forest(
             edges, root, cur, capacity
         )
+
+    def test_deep_path_cuts_without_recursion(self):
+        # A 1,500-node path hanging off the root, unit demand everywhere and
+        # capacity 100: a cut every 101 nodes from the far end, 14 of them.
+        nodes = [f"v{i:04d}" for i in range(1500)]
+        edges = [canonical_edge(a, b) for a, b in zip(nodes, nodes[1:])]
+        comps = _cut_forest(edges, nodes[0], {v: 1 for v in nodes}, F(100))
+        assert len(comps) == 15
+        assert [c for c, _ in comps] == [nodes[0]] + [nodes[1500 - 101 * j] for j in range(1, 15)]
+        assert sum(len(parent) + 1 for _, parent in comps) == 1500
 
     @settings(max_examples=300, deadline=None)
     @given(case=forest_cut_cases())
@@ -284,7 +350,7 @@ def reference_run(plan, seed, trace=None, streams=None):
             edges = steiner_tree(inst, set(active) | {inst.root}, table=table)
         else:
             edges = steiner_tree(unit, set(active) | {inst.root})
-        return _cut_forest(edges, inst.root, cur, th.capacities[k])
+        return reference_cut_forest(edges, inst.root, cur, th.capacities[k])
 
     def facility_clusters(k):
         assignment, paths = lbfl(inst, inst.demands, th.significance[k], table=table)
