@@ -129,12 +129,17 @@ def separation_oracle(
     only the seeded part of the construction.  All attempts read one set of
     streams, ``default_rng([seed, stage, step])``, each from where the one
     before it stopped, so attempt 0 returns the tree
-    ``oracle_tree(inst, alpha, seed)`` would.  The plan memoizes each step
-    under (stage, step, live demand), and its outcome under the targets
-    drawn, so an attempt builds only the Steiner forests and moves that no
-    earlier attempt of this call reached; its draws are made afresh.  The
-    table routes and costs each distinct tree once.
+    ``oracle_tree(inst, alpha, seed)`` would.  The plan walks its attempts
+    through one memoized tree of runs: an attempt draws its targets afresh,
+    but builds only the Steiner forests, moves and trees that no earlier
+    attempt of this call reached.  Once the plan is exhausted, every later
+    attempt would end at a tree already priced, none of which met the
+    threshold or beta, and none of which can replace the best one.  So the
+    loop stops there and reports ``attempts`` as the cap, which is what running
+    the remaining attempts would report.  rmax below 1 is refused.
     """
+    if rmax is not None and rmax < 1:
+        raise ValueError(f"rmax must be at least 1, got {rmax}")
     scaled = np.asarray(point.alpha, dtype=float)
     budget = float(scaled.sum())
     if budget > 1.0 + 1e-12:
@@ -167,6 +172,11 @@ def separation_oracle(
             threshold_met = True
             break
         if value < point.beta:
+            break
+        if plan.exhausted:
+            # Every later attempt ends at a tree an earlier one priced: none
+            # met the threshold or beta, and none can replace best.
+            attempts = cap
             break
     value, tree, costs = best
     if value < point.beta:

@@ -31,14 +31,18 @@ master seed, ``np.random.default_rng([seed, stage, step])``, components
 processed in cut-creation order (root first), "farthest upstream" resolved
 by post-order depth-first traversal with lexicographic children.  Given the
 live demand at the start of a step, everything but that step's drawn
-targets is therefore fixed, so a ``StagePlan`` memoizes each step under
-(stage, step, live demand) and each outcome under the targets drawn as
-well.  The draws themselves are not cached: a run takes one uniform per
-drawing group, in group order, from its step's stream and inverts it
-against the group's cached cumulative table, which picks the index
-``Generator.choice`` would, so memoized runs return what fresh runs would.
-The retries of one oracle call share one seed's streams: each retry reads
-on where the one before it stopped, so the first is the single run.
+targets is therefore fixed, so a ``StagePlan`` memoizes each step's groups
+under (stage, step, live demand) and keeps a tree of its runs: the targets
+drawn at a step pick the next node, and a leaf holds the tree and costs a
+run ended with.  The draws themselves are not cached: a run takes one
+uniform per drawing group, in group order, from its step's stream and
+inverts it against the group's cached cumulative table, which picks the
+index ``Generator.choice`` would, so memoized runs return what fresh runs
+would.  The retries of one oracle call share one seed's streams: each retry
+reads on where the one before it stopped, so the first is the single run.
+Each node counts the children that could still lead to a new leaf; once
+the root's count is 0 the plan is exhausted, and no later retry can end at
+a tree an earlier one did not.
 Per-stage cost accounting records the fixed cost of Steiner-step pipes and
 the incremental cost of facility-step pipes; the returned tree is a
 deterministic shortest-path extraction inside the union of all edges that
@@ -48,6 +52,7 @@ so the PathTable builds it once per union and hands the same tree out again.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -197,6 +202,44 @@ def _streams(seed: int):
     return stream
 
 
+@dataclass(eq=False, slots=True)
+class _Node:
+    """One point of a plan's run tree.
+
+    An inner node is about to take stage k's step from state; a leaf ends
+    the runs that reach it and holds their tree.  used is the union of the
+    edges that carried flow on the way here, costs the stages finished, and
+    steiner_cost stage k's Steiner cost while its facility step is pending.
+    children maps the targets a run draws to the node it goes on to.  open
+    counts the children not yet closed, those not yet built included: it
+    starts at the number of target tuples the step can draw, a leaf has
+    none, and a node closes when its count reaches 0.
+    """
+
+    state: tuple
+    used: frozenset
+    costs: tuple
+    k: int = 0
+    step: int = STEINER
+    steiner_cost: float = 0.0
+    groups: list | None = None
+    open: int = 0
+    tree: RoutedTree | None = None
+    children: dict = field(default_factory=dict)
+
+
+def _close_leaf(path: list[_Node]) -> None:
+    """A new leaf hangs below path[-1], the last node of the walk from the
+    root that built it: each node on the path, from the leaf up, has one
+    child fewer open, and closes with it when it has none left.  Nodes keep
+    no link up, so the tree holds no reference cycle and goes with its plan,
+    not at the next cyclic collection; the walk's path stands in for one."""
+    for node in reversed(path):
+        node.open -= 1
+        if node.open:
+            return
+
+
 class StagePlan:
     """The staged construction for one gamma-regular weight vector.
 
@@ -204,17 +247,19 @@ class StagePlan:
     tuple of positive (node, demand) pairs.  Given the state at the start of
     a step, everything but the drawn consolidation targets is fixed, and the
     retries of one oracle call keep revisiting the same few states.  So the
-    plan memoizes two maps for its lifetime, and no others:
+    plan keeps two structures for its lifetime, and no others:
 
-    - (stage, step, state) -> the step's groups: for the Steiner step, stage
-      k's cut Steiner forest, each component's holders and its fixed target
-      or cumulative draw table; for the facility step, the facility clusters
-      that hold demand (or the fallback's route to the root).  The clusters
-      depend on the stage alone but are computed on each miss: no plan of
-      the benchmark workloads reaches a stage's facility step from two states;
-    - (stage, step, state, targets drawn) -> the next state, the frozenset of
-      edges that carried flow, and the step's cost, computed on a miss by
-      moving the demand along each group's tree.
+    - the map (stage, step, state) -> the step's groups: for the Steiner
+      step, stage k's cut Steiner forest, each component's holders and its
+      fixed target or cumulative draw table; for the facility step, the
+      facility clusters that hold demand (or the fallback's route to the
+      root).  Different walks reach one state, so the map is keyed on the
+      state rather than on the walk;
+    - the run tree: a node per point a run has reached, the targets drawn
+      picking each child, and a leaf per distinct way a run has ended,
+      holding the routed tree and the per-stage costs.  A child is built on
+      the first walk that draws its targets, by moving the demand along
+      each group's tree; later walks through it only draw.
 
     ``run(seed)`` takes the same uniforms from the same stream per (seed,
     stage, step) as a construction without the memo, one ``random()`` per
@@ -226,10 +271,12 @@ class StagePlan:
     runs one set of streams: a (stage, step) stream is created the first
     time any of them draws there, and each run reads on where the one before
     it stopped.  The conservation and parked-demand checks and the trace
-    snapshots still run on every call, read from the memoized states.  The
+    snapshots still run on every call, read from the tree's states.  The
     returned tree is shared with every other run of the same table that used
-    the same edges.  The separation oracle builds one plan per call, so the
-    memo lives only that long.
+    the same edges.  Once every child of the root has closed, ``exhausted``
+    is true: no later run can end at a leaf that no earlier run reached.
+    The separation oracle builds one plan per call, so the memo lives only
+    that long.
     """
 
     def __init__(self, inst: Instance, alpha: AlphaVector, table: PathTable | None = None):
@@ -246,7 +293,12 @@ class StagePlan:
         self._fallback = [self._total < b for b in self.th.significance]
         self._start = _state(inst.demands)
         self._groups: dict[tuple, list[_Group] | None] = {}
-        self._moves: dict[tuple, tuple] = {}
+        self._root = self._node(0, STEINER, self._start, frozenset(), ())
+
+    @property
+    def exhausted(self) -> bool:
+        """Whether every run from here on ends at a leaf an earlier run reached."""
+        return self._root.open == 0
 
     def _steiner_forest(self, k: int, cur: dict[str, int]):
         """Stage k's Steiner tree over the live demand and the root, cut at
@@ -308,41 +360,45 @@ class StagePlan:
                     groups.append(_Group(holders, group, cdf, pred))
         return groups
 
-    def _step(self, streams, k: int, step: int, state: tuple):
-        """One step of one run: (next state, edges that carried flow, cost),
-        or None when a Steiner step finds no demand live outside the root.
-        ``streams(k, step)`` gives the run's stream, asked for only when a
-        group draws."""
+    def _node(self, k: int, step: int, state: tuple, used: frozenset, costs: tuple,
+              steiner_cost: float = 0.0) -> _Node:
+        """The node about to take stage k's step from state: a leaf when a
+        Steiner step finds no demand live outside the root."""
         key = (k, step, state)
         if key not in self._groups:
             self._groups[key] = self._make_groups(k, step, dict(state))
         groups = self._groups[key]
         if groups is None:
-            return None
-        rng = None
-        targets = []
-        for g in groups:
-            if g.cdf is None:
-                targets.append(g.choices[0])
-                continue
-            if rng is None:
-                rng = streams(k, step)
-            # One-member clusters draw too: their uniform advances the stream.
-            targets.append(g.choices[bisect.bisect_right(g.cdf, rng.random())])
-        key = (k, step, state, tuple(targets))
-        hit = self._moves.get(key)
-        if hit is None:
-            cur = dict(state)
-            flow: dict[Edge, int] = {}
-            for g, target in zip(groups, targets):
-                _move_demand(cur, g.holders, target, g.parent, flow)
-            pipe, lengths = self.pipes.pipes[k], self.inst.lengths
-            if step == STEINER:  # fixed cost of the pipes laid
-                cost = float(pipe.fixed) * add_up(lengths[e] for e in sorted(flow))
-            else:  # incremental cost of the flow
-                cost = float(pipe.rate) * add_up(lengths[e] * f for e, f in flow.items())
-            hit = self._moves[key] = (_state(cur), frozenset(flow), cost)
-        return hit
+            return self._leaf(state, used, costs)
+        return _Node(state, used, costs, k, step, steiner_cost, groups,
+                     open=math.prod(len(g.choices) for g in groups))
+
+    def _leaf(self, state: tuple, used: frozenset, costs: tuple) -> _Node:
+        return _Node(state, used, costs, tree=self.table.routed_tree(used))
+
+    def _child(self, node: _Node, targets: tuple) -> _Node:
+        """Take node's step to the targets drawn: move each group's demand
+        along its tree, cost the pipes laid, and build the next node."""
+        k = node.k
+        cur = dict(node.state)
+        flow: dict[Edge, int] = {}
+        for g, target in zip(node.groups, targets):
+            _move_demand(cur, g.holders, target, g.parent, flow)
+        state, used = _state(cur), node.used.union(flow)
+        pipe, lengths = self.pipes.pipes[k], self.inst.lengths
+        if node.step == STEINER:  # fixed cost of the pipes laid
+            cost = float(pipe.fixed) * add_up(lengths[e] for e in sorted(flow))
+            if k == len(self.pipes.pipes) - 1:  # the flat pipe delivers everything
+                stage = StageCosts(stage=k, steiner_cost=cost, facility_cost=0.0)
+                return self._leaf(state, used, node.costs + (stage,))
+            return self._node(k, FACILITY, state, used, node.costs, cost)
+        # Facility step on original demands with lower bound b_k: incremental
+        # cost of the flow.
+        cost = float(pipe.rate) * add_up(lengths[e] * f for e, f in flow.items())
+        costs = node.costs + (StageCosts(stage=k, steiner_cost=node.steiner_cost, facility_cost=cost),)
+        if self._fallback[k]:
+            return self._leaf(state, used, costs)
+        return self._node(k + 1, STEINER, state, used, costs)
 
     def _record(self, trace: GmmTrace, k: int, step: int, state: tuple) -> None:
         inst, cur = self.inst, dict(state)
@@ -362,38 +418,40 @@ class StagePlan:
             yield self._run(streams)
 
     def _run(self, streams, trace: GmmTrace | None = None) -> tuple[RoutedTree, list[StageCosts]]:
-        state = self._start
-        used: set[Edge] = set()
-        costs: list[StageCosts] = []
-        last = len(self.pipes.pipes) - 1  # flat pipe index
-        for k in range(last + 1):
-            # Steiner step: cheap fixed-cost aggregation, cut at capacity.
-            moved = self._step(streams, k, STEINER, state)
-            if moved is None:
-                break
-            state, edges, steiner_cost = moved
-            used |= edges
+        """Walk the run tree from the root, drawing each step's targets from
+        ``streams(k, step)``, asked for only when a group draws."""
+        node, path = self._root, []
+        while node.tree is None:
+            k, step = node.k, node.step
+            rng = None
+            targets = []
+            for g in node.groups:
+                if g.cdf is None:
+                    targets.append(g.choices[0])
+                    continue
+                if rng is None:
+                    rng = streams(k, step)
+                # One-member clusters draw too: their uniform advances the stream.
+                targets.append(g.choices[bisect.bisect_right(g.cdf, rng.random())])
+            targets = tuple(targets)
+            path.append(node)
+            child = node.children.get(targets)
+            if child is None:
+                child = node.children[targets] = self._child(node, targets)
+                if child.tree is not None:
+                    _close_leaf(path)
             if trace is not None:
-                self._record(trace, k, STEINER, state)
-            if k == last:
-                costs.append(StageCosts(stage=k, steiner_cost=steiner_cost, facility_cost=0.0))
-                break
-            # Facility step on original demands with lower bound b_k.
-            state, edges, facility_cost = self._step(streams, k, FACILITY, state)
-            used |= edges
-            costs.append(StageCosts(stage=k, steiner_cost=steiner_cost, facility_cost=facility_cost))
-            if self._fallback[k]:
-                if trace is not None:
+                if step == FACILITY and self._fallback[k]:
                     trace.fallback_stage = k
-                break
-            if trace is not None:
-                self._record(trace, k, FACILITY, state)
+                else:
+                    self._record(trace, k, step, child.state)
+            node = child
+        state = node.state
         if sum(d for _, d in state) != self._total:
             raise RuntimeError("consolidation must conserve demand")
-        parked = dict(state)
-        if not set(parked) <= {self.inst.root}:
-            raise RuntimeError(f"live demand left outside the root: {parked}")
-        return self.table.routed_tree(used), costs
+        if any(v != self.inst.root for v, _ in state):
+            raise RuntimeError(f"live demand left outside the root: {dict(state)}")
+        return node.tree, list(node.costs)
 
 
 def gmm_tree(

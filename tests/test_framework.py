@@ -177,6 +177,39 @@ class TestSeparationOracle:
                     drawing[step] = max(drawing[step], sum(g.cdf is not None for g in groups))
         assert drawing[STEINER] >= 2 and drawing[FACILITY] >= 2
 
+    @pytest.mark.parametrize("model", ["grid", "random-geometric"])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_exhausted_run_tree_stops_the_retries(self, model, seed, monkeypatch):
+        # An 8-node call at beta 0 with a threshold no tree meets ends
+        # feasible after every retry.  The retries stop walking once the
+        # plan's run tree is exhausted, with the full loop's outcome,
+        # attempts included.
+        inst = generate_instance(model, 8, 3, seed=seed)
+        tilde = tilde_for(inst)
+        m = len(tilde)
+        args = (DualPoint(alpha=(0.5 / m,) * m, beta=0.0), tilde, 1e-9, inst, seed)
+        walks = []
+        walk = StagePlan._run
+
+        def counted(self, *a, **kw):
+            walks.append(1)
+            return walk(self, *a, **kw)
+
+        monkeypatch.setattr(StagePlan, "_run", counted)
+        res = separation_oracle(*args)
+        monkeypatch.undo()
+        assert res.kind == "feasible" and not res.threshold_met
+        assert len(walks) < res.attempts == default_rmax(inst)
+        assert oracle_outcome(res) == oracle_outcome(reference_separation_oracle(*args))
+
+    @pytest.mark.parametrize("rmax", [0, -2])
+    def test_rmax_below_one_refused(self, two_cluster6, rmax):
+        tilde = tilde_for(two_cluster6)
+        m = len(tilde)
+        point = DualPoint(alpha=(0.5 / m,) * m, beta=0.0)
+        with pytest.raises(ValueError, match="rmax"):
+            separation_oracle(point, tilde, 4.0, two_cluster6, seed=1, rmax=rmax)
+
     def test_zero_point_reported(self, two_cluster6):
         tilde = tilde_for(two_cluster6)
         point = DualPoint(alpha=(0.0,) * len(tilde), beta=1.0)

@@ -1,4 +1,5 @@
 import bisect
+import gc
 import re
 from fractions import Fraction as F
 
@@ -493,8 +494,17 @@ class TestStagePlanMemo:
             trace = GmmTrace()
             runs.append(reference_run(plan, seed, trace, streams))
             traces.append(trace)
-        got = list(plan.runs(seed, 32))
+        got, exhausted_at = [], None
+        for run in plan.runs(seed, 32):
+            got.append(run)
+            if exhausted_at is None and plan.exhausted:
+                exhausted_at = len(got)
         assert len(got) == len(runs)
+        # Once the run tree is exhausted, every run ends as an earlier one did.
+        if exhausted_at is not None:
+            assert plan.exhausted
+            for tree, costs in got[exhausted_at:]:
+                assert any(t is tree and c == costs for t, c in got[:exhausted_at])
         for (tree, costs), (ref_tree, ref_costs) in zip(got, runs):
             assert tree.sorted_edges() == ref_tree.sorted_edges()
             assert tree.flow == ref_tree.flow
@@ -537,20 +547,52 @@ class TestStagePlanMemo:
         assert len(calls) <= len(states)
         assert len(calls) < steps  # the memo was hit
 
+    def test_run_tree_freed_without_the_cycle_collector(self):
+        # The run tree holds no reference cycle, so an oracle call's plan
+        # and all its nodes go when the call returns, not at the next
+        # collection.
+        def nodes():
+            return sum(isinstance(o, gmm_mod._Node) for o in gc.get_objects())
+
+        gc.collect()
+        gc.disable()
+        try:
+            plan = TestStagePlanSeeds.drawing_plan()
+            list(plan.runs(7, 32))
+            assert nodes() > 2
+            del plan
+            assert nodes() == 0
+        finally:
+            gc.enable()
+
     def test_capacity_zero_step_builds_no_tree(self, monkeypatch):
-        calls = []
+        # Stage 0's pipe has capacity 0, so its Steiner step moves nothing:
+        # no Steiner tree is built before that step's snapshot, and the step
+        # never asks for its stream.
+        trace = GmmTrace()
+        built_after = []
 
         def counted(*args, **kwargs):
-            calls.append(args)
+            built_after.append(len(trace.consolidations))
             return steiner_tree(*args, **kwargs)
 
         monkeypatch.setattr(gmm_mod, "steiner_tree", counted)
-        plan = StagePlan(two_cluster(), REGULAR_TWO_LEVEL)
+        inst = two_cluster()
+        plan = StagePlan(inst, REGULAR_TWO_LEVEL)
         assert plan.th.capacities[0] == 0
+        source = gmm_mod._streams(3)
+        asked = set()
+
+        def streams(k, step):
+            asked.add((k, step))
+            return source(k, step)
+
         for _ in range(4):
-            # No stream either: a step that asked for one would call None.
-            assert plan._step(None, 0, STEINER, plan._start) == (plan._start, frozenset(), 0.0)
-        assert calls == []
+            before = len(trace.consolidations)
+            plan._run(streams, trace)
+            assert trace.consolidations[before] == (0, STEINER, dict(sorted(inst.demands.items())), 0)
+        assert (0, STEINER) not in asked
+        assert built_after and min(built_after) >= 1
 
 
 class TestDrawTable:
