@@ -31,23 +31,21 @@ master seed, ``np.random.default_rng([seed, stage, step])``, components
 processed in cut-creation order (root first), "farthest upstream" resolved
 by post-order depth-first traversal with lexicographic children.  Given the
 live demand at the start of a step, everything but that step's drawn
-targets is therefore fixed, so a ``StagePlan`` memoizes each step's groups
-under (stage, step, live demand) and keeps a tree of its runs: the targets
-drawn at a step pick the next node, and a leaf holds the tree and costs a
-run ended with.  The draws themselves are not cached: a run takes one
-uniform per drawing group, in group order, from its step's stream and
-inverts it against the group's cached cumulative table, which picks the
-index ``Generator.choice`` would, so memoized runs return what fresh runs
-would.  The retries of one oracle call share one seed's streams: each retry
-reads on where the one before it stopped, so the first is the single run.
-Each node counts the children that could still lead to a new leaf; once
-the root's count is 0 the plan is exhausted, and no later retry can end at
-a tree an earlier one did not.
+targets is therefore fixed, so a ``StagePlan`` keeps a tree of its runs:
+each node holds its step's groups, the targets drawn at a step pick the
+next node, and a leaf holds the tree and costs a run ended with.  The draws
+themselves are not cached: a run takes one uniform per drawing group, in
+group order, from its step's stream and inverts it against the group's
+cached cumulative table, which picks the index ``Generator.choice`` would,
+so memoized runs return what fresh runs would.  The retries of one oracle
+call share one seed's streams: each retry reads on where the one before it
+stopped, so the first is the single run.  Each node counts the children
+that could still lead to a new leaf; once the root's count is 0 the plan is
+exhausted, and no later retry can end at a tree an earlier one did not.
 Per-stage cost accounting records the fixed cost of Steiner-step pipes and
 the incremental cost of facility-step pipes; the returned tree is a
 deterministic shortest-path extraction inside the union of all edges that
-carried live demand, re-flowed from scratch.  It depends only on that union,
-so the PathTable builds it once per union and hands the same tree out again.
+carried live demand, re-flowed from scratch, built once per leaf.
 """
 from __future__ import annotations
 
@@ -98,8 +96,8 @@ def _cut_forest(tree_edges, root: str, cur: dict[str, int], capacity):
     subtree demand exceeds capacity is cut from its parent and carries
     nothing further up; capacity None (the flat pipe) cuts nothing.  Returns
     (component root, parent map) pairs: the true root's first, then the cut
-    components in cut order.  ``StagePlan`` keeps the result in its
-    (stage, step, state) map of groups; nothing here is cached.
+    components in cut order.  ``StagePlan`` builds its groups from the
+    result once per run-tree node; nothing here is cached.
     """
     adj: dict[str, list[str]] = {}
     for u, v in tree_edges:
@@ -158,7 +156,7 @@ def _move_demand(cur, holders, target, parent, flow):
 
 
 def _state(cur: dict[str, int]) -> tuple[tuple[str, int], ...]:
-    """The live demand as a memo key: its positive (node, demand) pairs, sorted."""
+    """The live demand as a run-tree state: its positive (node, demand) pairs, sorted."""
     return tuple(sorted((v, d) for v, d in cur.items() if d > 0))
 
 
@@ -246,20 +244,16 @@ class StagePlan:
     A run is a walk through states, a state being the live demand as a sorted
     tuple of positive (node, demand) pairs.  Given the state at the start of
     a step, everything but the drawn consolidation targets is fixed, and the
-    retries of one oracle call keep revisiting the same few states.  So the
-    plan keeps two structures for its lifetime, and no others:
-
-    - the map (stage, step, state) -> the step's groups: for the Steiner
-      step, stage k's cut Steiner forest, each component's holders and its
-      fixed target or cumulative draw table; for the facility step, the
-      facility clusters that hold demand (or the fallback's route to the
-      root).  Different walks reach one state, so the map is keyed on the
-      state rather than on the walk;
-    - the run tree: a node per point a run has reached, the targets drawn
-      picking each child, and a leaf per distinct way a run has ended,
-      holding the routed tree and the per-stage costs.  A child is built on
-      the first walk that draws its targets, by moving the demand along
-      each group's tree; later walks through it only draw.
+    retries of one oracle call keep walking the same few paths.  So the plan
+    keeps one structure for its lifetime, its run tree: a node per point a
+    run has reached, the targets drawn picking each child, and a leaf per
+    distinct way a run has ended, holding the routed tree and the per-stage
+    costs.  An inner node holds its step's groups: for the Steiner step,
+    stage k's cut Steiner forest, each component's holders and its fixed
+    target or cumulative draw table; for the facility step, the facility
+    clusters that hold demand (or the fallback's route to the root).  A
+    child is built on the first walk that draws its targets, by moving the
+    demand along each group's tree; later walks through it only draw.
 
     ``run(seed)`` takes the same uniforms from the same stream per (seed,
     stage, step) as a construction without the memo, one ``random()`` per
@@ -272,8 +266,8 @@ class StagePlan:
     time any of them draws there, and each run reads on where the one before
     it stopped.  The conservation and parked-demand checks and the trace
     snapshots still run on every call, read from the tree's states.  The
-    returned tree is shared with every other run of the same table that used
-    the same edges.  Once every child of the root has closed, ``exhausted``
+    returned tree is shared with every other run that ends at the same
+    leaf.  Once every child of the root has closed, ``exhausted``
     is true: no later run can end at a leaf that no earlier run reached.
     The separation oracle builds one plan per call, so the memo lives only
     that long.
@@ -291,9 +285,7 @@ class StagePlan:
         # Stage k falls back to routing everything to the root when the total
         # demand is below its significance point b_k.
         self._fallback = [self._total < b for b in self.th.significance]
-        self._start = _state(inst.demands)
-        self._groups: dict[tuple, list[_Group] | None] = {}
-        self._root = self._node(0, STEINER, self._start, frozenset(), ())
+        self._root = self._node(0, STEINER, _state(inst.demands), frozenset(), ())
 
     @property
     def exhausted(self) -> bool:
@@ -364,10 +356,7 @@ class StagePlan:
               steiner_cost: float = 0.0) -> _Node:
         """The node about to take stage k's step from state: a leaf when a
         Steiner step finds no demand live outside the root."""
-        key = (k, step, state)
-        if key not in self._groups:
-            self._groups[key] = self._make_groups(k, step, dict(state))
-        groups = self._groups[key]
+        groups = self._make_groups(k, step, dict(state))
         if groups is None:
             return self._leaf(state, used, costs)
         return _Node(state, used, costs, k, step, steiner_cost, groups,

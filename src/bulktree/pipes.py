@@ -116,6 +116,10 @@ class Pipe:
     fixed: Fraction   # sigma
     rate: Fraction    # delta
 
+    def __post_init__(self):
+        object.__setattr__(self, "fixed", as_fraction(self.fixed))
+        object.__setattr__(self, "rate", as_fraction(self.rate))
+
     def cost(self, x: Fraction) -> Fraction:
         return self.fixed + self.rate * x
 
@@ -125,8 +129,7 @@ class PipeSchedule:
     pipes: tuple[Pipe, ...]
 
     def __post_init__(self):
-        ps = tuple(Pipe(as_fraction(p.fixed), as_fraction(p.rate)) if not isinstance(p, Pipe)
-                   else p for p in self.pipes)
+        ps = tuple(self.pipes)
         object.__setattr__(self, "pipes", ps)
         if not ps:
             raise ValueError("schedule must have at least one pipe")
@@ -146,7 +149,7 @@ class PipeSchedule:
 
 
 def make_schedule(pairs) -> PipeSchedule:
-    return PipeSchedule(tuple(Pipe(as_fraction(s), as_fraction(d)) for s, d in pairs))
+    return PipeSchedule(tuple(Pipe(s, d) for s, d in pairs))
 
 
 def alpha_to_pipes(a: AlphaVector) -> PipeSchedule:
@@ -197,11 +200,10 @@ def pipes_to_alpha(p: PipeSchedule, D: int | None = None) -> AlphaVector:
     if (1 << top) > D:
         raise ValueError(f"breakpoint {1 << top} exceeds D={D}")
     out = AlphaVector(alpha=alpha, D=D)
-    if all(isinstance(x, Fraction) for q in ps for x in (q.fixed, q.rate)):
-        # alpha_to_pipes(out) rebuilds p exactly: with sigma_0 = 0 and a flat
-        # last pipe, the suffix sums of the rate drops are the rates and the
-        # prefix sums of drop * breakpoint are the fixed costs.
-        object.__setattr__(out, "_schedule", p)
+    # alpha_to_pipes(out) rebuilds p exactly: with sigma_0 = 0 and a flat last
+    # pipe, the suffix sums of the rate drops are the rates and the prefix
+    # sums of drop * breakpoint are the fixed costs.
+    object.__setattr__(out, "_schedule", p)
     return out
 
 

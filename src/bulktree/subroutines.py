@@ -23,9 +23,8 @@ map, ``rent_or_buy`` its routed tree.  Costs are computed from those with
 ``aggregation``, which adds every cost in one order.
 
 Shortest paths are read through a PathTable: a solve that passes one table
-to every call runs Dijkstra at most once per source, builds each Steiner
-tree once per terminal set and each rent-or-buy tree once per marked set; a
-call given no table fills its own.
+to every call runs Dijkstra at most once per source and builds each
+rent-or-buy tree once per marked set; a call given no table fills its own.
 """
 from __future__ import annotations
 
@@ -71,10 +70,7 @@ class PathTable:
     It keeps, each computed at most once:
 
     - the shortest paths from each source under the instance's lengths;
-    - ``steiner_tree``'s edges per terminal set;
     - ``rent_or_buy``'s routed tree per marked set, on which alone it depends;
-    - the routed tree that the staged construction extracts from each edge
-      union;
     - each routed tree's atomic level costs.
 
     A solve builds one table and drops it when it returns.  The maps and
@@ -84,9 +80,7 @@ class PathTable:
     def __init__(self, inst: Instance):
         self.inst = inst
         self._paths: dict[str, tuple[dict[str, float], dict[str, str]]] = {}
-        self._steiner: dict[frozenset, tuple[Edge, ...]] = {}
         self._rob: dict[frozenset, RoutedTree] = {}
-        self._trees: dict[frozenset, RoutedTree] = {}
         self._level_costs: dict[tuple[tuple[Edge, ...], int], tuple[float, ...]] = {}
 
     def get(self, source: str) -> tuple[dict[str, float], dict[str, str]]:
@@ -99,13 +93,9 @@ class PathTable:
         """The tree the staged construction returns for the edge union
         ``used``: the shortest paths inside it, under the lengths, from the
         root to every demand, with the demands routed to the root."""
-        key = frozenset(used)
-        hit = self._trees.get(key)
-        if hit is None:
-            inst = self.inst
-            edges = _prune_to_tree(key, sorted(inst.demands), inst.lengths, inst.root)
-            hit = self._trees[key] = route_demands(inst, edges)
-        return hit
+        inst = self.inst
+        edges = _prune_to_tree(used, sorted(inst.demands), inst.lengths, inst.root)
+        return route_demands(inst, edges)
 
     def level_costs(self, tree: RoutedTree, levels: int) -> tuple[float, ...]:
         """``aggregation.level_costs`` of the tree at levels 0..levels-1 under
@@ -128,18 +118,14 @@ def _walk_path(pred: dict[str, str], source: str, target: str) -> list[str]:
 def steiner_tree(inst: Instance, terminals, *, table: PathTable | None = None) -> tuple[Edge, ...]:
     """Metric-closure MST heuristic: the sorted edges of a tree spanning the
     terminals, whose length is within 2x of the optimal Steiner tree's."""
-    table = PathTable(inst) if table is None else table
-    key = frozenset(terminals)
-    if not key:
+    terms = sorted(set(terminals))
+    if not terms:
         raise ValueError("terminals must be nonempty")
-    hit = table._steiner.get(key)
-    if hit is None:
-        hit = table._steiner[key] = _closure_tree(inst, sorted(key), table)
-    return hit
+    return _closure_tree(inst, terms, PathTable(inst) if table is None else table)
 
 
 def _closure_tree(inst: Instance, terms: list[str], table: PathTable) -> tuple[Edge, ...]:
-    """``steiner_tree`` of the sorted terminals, built afresh."""
+    """``steiner_tree`` of the sorted, distinct terminals."""
     dists: dict[str, dict[str, float]] = {}
     preds: dict[str, dict[str, str]] = {}
     for t in terms:

@@ -166,6 +166,65 @@ def test_gmm_and_regularize_and_pipes(tmp_path, star_file, capsys):
     ]
 
 
+# The README claims these three artifacts are byte-identical on every
+# supported interpreter: they are computed in pure Python and add every float
+# cost left to right.  The alpha file is the CLI smoke's.  Level 0 of the
+# inline instance sums 0.1 + 0.2 + 0.3 + 1.1, which a compensated sum would
+# round to 1.7.
+PINNED_ALPHA = {"D": 8, "alpha": {"0": 1.0, "1": 0.5, "3": 0.25}}
+PINNED_INSTANCE = {
+    "nodes": ["a", "b", "c", "d", "r"],
+    "edges": [{"u": "r", "v": "a", "length": 0.1}, {"u": "a", "v": "b", "length": 0.2},
+              {"u": "r", "v": "c", "length": 0.7}, {"u": "b", "v": "c", "length": 0.3},
+              {"u": "c", "v": "d", "length": 1.1}, {"u": "a", "v": "d", "length": 2.3}],
+    "demands": {"b": 3, "c": 1, "d": 2},
+    "root": "r",
+}
+
+
+def test_pure_python_artifacts_pinned(tmp_path, capsys):
+    alpha, reg = tmp_path / "alpha.json", tmp_path / "reg.json"
+    alpha.write_text(json.dumps(PINNED_ALPHA) + "\n")
+    assert run(["regularize", alpha, "--out", reg]) == 0
+    exact = {"0": [1, 1], "1": [1, 2], "3": [1, 4]}
+    stages = [("cap_capacity", 1.0, 1, 1), ("regularize_delta", 3.0, 2, 1),
+              ("regularize_sigma", 2.5, 0, 0)]
+    expected = {
+        "gamma": 0.25,
+        "input": {**PINNED_ALPHA, "alpha_exact": exact, "schema": "bulktree/v1"},
+        "output": {"D": 8, "alpha": {"2": 1.75}, "alpha_exact": {"2": [7, 4]},
+                   "schema": "bulktree/v1"},
+        "report": {
+            "stages": [{"distortion_bound": bound, "pipes_removed": removed,
+                        "rotations": rotations, "stage": stage}
+                       for stage, bound, removed, rotations in stages],
+            "total_f_lower_factor": 7.5,
+        },
+        "schema": "bulktree/v1",
+    }
+    assert reg.read_text() == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+    capsys.readouterr()
+    assert run(["pipes", alpha]) == 0
+    assert capsys.readouterr().out == (
+        "k\tsigma\tdelta\tcapacity\tindifference\tsignificance\n"
+        "0\t0\t1.75\t0\t1\t8\n"
+        "1\t1\t0.75\t1.33333333\t2\t12\n"
+        "2\t2\t0.25\t8\t8\t24\n"
+        "3\t4\t0\tinf\tinf\tinf\n"
+    )
+
+    inst, out = tmp_path / "inst.json", tmp_path / "brute.json"
+    inst.write_text(json.dumps(PINNED_INSTANCE))
+    assert run(["brute", inst, "--out", out]) == 0
+    tree = [["a", "b"], ["a", "r"], ["b", "c"], ["c", "d"]]
+    assert json.loads(out.read_text())["levels"] == [
+        {"edges": tree, "i": i, "optimum": optimum}
+        for i, optimum in enumerate([1.7000000000000002, 3.4000000000000004,
+                                     4.300000000000001, 4.9])
+    ]
+
+
 def test_gmm_deterministic(tmp_path, star_file):
     alpha = tmp_path / "alpha.json"
     alpha.write_text(json.dumps({"D": 4, "alpha": {"0": 1.0}}))

@@ -186,6 +186,13 @@ class TestGmmTree:
         tree, _ = gmm_tree(inst, alpha, seed=5)
         assert tree.sorted_edges() == (("a", "b"), ("a", "r"))
 
+    def test_all_demand_at_root_lays_nothing(self):
+        inst = make_instance({("r", "a"): 1.0}, {"r": 2}, "r")
+        trace = GmmTrace()
+        tree, costs = gmm_tree(inst, REGULAR_TWO_LEVEL, seed=1, trace=trace)
+        assert tree.sorted_edges() == () and costs == []
+        assert trace.fallback_stage is None
+
     def test_deterministic_across_runs(self):
         inst = two_cluster()
         t1, c1 = gmm_tree(inst, REGULAR_TWO_LEVEL, seed=42)

@@ -89,6 +89,14 @@ class TestPipesToAlpha:
         a = pipes_to_alpha(p, D=8)
         assert a.alpha == {0: F(1), 2: F(1)}
 
+    def test_int_and_float_fields_become_fractions(self):
+        p = PipeSchedule((Pipe(0, 2), Pipe(1, 1), Pipe(5, 0)))
+        a = pipes_to_alpha(p, D=8)
+        assert a.alpha == {0: F(1), 2: F(1)}
+        assert is_exact(p) and a.schedule() is p
+        # A float converts to its exact binary value.
+        assert Pipe(0.1, 0.5) == Pipe(F(0.1), F(1, 2))
+
     def test_single_pipe_pair(self):
         a = pipes_to_alpha(make_schedule([(0, 1), (1, 0)]))
         assert a.alpha == {0: F(1)} and a.D == 1

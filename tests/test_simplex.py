@@ -81,3 +81,16 @@ def test_vertex_solution_is_sparse():
     c = rng.random(6) + 0.5
     z, _, _ = solve_min_ge(c, A, b)
     assert (z > 1e-9).sum() <= 2
+
+
+def test_leftover_artificials_driven_out():
+    # b = 0 leaves phase 1 at objective 0 with both artificials still basic,
+    # so both must be pivoted out before phase 2.
+    c, A, b = [3.0, 1.0], [[-1.0, 0.0], [0.0, -1.0]], [0.0, 0.0]
+    z, obj, y = solve_min_ge(c, A, b)
+    assert obj == pytest.approx(brute_vertex_optimum(c, A, b)[0], abs=1e-7)
+    A, b, c = np.array(A), np.array(b), np.array(c)
+    assert (A @ z >= b - 1e-7).all() and (z >= -1e-9).all()
+    assert (y >= -1e-9).all()
+    assert (A.T @ y <= c + 1e-7).all()
+    assert b @ y == pytest.approx(obj, abs=1e-7)

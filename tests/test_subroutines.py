@@ -148,10 +148,10 @@ class TestPathTable:
         subsets = st.lists(st.sampled_from(nodes), min_size=1, max_size=len(nodes))
         table = PathTable(inst)
         for terminals in data.draw(st.lists(subsets, min_size=1, max_size=6)):
-            # Asked twice, in another order: a filled entry must still equal a
-            # table-less tree of the same terminal set.
+            # Asked twice, in another order: a tree built from filled paths
+            # must still equal a table-less tree of the same terminal set.
             first = steiner_tree(inst, terminals, table=table)
-            assert steiner_tree(inst, terminals[::-1], table=table) is first
+            assert steiner_tree(inst, terminals[::-1], table=table) == first
             assert first == steiner_tree(inst, terminals)
 
 
