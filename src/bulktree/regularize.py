@@ -27,6 +27,9 @@ f(x) <= c * f'(x) on integers x in [1, D]:
      pipe's reign is extended to the next power of two and the plateau is
      raised to its cost there, which only increases f on the affected range.
 
+A stage that finds nothing to do returns its input with an empty report, as
+rebuilding an unchanged schedule would give the same vector.
+
 Every rotation target is reachable because a power of two always lies in
 [g/2, 2g]; all arithmetic is exact rationals, so power-of-two tests and the
 in-run proof-claim assertions are exact.  Each stage deletes at least one
@@ -195,6 +198,8 @@ def regularize_delta(a: AlphaVector) -> tuple[AlphaVector, StageReport]:
             pipes[k + 1].rate < GAMMA * pipes[k].rate,
             "pair still violates the rate constraint after rotation",
         )
+    if not report.pipes_removed:
+        return a, report  # every pass deletes a pipe: the first scan found no pair
     out = _rebuild(pipes, a.D)
     last = pipes[-2]
     _require(last.rate == 0 or last.fixed / last.rate <= D, "capacity cap broken by rate stage")
@@ -284,6 +289,10 @@ def regularize_sigma(a: AlphaVector) -> tuple[AlphaVector, StageReport]:
             pipes[ki - 1].fixed < GAMMA * pipes[ki].fixed,
             "pair still violates the fixed-cost constraint",
         )
+    if not report.pipes_removed:
+        # Every pass deletes a pipe, so the first scan found no pair: with the
+        # rate and cap preconditions checked above, a is already regular.
+        return a, report
     out = _rebuild(pipes, a.D)
     check = is_gamma_regular(out)
     _require(bool(check), f"sigma stage output not regular: {check}")

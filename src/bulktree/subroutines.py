@@ -156,8 +156,13 @@ def _prune_to_tree(edges: set[Edge], terminals, lengths, start: str) -> set[Edge
     """Extract a cycle-free subset spanning the terminals from a path union.
 
     Keeps the union of the shortest paths from start to every terminal inside
-    the union, so the cost is no larger than the union's.
+    the union, so the cost is no larger than the union's.  A union that is
+    already a tree holding every terminal, whose every leaf is a terminal or
+    start, is that set: each of its edges lies on the one path from start to
+    some terminal.  It is returned as it is, without the Dijkstra.
     """
+    if _is_terminal_tree(edges, terminals, start):
+        return edges
     adj: dict[str, list[tuple[str, float]]] = {}
     for (u, v) in sorted(edges):
         w = lengths[(u, v)]
@@ -176,6 +181,32 @@ def _prune_to_tree(edges: set[Edge], terminals, lengths, start: str) -> set[Edge
             keep.add(e)
             node = pred[node]
     return keep
+
+
+def _is_terminal_tree(edges: set[Edge], terminals, start: str) -> bool:
+    """True when the edges form one tree through start that holds every
+    terminal and whose leaves are all terminals or start."""
+    adj: dict[str, list[str]] = {}
+    for u, v in edges:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    if start not in adj or len(edges) != len(adj) - 1:
+        return False
+    ends = set(terminals)
+    ends.add(start)
+    if not ends.issubset(adj):
+        return False
+    if any(len(nbrs) == 1 and v not in ends for v, nbrs in adj.items()):
+        return False
+    # n - 1 edges on n nodes are a tree exactly when start reaches them all.
+    seen = {start}
+    stack = [start]
+    while stack:
+        for v in adj[stack.pop()]:
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return len(seen) == len(adj)
 
 
 def lbfl(
@@ -228,15 +259,20 @@ def rent_or_buy(inst: Instance, M, seed: int, table: PathTable | None = None) ->
     Marks each demand independently with probability min(1, d_v/M), buys a
     Steiner tree on the marked set plus the root, and rents shortest paths
     from the remaining demands into the bought structure.  Returns the routed
-    tree.
+    tree.  Marks are drawn only where one is uncertain: when every client's
+    probability is 1, all are marked and no generator is made.
     """
     if M <= 0:
         raise ValueError("M must be positive")
     table = PathTable(inst) if table is None else table
-    rng = np.random.default_rng([int(seed), 0x726F62])
     clients = sorted(inst.demands)
-    draws = rng.random(len(clients))
-    key = frozenset(c for c, r in zip(clients, draws) if r < min(1.0, inst.demands[c] / float(M)))
+    marks = [min(1.0, inst.demands[c] / float(M)) for c in clients]
+    if all(p == 1.0 for p in marks):
+        # Every draw r in [0, 1) is below 1.0: all clients are marked.
+        key = frozenset(clients)
+    else:
+        draws = np.random.default_rng([int(seed), 0x726F62]).random(len(clients))
+        key = frozenset(c for c, r, p in zip(clients, draws, marks) if r < p)
     hit = table._rob.get(key)
     if hit is None:
         hit = table._rob[key] = _augmented_tree(inst, key, table)
@@ -244,7 +280,13 @@ def rent_or_buy(inst: Instance, M, seed: int, table: PathTable | None = None) ->
 
 
 def _augmented_tree(inst: Instance, marked: frozenset, table: PathTable) -> RoutedTree:
-    """``rent_or_buy``'s tree for the marked clients, built afresh."""
+    """``rent_or_buy``'s tree for the marked clients, built afresh.
+
+    The union is routed as it is, unpruned: the bought part is a pruned
+    Steiner tree, whose leaves are marked clients or the root, and each rented
+    path adds a chain of new nodes that ends at the first node already in the
+    structure, so the union stays a tree whose every leaf is a terminal.
+    """
     clients = sorted(inst.demands)
     edges: set[Edge] = set(steiner_tree(inst, marked | {inst.root}, table=table))
     nodes = {inst.root}
@@ -263,8 +305,7 @@ def _augmented_tree(inst: Instance, marked: frozenset, table: PathTable) -> Rout
             if v in nodes:
                 break  # reached the bought structure; renting stops here
             nodes.add(v)
-    terminals = sorted(set(clients)) + [inst.root]
-    return route_demands(inst, _prune_to_tree(edges, terminals, inst.lengths, min(terminals)))
+    return route_demands(inst, edges)
 
 
 def rob_lower_bounds(

@@ -425,3 +425,35 @@ def test_malformed_input_exit_2(tmp_path, star_file, capsys, command, payload):
     assert code == 2
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
     assert err["type"] == "ParseError"
+
+
+def test_outputs_do_not_depend_on_hash_order(tmp_path):
+    # String hashing, and with it the iteration order of sets of node ids,
+    # changes per process; solve and gmm artifacts must not.
+    src = os.path.dirname(os.path.dirname(bulktree.__file__))
+    (tmp_path / "alpha.json").write_text('{"D": 8, "alpha": {"0": 1.0, "1": 0.5, "3": 0.25}}')
+    assert run(["gen", "random-geometric", "--n", 8, "--demands", 3, "--seed", 1,
+                "--out", tmp_path / "geo.json"]) == 0
+    assert run(["gen", "grid", "--n", 9, "--demands", 8, "--seed", 1,
+                "--out", tmp_path / "grid.json"]) == 0
+    code = (
+        "import sys\n"
+        "from bulktree.cli import main\n"
+        "out = sys.argv[1]\n"
+        "for name in ('geo', 'grid'):\n"
+        "    assert main(['solve', name + '.json', '--seed', '1', '--out', f'{out}/{name}-dist.json',\n"
+        "                 '--report', f'{out}/{name}-report.json']) == 0\n"
+        "    assert main(['gmm', name + '.json', 'alpha.json', '--seed', '1',\n"
+        "                 '--out', f'{out}/{name}-gmm.json']) == 0\n"
+    )
+    outputs = []
+    for hash_seed in ("0", "4242"):
+        out = tmp_path / f"hash-{hash_seed}"
+        out.mkdir()
+        subprocess.run(
+            [sys.executable, "-c", code, str(out)], cwd=tmp_path, capture_output=True, check=True,
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hash_seed},
+        )
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert len(outputs[0]) == 6
+    assert outputs[0] == outputs[1]

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction as F
 
 import numpy as np
@@ -9,6 +10,9 @@ from bulktree.pipes import GAMMA, AlphaVector, alpha_to_pipes, is_gamma_regular
 from bulktree.regularize import cap_capacity, regularize, regularize_delta, regularize_sigma
 
 from conftest import random_alpha
+
+# sha256 prefix of test_regularize_outputs_pinned's entries.
+REGULARIZE_DIGEST = "2cd4134d567007ba"
 
 
 def max_pointwise_drop(before: AlphaVector, after: AlphaVector, D: int) -> F:
@@ -211,3 +215,18 @@ def test_multi_level_cost_growth_finite_and_recorded():
                 worst = max(worst, opt.multi_level_cost(out) / before)
     assert worst < F(10**6)  # finite in practice; observed well below 10
     print(f"\nregularization mixed-benchmark growth, observed worst case: {float(worst):.3f}")
+
+
+def test_regularize_outputs_pinned():
+    # Exact outputs and stage reports of 200 random vectors, recorded before
+    # the stages returned their input unchanged when they find nothing to do.
+    rng = np.random.default_rng(2025)
+    entries, idle = [], 0
+    for _ in range(200):
+        out, report = regularize(random_alpha(rng, max_levels=11))
+        stages = [(st.stage, st.pipes_removed, tuple(st.rotations)) for st in report.stages]
+        idle += sum(removed == 0 and not rotations for _, removed, rotations in stages[1:])
+        entries.append((sorted((lvl, str(w)) for lvl, w in out.alpha.items()), out.D, stages))
+    # Both kinds of stage run: some find a violating pair, some find none.
+    assert 0 < idle < 400
+    assert hashlib.sha256(repr(entries).encode()).hexdigest()[:16] == REGULARIZE_DIGEST

@@ -1,12 +1,15 @@
+import hashlib
 import itertools
 import math
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bulktree.subroutines as sub_mod
-from bulktree.aggregation import add_up, atomic_cost
+from bulktree.aggregation import add_up, atomic_cost, route_demands
 from bulktree.exact import _spanning_trees, enumerate_candidate_trees
 from bulktree.instance import Instance, canonical_edge, demand_profile, generate_instance
 from bulktree.subroutines import (
@@ -21,6 +24,9 @@ from bulktree.subroutines import (
 )
 
 from conftest import make_instance, small_instance_corpus
+
+# sha256 prefix of TestRobPinned.test_outputs_pinned's entries.
+ROB_DIGEST = "9d63a5eaab6b6d64"
 
 
 def brute_steiner_cost(inst, terminals, weight) -> float:
@@ -327,3 +333,123 @@ class TestRobLowerBounds:
         for i, val, _ in rob_lower_bounds(inst, seed=21):
             assert val >= opt.value(i) - 1e-9
             assert val <= 4 * opt.value(i) + 1e-9  # frozen for this seed; mean bound is the contract
+
+
+def heavy_instances() -> list:
+    """Geometric, grid and path instances with demands in 1..1000 (up to 10 levels)."""
+    rng = np.random.default_rng(31)
+    out = []
+    for model, n, s in [("random-geometric", 12, 3), ("grid", 12, 4), ("path", 10, 5),
+                        ("random-geometric", 9, 6), ("grid", 9, 7)]:
+        base = generate_instance(model, n, (n - 1) // 2, seed=s)
+        demands = {v: int(rng.integers(1, 1001)) for v in base.demands}
+        out.append(Instance(nodes=base.nodes, lengths=base.lengths, demands=demands, root=base.root))
+    return out
+
+
+class TestRobPinned:
+    def test_outputs_pinned(self):
+        # Every bound and tree over the corpus and heavy instances at four
+        # seeds, recorded before rent_or_buy stopped drawing where every
+        # mark is certain and before the union stopped being pruned again.
+        entries = []
+        for inst in small_instance_corpus() + heavy_instances():
+            for seed in (0, 1, 5, 17):
+                entries.append([(i, repr(val), tree.edges, sorted(tree.flow.items()),
+                                 sorted(tree.parent.items()))
+                                for i, val, tree in rob_lower_bounds(inst, seed)])
+        assert hashlib.sha256(repr(entries).encode()).hexdigest()[:16] == ROB_DIGEST
+
+    @pytest.mark.parametrize("inst", small_instance_corpus(count=4) + heavy_instances())
+    def test_certain_marks_draw_nothing(self, inst, monkeypatch):
+        # At M <= every demand each client is marked whatever the draws, so
+        # no generator is made and the tree is the Steiner tree of them all.
+        def refuse(*args, **kwargs):
+            raise AssertionError("rent_or_buy drew although every mark is certain")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        smallest = min(inst.demands.values())
+        buy_all = steiner_tree(inst, sorted(inst.demands) + [inst.root])
+        for M in sorted({1, smallest // 2 or 1, smallest}):
+            for seed in (0, 3):
+                tree = rent_or_buy(inst, M, seed=seed)
+                assert tree.edges == buy_all
+                assert tree.flow == route_demands(inst, buy_all).flow
+
+
+def reference_prune(edges, terminals, lengths, start: str) -> set:
+    """``_prune_to_tree`` as it was before its tree shortcut: the shortest
+    paths inside the union from start to every terminal."""
+    adj: dict = {}
+    for (u, v) in sorted(edges):
+        w = lengths[(u, v)]
+        adj.setdefault(u, []).append((v, w))
+        adj.setdefault(v, []).append((u, w))
+    for v in adj:
+        adj[v].sort()
+    _, pred = _shortest_paths(adj, start)
+    keep: set = set()
+    for t in sorted(terminals):
+        node = t
+        while node != start:
+            e = canonical_edge(node, pred[node])
+            if e in keep:
+                break
+            keep.add(e)
+            node = pred[node]
+    return keep
+
+
+@st.composite
+def prune_inputs(draw):
+    """An edge union, lengths, terminals and start, of one of four kinds: a
+    tree whose every leaf is a terminal or start, a tree with a leaf that is
+    neither, a tree plus extra edges (so with cycles), and a tree at start
+    plus a detached component holding a cycle."""
+    kind = draw(st.sampled_from(["terminal-leaves", "free-leaf", "cycles", "detached-cycle"]))
+    n = draw(st.integers(1, 9))
+    nodes = [f"v{i}" for i in range(n)]
+    edges = {canonical_edge(nodes[i], nodes[draw(st.integers(0, i - 1))]) for i in range(1, n)}
+    start = draw(st.sampled_from(nodes))
+    terminals = set(draw(st.lists(st.sampled_from(nodes), max_size=n)))
+    degree = {v: 0 for v in nodes}
+    for u, v in edges:
+        degree[u] += 1
+        degree[v] += 1
+    leaves = {v for v in nodes if degree[v] == 1}
+    if kind == "terminal-leaves":
+        terminals |= leaves
+    elif kind == "free-leaf" and leaves - {start}:
+        terminals.discard(draw(st.sampled_from(sorted(leaves - {start}))))
+    elif kind == "cycles":
+        pairs = [(a, b) for i, a in enumerate(nodes) for b in nodes[i + 1:]]
+        edges |= set(draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=n))) if pairs else set()
+    elif kind == "detached-cycle":
+        ring = [f"w{i}" for i in range(draw(st.integers(3, 5)))]
+        edges |= {canonical_edge(a, b) for a, b in zip(ring, ring[1:] + ring[:1])}
+        terminals |= set(draw(st.lists(st.sampled_from(ring), max_size=2)))
+    length = st.sampled_from(draw(st.sampled_from([[1.0], [1.0, 2.0, 3.0], [0.0, 1.0, 2.5]])))
+    lengths = {e: draw(length) for e in sorted(edges)}
+    return edges, sorted(terminals), lengths, start, kind
+
+
+class TestPruneShortcut:
+    @settings(max_examples=600, deadline=None)
+    @given(case=prune_inputs())
+    def test_matches_full_prune(self, case):
+        edges, terminals, lengths, start, kind = case
+        try:
+            want = reference_prune(edges, terminals, lengths, start)
+        except KeyError:
+            return  # a terminal the union does not reach: no prune to match
+        assert sub_mod._prune_to_tree(set(edges), terminals, lengths, start) == want
+        if kind == "terminal-leaves" and edges and set(terminals) <= {v for e in edges for v in e}:
+            # The shortcut, not the Dijkstra, answered.
+            with mock.patch.object(sub_mod, "_shortest_paths", side_effect=AssertionError):
+                assert sub_mod._prune_to_tree(set(edges), terminals, lengths, start) == edges
+
+    def test_detached_cycle_is_not_a_tree(self):
+        # Five edges on six nodes, but {a, b, c} is a cycle away from start.
+        edges = {("r", "s"), ("s", "t"), ("a", "b"), ("b", "c"), ("a", "c")}
+        lengths = dict.fromkeys(edges, 1.0)
+        assert sub_mod._prune_to_tree(set(edges), ["t"], lengths, "r") == {("r", "s"), ("s", "t")}
