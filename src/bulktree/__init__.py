@@ -21,7 +21,6 @@ from .exact import (
     exact_oblivious_ratio,
     exact_optima,
     exact_optima_and_lp,
-    exact_optimum,
 )
 from .framework import (
     ConstraintSet,

@@ -217,13 +217,6 @@ def _optima_of(trees: list[RoutedTree], costs) -> ExactOptima:
     return ExactOptima(per_level=tuple(out))
 
 
-def exact_optimum(inst: Instance, i: int, node_cap: int = DEFAULT_NODE_CAP) -> tuple[RoutedTree, float]:
-    if not 0 <= i < demand_profile(inst).levels:
-        raise ValueError(f"level out of range: {i}")
-    opt = exact_optima(inst, node_cap)
-    return opt.tree(i), opt.value(i)
-
-
 def exact_oblivious_ratio(
     inst: Instance, dist: TreeDistribution, node_cap: int = DEFAULT_NODE_CAP,
     optima: ExactOptima | None = None,

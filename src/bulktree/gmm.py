@@ -458,6 +458,10 @@ def oracle_tree(inst: Instance, alpha: AlphaVector, seed: int) -> RoutedTree:
 
     The returned tree is meant to be evaluated under the ORIGINAL weights;
     the regularization's bounded distortion carries the cost guarantee over.
+
+    No solve calls this: the separation oracle walks the same construction
+    through its own plan.  It stays while ``perfbench/tracer.py`` wraps it by
+    name.
     """
     regular, _ = regularize(alpha)
     tree, _ = gmm_tree(inst, regular, seed)

@@ -240,30 +240,16 @@ _MODEL_TAG = {m: i for i, m in enumerate(GENERATOR_MODELS)}
 
 
 def _connect_components(names, dist, lengths) -> None:
-    # Greedily link closest component pairs so geometric samples always validate.
-    def comps():
-        adj = {v: [] for v in names}
-        for (u, v) in lengths:
-            adj[u].append((v, 0.0))
-            adj[v].append((u, 0.0))
-        seen: set[str] = set()
-        out = []
-        for v in names:
-            if v not in seen:
-                comp = _connected_from(adj, v)
-                seen |= comp
-                out.append(sorted(comp))
-        return out
-
-    parts = comps()
-    while len(parts) > 1:
-        best = None
-        for a in parts[0]:
-            for other in parts[1:]:
-                for b in other:
-                    cand = (dist[int(a)][int(b)], a, b)
-                    if best is None or cand < best:
-                        best = cand
-        d, a, b = best
+    # Greedily link the component of names[0] to its closest outside node, so
+    # geometric samples always validate.
+    adj = {v: [] for v in names}
+    for (u, v) in lengths:
+        adj[u].append((v, 0.0))
+        adj[v].append((u, 0.0))
+    part = _connected_from(adj, names[0])
+    while len(part) < len(names):
+        d, a, b = min(
+            (dist[int(a)][int(b)], a, b) for a in part for b in names if b not in part
+        )
         lengths[canonical_edge(a, b)] = max(d, 1e-6)
-        parts = comps()
+        part |= _connected_from(adj, b)  # b's component joins through the new link

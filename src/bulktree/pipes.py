@@ -144,9 +144,6 @@ class PipeSchedule:
         xf = as_fraction(x)
         return min(p.cost(xf) for p in self.pipes)
 
-    def __len__(self) -> int:
-        return len(self.pipes)
-
 
 def make_schedule(pairs) -> PipeSchedule:
     return PipeSchedule(tuple(Pipe(s, d) for s, d in pairs))

@@ -38,6 +38,7 @@ an internal error, never a silent fallback.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -87,19 +88,14 @@ class RegularizationReport:
 
 
 def _pow2_above(x: Fraction) -> Fraction:
-    """Smallest power of two >= x (x > 0)."""
-    p = Fraction(1)
-    while p < x:
-        p *= 2
-    while p / 2 >= x:
-        p /= 2
-    return p
+    """Smallest power of two >= x (x >= 1)."""
+    _require(x >= 1, "power-of-two target below flow 1")
+    return Fraction(1 << (math.ceil(x) - 1).bit_length())
 
 
 def _pow2_below(x: Fraction) -> Fraction:
     """Largest power of two <= x (x >= 1)."""
-    p = _pow2_above(x)
-    return p if p == x else p / 2
+    return Fraction(1 << (math.floor(x).bit_length() - 1))
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -109,6 +105,27 @@ def _require(cond: bool, msg: str) -> None:
 
 def _rebuild(pipes: list[Pipe], D: int) -> AlphaVector:
     return pipes_to_alpha(PipeSchedule(tuple(pipes)), D=D)
+
+
+def _capped(pipe: Pipe, D: Fraction) -> bool:
+    """The capacity cap: a sloped pipe's capacity sigma/delta is at most D."""
+    return pipe.rate == 0 or pipe.fixed / pipe.rate <= D
+
+
+def _through(x0: Fraction, y0: Fraction, survivor: Pipe, x1: Fraction) -> Pipe:
+    """The pipe through the anchor (x0, y0) that meets ``survivor`` at flow x1."""
+    rate = (survivor.cost(x1) - y0) / (x1 - x0)
+    return Pipe(y0 - rate * x0, rate)
+
+
+def _raise_plateau(pipes: list[Pipe], target: Fraction, D: Fraction, report: StageReport) -> None:
+    """Extend the last sloped pipe's reign to ``target`` and raise the plateau
+    to its cost there; f only grows, and that pipe's capacity is untouched."""
+    _require(target <= D, "raised plateau breakpoint must stay within D")
+    new_plateau = Pipe(pipes[-2].cost(target), Fraction(0))
+    _require(new_plateau.fixed >= pipes[-1].fixed, "plateau must not drop")
+    report.rotations.append("plateau")
+    pipes[-1] = new_plateau
 
 
 def cap_capacity(a: AlphaVector) -> tuple[AlphaVector, StageReport]:
@@ -141,8 +158,7 @@ def regularize_delta(a: AlphaVector) -> tuple[AlphaVector, StageReport]:
     report = StageReport(stage="regularize_delta", distortion_bound=Fraction(3))
     D = Fraction(a.D)
     pipes = list(a.schedule().pipes)
-    last = pipes[-2]
-    if last.rate > 0 and last.fixed / last.rate > D:
+    if not _capped(pipes[-2], D):
         raise ValueError("precondition violated: run cap_capacity first")
     guard = 4 * len(pipes) + 4
     while True:
@@ -164,36 +180,27 @@ def regularize_delta(a: AlphaVector) -> tuple[AlphaVector, StageReport]:
         anchor_x = Fraction(0) if k == 0 else indifference_point(pipes[k - 1], pipes[k])
         meet = indifference_point(pipes[k], survivor)
         _require(meet > anchor_x, "survivor must meet pipe k above its lower breakpoint")
-        if survivor.rate == 0:
-            # Deletion ran into the plateau, so the rate pair is already
-            # separated and only the breakpoint needs fixing.  Extending pipe
-            # k's reign to the next power of two and raising the plateau to
-            # its cost there never decreases f and keeps pipe k's capacity
-            # (hence the stage-1 cap) untouched, which a clockwise rotation
-            # of pipe k cannot guarantee.
-            if not is_power_of_two(meet):
-                target = _pow2_above(meet)
-                _require(target <= D, "raised plateau breakpoint must stay within D")
-                new_plateau = Pipe(pipes[k].cost(target), Fraction(0))
-                _require(new_plateau.fixed >= survivor.fixed, "plateau must not drop")
-                report.rotations.append("plateau")
-                pipes[-1] = new_plateau
-        elif not is_power_of_two(meet):
+        if not is_power_of_two(meet):
             target = _pow2_above(meet)
-            _require(target <= D, "rotated breakpoint must stay within D")
-            anchor_y = pipes[k].cost(anchor_x)
-            new_rate = (survivor.cost(target) - anchor_y) / (target - anchor_x)
-            new_fixed = anchor_y - new_rate * anchor_x
-            rotated = Pipe(new_fixed, new_rate)
-            _require(3 * rotated.rate >= pipes[k].rate, "rotation cut the rate below a third")
-            _require(survivor.rate < rotated.rate < pipes[k].rate, "rotation broke rate ordering")
-            _require(rotated.fixed < survivor.fixed, "rotation broke fixed-cost ordering")
-            # survivor is sloped and capped, and the rotated rate exceeds the
-            # survivor's, so the rotated pipe's capacity stays within D.
-            _require(rotated.rate == 0 or rotated.fixed / rotated.rate <= D,
-                     "rotation broke the capacity cap")
-            report.rotations.append("rate")
-            pipes[k] = rotated
+            if survivor.rate == 0:
+                # Deletion ran into the plateau, so the rate pair is already
+                # separated and only the breakpoint needs fixing.  Raising the
+                # plateau keeps pipe k's capacity (hence the stage-1 cap)
+                # untouched, which a clockwise rotation of pipe k cannot
+                # guarantee.
+                _raise_plateau(pipes, target, D, report)
+            else:
+                _require(target <= D, "rotated breakpoint must stay within D")
+                rotated = _through(anchor_x, pipes[k].cost(anchor_x), survivor, target)
+                _require(3 * rotated.rate >= pipes[k].rate, "rotation cut the rate below a third")
+                _require(survivor.rate < rotated.rate < pipes[k].rate,
+                         "rotation broke rate ordering")
+                _require(rotated.fixed < survivor.fixed, "rotation broke fixed-cost ordering")
+                # survivor is sloped and capped, and the rotated rate exceeds
+                # the survivor's, so the rotated pipe's capacity stays within D.
+                _require(_capped(rotated, D), "rotation broke the capacity cap")
+                report.rotations.append("rate")
+                pipes[k] = rotated
         _require(
             pipes[k + 1].rate < GAMMA * pipes[k].rate,
             "pair still violates the rate constraint after rotation",
@@ -201,8 +208,7 @@ def regularize_delta(a: AlphaVector) -> tuple[AlphaVector, StageReport]:
     if not report.pipes_removed:
         return a, report  # every pass deletes a pipe: the first scan found no pair
     out = _rebuild(pipes, a.D)
-    last = pipes[-2]
-    _require(last.rate == 0 or last.fixed / last.rate <= D, "capacity cap broken by rate stage")
+    _require(_capped(pipes[-2], D), "capacity cap broken by rate stage")
     return out, report
 
 
@@ -213,8 +219,7 @@ def regularize_sigma(a: AlphaVector) -> tuple[AlphaVector, StageReport]:
     for i in range(len(pipes) - 1):
         if pipes[i + 1].rate >= GAMMA * pipes[i].rate:
             raise ValueError("precondition violated: run regularize_delta first")
-    last = pipes[-2]
-    if last.rate > 0 and last.fixed / last.rate > D:
+    if not _capped(pipes[-2], D):
         raise ValueError("precondition violated: capacity cap does not hold")
     guard = 4 * len(pipes) + 4
     while True:
@@ -237,21 +242,13 @@ def regularize_sigma(a: AlphaVector) -> tuple[AlphaVector, StageReport]:
         report.pipes_removed += (k - 1) - lo
         if k == len(pipes) - 1:
             # Violation against the plateau: extend the survivor's reign to the
-            # next power of two and raise the plateau to its cost there.  f only
-            # grows on the affected interval, and the new pair is separated
-            # because fixed_lo < (2g/5) * plateau <= gamma * new plateau.
-            survivor = pipes[lo]
-            plateau = pipes[k]
+            # next power of two and raise the plateau to its cost there.  The
+            # new pair is separated because
+            # fixed_lo < (2g/5) * plateau <= gamma * new plateau.
             del pipes[lo + 1 : k]
-            meet = indifference_point(survivor, plateau)
-            target = meet if is_power_of_two(meet) else _pow2_above(meet)
-            _require(target <= D, "raised plateau breakpoint must stay within D")
-            new_plateau = Pipe(survivor.cost(target), Fraction(0))
-            _require(new_plateau.fixed >= plateau.fixed, "plateau must not drop")
-            report.rotations.append("plateau")
-            pipes[-1] = new_plateau
+            _raise_plateau(pipes, _pow2_above(indifference_point(pipes[-2], pipes[-1])), D, report)
             _require(
-                survivor.fixed < GAMMA * new_plateau.fixed,
+                pipes[-2].fixed < GAMMA * pipes[-1].fixed,
                 "plateau raise failed to separate fixed costs",
             )
             continue
@@ -260,7 +257,6 @@ def regularize_sigma(a: AlphaVector) -> tuple[AlphaVector, StageReport]:
             pipes[k].rate * upper_x >= pipes[k].fixed,
             "upper breakpoint below capacity; fixed-above invariant broken",
         )
-        anchor_y = pipes[k].cost(upper_x)
         survivor = pipes[lo]
         old = pipes[k]
         del pipes[lo + 1 : k]
@@ -268,10 +264,7 @@ def regularize_sigma(a: AlphaVector) -> tuple[AlphaVector, StageReport]:
         meet = indifference_point(survivor, old)
         _require(meet > 1, "rotated breakpoint would fall below flow 1")
         if not is_power_of_two(meet):
-            target = _pow2_below(meet)
-            new_rate = (survivor.cost(target) - anchor_y) / (target - upper_x)
-            new_fixed = anchor_y - new_rate * upper_x
-            rotated = Pipe(new_fixed, new_rate)
+            rotated = _through(upper_x, old.cost(upper_x), survivor, _pow2_below(meet))
             _require(5 * rotated.fixed >= 2 * old.fixed, "rotation cut fixed cost below 2/5")
             _require(5 * rotated.rate <= 8 * old.rate, "rotation grew the rate above 8/5")
             _require(survivor.fixed < rotated.fixed, "rotation broke fixed-cost ordering")
@@ -296,8 +289,7 @@ def regularize_sigma(a: AlphaVector) -> tuple[AlphaVector, StageReport]:
     out = _rebuild(pipes, a.D)
     check = is_gamma_regular(out)
     _require(bool(check), f"sigma stage output not regular: {check}")
-    last = pipes[-2]
-    _require(last.rate == 0 or last.fixed / last.rate <= D, "capacity cap broken by fixed stage")
+    _require(_capped(pipes[-2], D), "capacity cap broken by fixed stage")
     return out, report
 
 

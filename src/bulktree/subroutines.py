@@ -121,11 +121,8 @@ def steiner_tree(inst: Instance, terminals, *, table: PathTable | None = None) -
     terms = sorted(set(terminals))
     if not terms:
         raise ValueError("terminals must be nonempty")
-    return _closure_tree(inst, terms, PathTable(inst) if table is None else table)
-
-
-def _closure_tree(inst: Instance, terms: list[str], table: PathTable) -> tuple[Edge, ...]:
-    """``steiner_tree`` of the sorted, distinct terminals."""
+    if table is None:
+        table = PathTable(inst)
     dists: dict[str, dict[str, float]] = {}
     preds: dict[str, dict[str, str]] = {}
     for t in terms:

@@ -410,21 +410,63 @@ def test_node_cap_flag_removed(argv):
     ("pipes", {"D": 4, "alpha": {"0": 1.0}, "alpha_exact": {"0": ["1", 2]}}),
     ("pipes", {"D": 4, "alpha": {"0": "1.5"}}),
     ("pipes", {"D": 4, "alpha": {"0": True}}),
+    ("regularize", {"D": 4}),
+    ("regularize", {"alpha": {"0": 1.0}}),
+    ("regularize", [{"D": 4, "alpha": {"0": 1.0}}]),
+    ("regularize", {"D": 4, "alpha": [1.0]}),
+    ("regularize", {"D": 4, "alpha": {"0": 1.0}, "alpha_exact": [[1, 1]]}),
 ], ids=["tree-without-edges", "tree-as-list", "trees-not-list", "edge-not-pair",
         "weight-zero", "weight-negative", "weight-nan", "weight-inf", "weight-string",
         "weight-null", "theta-null", "pair-too-short", "pair-zero-denominator", "alpha-null",
         "alpha-inf", "D-null", "D-fraction", "pair-float-numerator", "pair-float-denominator",
-        "pair-bool", "pair-string", "alpha-string", "alpha-bool"])
+        "pair-bool", "pair-string", "alpha-string", "alpha-bool", "no-alpha", "no-D",
+        "alpha-file-not-object", "weights-not-object", "exact-weights-not-object"])
 def test_malformed_input_exit_2(tmp_path, star_file, capsys, command, payload):
     src = tmp_path / "in.json"
     src.write_text(json.dumps(payload))
-    if command == "eval":
-        code = run(["eval", star_file, src, "--out", tmp_path / "e.json", "--seed", 1])
-    else:
-        code = run(["pipes", src])
-    assert code == 2
+    argv = {
+        "eval": ["eval", star_file, src, "--out", tmp_path / "e.json", "--seed", 1],
+        "pipes": ["pipes", src],
+        "regularize": ["regularize", src, "--out", tmp_path / "r.json"],
+    }[command]
+    assert run(argv) == 2
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
     assert err["type"] == "ParseError"
+
+
+# r-a plus the triangle a-b-c; demands at b and c.
+ROUTE_INSTANCE = {
+    "nodes": ["a", "b", "c", "r"],
+    "edges": [{"u": "r", "v": "a", "length": 1.0}, {"u": "a", "v": "b", "length": 1.0},
+              {"u": "b", "v": "c", "length": 1.0}, {"u": "a", "v": "c", "length": 1.0}],
+    "demands": {"b": 1, "c": 1},
+    "root": "r",
+}
+
+
+@pytest.mark.parametrize("edges, message", [
+    ([["r", "a"], ["a", "b"], ["b", "a"]], "duplicate edge in tree"),
+    ([["r", "a"], ["r", "b"], ["b", "c"]], "edge ('b', 'r') not in instance"),
+    # n - 1 edges, but they close a cycle and leave the root alone.
+    ([["a", "b"], ["b", "c"], ["a", "c"]], "edge set contains a cycle or is disconnected"),
+], ids=["duplicate-edge", "edge-not-in-instance", "cycle-cuts-off-root"])
+def test_eval_unroutable_tree_exit_2(tmp_path, capsys, edges, message):
+    inst, dist = tmp_path / "inst.json", tmp_path / "dist.json"
+    inst.write_text(json.dumps(ROUTE_INSTANCE))
+    dist.write_text(json.dumps({"trees": [{"weight": 1.0, "edges": edges}]}))
+    assert run(["eval", inst, dist, "--out", tmp_path / "e.json", "--seed", 1]) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+    assert err == {"type": "RoutingError", "message": message}
+    assert not (tmp_path / "e.json").exists()
+
+
+def test_solve_invalid_instance_exit_2(tmp_path, capsys):
+    bad = dict(ROUTE_INSTANCE, edges=ROUTE_INSTANCE["edges"] + [{"u": "b", "v": "b", "length": 1.0}])
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(bad))
+    assert run(["solve", inst, "--out", tmp_path / "d.json", "--seed", 1]) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+    assert err == {"type": "ValidationError", "message": "self-loop at node 'b'"}
 
 
 def test_outputs_do_not_depend_on_hash_order(tmp_path):

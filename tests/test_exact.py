@@ -17,7 +17,6 @@ from bulktree.exact import (
     exact_lp_optimum,
     exact_oblivious_ratio,
     exact_optima,
-    exact_optimum,
 )
 from bulktree.framework import ConstraintSet, TreeConstraint, solve_small_primal
 from bulktree.instance import Instance, demand_profile, generate_instance
@@ -321,23 +320,14 @@ class TestExactOptimum:
             {"a": 1, "b": 1},
             "r",
         )
-        tree, val = exact_optimum(inst, 0)
-        assert val == pytest.approx(3.1)  # r-d, d-a, d-b
-        assert ("d", "r") in tree.sorted_edges()
-
-    def test_out_of_range_level_refused_before_enumerating(self, path3, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("enumerated the candidates")
-
-        monkeypatch.setattr(exact_mod, "enumerate_candidate_trees", refuse)
-        for i in (-1, demand_profile(path3).levels):
-            with pytest.raises(ValueError, match="level out of range"):
-                exact_optimum(path3, i)
+        opt = exact_optima(inst)
+        assert opt.value(0) == pytest.approx(3.1)  # r-d, d-a, d-b
+        assert ("d", "r") in opt.tree(0).sorted_edges()
 
     def test_top_level_is_shortest_path_sum(self):
         for inst in small_instance_corpus(count=5, seed=9):
             prof = demand_profile(inst)
-            _, val = exact_optimum(inst, prof.levels - 1)
+            val = exact_optima(inst).value(prof.levels - 1)
             dist, _ = dijkstra(inst, inst.root)
             direct = sum(d * dist[v] for v, d in inst.demands.items())
             assert val == pytest.approx(direct)

@@ -80,6 +80,57 @@ def test_self_loop_rejected():
         instance_from_obj(bad)
 
 
+def _edit(**changes):
+    """PATH3 with top-level fields replaced, or dropped where the value is None."""
+    obj = dict(PATH3, **changes)
+    return {k: v for k, v in obj.items() if v is not None}
+
+
+def _edge(**fields):
+    return {"u": "a", "v": "b", "length": 1.0, **fields}
+
+
+@pytest.mark.parametrize("payload, error, match", [
+    ("[]", ParseError, "top-level value must be an object"),
+    (_edit(nodes=None), ParseError, "nodes required"),
+    (_edit(edges=None), ParseError, "edges required"),
+    (_edit(demands=None), ParseError, "demands required"),
+    (_edit(nodes=["r", "a", 1]), ParseError, "nodes must be a list of strings"),
+    (_edit(edges={"u": "r"}), ParseError, "edges must be a list"),
+    (_edit(edges=[{"u": "r", "v": "a"}]), ParseError, "exactly fields u, v, length"),
+    (_edit(edges=[_edge(u=1)]), ParseError, "u and v must be strings"),
+    (_edit(demands=[["a", 1]]), ParseError, "demands must be an object"),
+    (_edit(nodes=[], edges=[], demands={}), ValidationError, "at least one node"),
+    (_edit(nodes=["r", "a", "b", "a"]), ValidationError, "duplicate node ids"),
+    (_edit(edges=[_edge(v="z")]), ValidationError, "references unknown node"),
+    (_edit(edges=[_edge(length="1")]), ValidationError, "must be a number"),
+    (_edit(edges=[_edge(length=True)]), ValidationError, "must be a number"),
+    ('{"nodes": ["a", "b", "r"], "edges": [{"u": "a", "v": "b", "length": NaN}],'
+     ' "demands": {"a": 1}, "root": "r"}', ValidationError, "must be >= 0 and finite"),
+    (_edit(root="z"), ValidationError, "root 'z' not in node set"),
+    (_edit(demands={"z": 1}), ValidationError, "demand node 'z' not in node set"),
+    (_edit(demands={"a": True}), ValidationError, "positive integer"),
+    (_edit(demands={"a": 0}), ValidationError, "positive integer"),
+    (_edit(demands={"a": 1.5}), ValidationError, "positive integer"),
+    (_edit(demands={}), ValidationError, "total demand must be >= 1"),
+    ('{"nodes": ["r"],', ParseError, "invalid JSON at line 1"),
+], ids=["not-object", "no-nodes", "no-edges", "no-demands", "node-not-string",
+        "edges-not-list", "edge-fields", "endpoint-not-string", "demands-not-object",
+        "no-node", "duplicate-node", "unknown-endpoint", "length-string",
+        "length-bool", "length-nan", "unknown-root", "unknown-demand-node", "demand-bool",
+        "demand-zero", "demand-fraction", "demands-empty", "invalid-json"])
+def test_instance_file_refused(tmp_path, payload, error, match):
+    p = tmp_path / "inst.json"
+    p.write_text(payload if isinstance(payload, str) else json.dumps(payload))
+    with pytest.raises(error, match=match):
+        load_instance(p)
+
+
+def test_generate_unknown_model_rejected():
+    with pytest.raises(ValidationError, match="unknown model 'tree'"):
+        generate_instance("tree", 5, 2, seed=0)
+
+
 def test_zero_demand_steiner_nodes_allowed():
     inst = make_instance({("r", "a"): 1.0, ("a", "b"): 1.0}, {"b": 1}, "r")
     assert "a" in inst.nodes and "a" not in inst.demands

@@ -306,13 +306,13 @@ class TestRobLowerBounds:
         built, steiner, routed = [], [], []
 
         def counting(record, fn):
-            def counted(*args):
+            def counted(*args, **kwargs):
                 record.append(args[1])
-                return fn(*args)
+                return fn(*args, **kwargs)
             return counted
 
         monkeypatch.setattr(sub_mod, "_augmented_tree", counting(built, sub_mod._augmented_tree))
-        monkeypatch.setattr(sub_mod, "_closure_tree", counting(steiner, sub_mod._closure_tree))
+        monkeypatch.setattr(sub_mod, "steiner_tree", counting(steiner, sub_mod.steiner_tree))
         monkeypatch.setattr(sub_mod, "route_demands", counting(routed, sub_mod.route_demands))
         levels = demand_profile(inst).levels
         for seed in range(3):
