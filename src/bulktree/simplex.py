@@ -5,8 +5,18 @@ Solves   min c.z   s.t.  A z >= b,  z >= 0
 and returns a vertex (basic) optimal solution, which is what gives the sparse
 support of the extracted tree distributions, together with the row duals
 y >= 0 (A^T y <= c, b.y = c.z) that price new columns.  Bland's rule (smallest eligible
-index for both entering and leaving variable) rules out cycling; the LPs here
-have a handful of rows, so speed is irrelevant.
+index for both entering and leaving variable) rules out cycling.
+
+The LPs are small (a sum row and one row per level, up to 15 rows when
+demands reach 1000), but the master is solved once per pricing call, and
+with a row-by-row pivot it took about 30% of a heavy-demand solve.  So a
+pivot updates the whole tableau with one rank-1 update, one numpy call at
+any row count, and the entering, ratio and drive-out scans read Python lists
+from one ``tolist()`` each, since indexing numpy scalars one at a time costs
+more than the scan itself at these sizes.  Each entry still gets the
+multiply and subtract of a row-by-row update, in the same order, so the
+pivot sequence and every value match it; only a zero in a row whose factor
+is zero may change sign, and no comparison or division reads that sign.
 """
 from __future__ import annotations
 
@@ -60,15 +70,16 @@ def solve_min_ge(c, A, b) -> tuple[np.ndarray, float, np.ndarray]:
     for i, bi in enumerate(basis):
         if bi >= total:
             pivot_col = next(
-                (j for j in range(total) if abs(tab[i, j]) > TOL), None
+                (j for j, v in enumerate(tab[i, :total].tolist()) if abs(v) > TOL), None
             )
             if pivot_col is not None:
                 _pivot(tab, rhs, i, pivot_col)
                 basis[i] = pivot_col
     keep = [i for i, bi in enumerate(basis) if bi < total]
-    tab = tab[keep][:, :total]
-    rhs = rhs[keep]
-    basis = [basis[i] for i in keep]
+    tab = tab[:, :total]
+    if len(keep) < m:
+        tab, rhs = tab[keep], rhs[keep]
+        basis = [basis[i] for i in keep]
     cost2 = np.zeros(total)
     cost2[:n] = c
     tab, rhs, basis, obj2 = _simplex(tab, rhs, basis, cost2)
@@ -80,29 +91,32 @@ def solve_min_ge(c, A, b) -> tuple[np.ndarray, float, np.ndarray]:
 
 
 def _pivot(tab, rhs, row, col):
+    """Pivot on (row, col) with one rank-1 update of the whole tableau.
+
+    Each other row gets x - f * y, the multiply and subtract of a row loop;
+    the pivot row's factor is zero, so it stays as divided.
+    """
     piv = tab[row, col]
     tab[row] /= piv
     rhs[row] /= piv
-    for i in range(tab.shape[0]):
-        if i != row and abs(tab[i, col]) > 0:
-            rhs[i] -= tab[i, col] * rhs[row]
-            tab[i] -= tab[i, col] * tab[row]
+    f = tab[:, col].copy()
+    f[row] = 0.0
+    rhs -= f * rhs[row]
+    tab -= f[:, None] * tab[row]
 
 
 def _simplex(tab, rhs, basis, cost):
-    tab = tab.copy()
-    rhs = rhs.copy()
-    basis = list(basis)
+    """Bland's-rule iterations on (tab, rhs, basis), which are updated in place."""
     for _ in range(100000):
         y = cost[basis] @ tab
-        reduced = cost - y
-        entering = next((j for j in range(tab.shape[1]) if reduced[j] < -TOL), None)
+        reduced = (cost - y).tolist()
+        entering = next((j for j, r in enumerate(reduced) if r < -TOL), None)
         if entering is None:
             break
+        column = tab[:, entering].tolist()
+        rhs_values = rhs.tolist()
         ratios = [
-            (rhs[i] / tab[i, entering], basis[i], i)
-            for i in range(tab.shape[0])
-            if tab[i, entering] > TOL
+            (rhs_values[i] / a, basis[i], i) for i, a in enumerate(column) if a > TOL
         ]
         if not ratios:
             raise LPUnbounded("no leaving variable")

@@ -32,7 +32,8 @@ from bulktree.pipes import AlphaVector
 from bulktree.regularize import regularize
 from bulktree.subroutines import PathTable, _mix_seed, rob_lower_bounds
 
-from conftest import make_instance
+from conftest import make_instance, small_instance_corpus
+from test_simplex import reference_solve_min_ge
 
 
 def scaled_solve(inst, factor, seed):
@@ -103,6 +104,19 @@ def reference_separation_oracle(point, tilde, c_target, inst, seed, rmax=None):
 def oracle_outcome(res):
     edges = None if res.tree is None else res.tree.sorted_edges()
     return res.kind, edges, res.level_costs, res.cost, res.attempts, res.threshold_met
+
+
+def heavy_instances():
+    """n=16 geometric, grid and path graphs with demands 1..1000 per node."""
+    rng = np.random.default_rng(27)
+    out = []
+    for model in ("random-geometric", "grid", "path"):
+        for seed in (1, 2):
+            base = generate_instance(model, 16, 7, seed)
+            demands = {v: int(rng.integers(1, 1001)) for v in base.demands}
+            out.append(Instance(nodes=base.nodes, lengths=base.lengths,
+                                demands=demands, root=base.root))
+    return out
 
 
 def heavy_grid():
@@ -509,6 +523,36 @@ class TestSolveOblivious:
         dist, report = solve_oblivious(two_cluster6, SolveConfig(seed=seed))
         assert report.tilde == tuple(tilde)
         assert dist.theta <= best_single * (1 + 1e-12)
+
+    def test_same_solves_as_row_loop_simplex(self, monkeypatch):
+        # The whole-tableau pivot must reproduce the row-by-row kernel's
+        # pivots and values, so whole solves and the exact LP do not move.
+        def outputs():
+            solves = []
+            for inst in small_instance_corpus() + heavy_instances():
+                dist, report = solve_oblivious(inst, SolveConfig(seed=1))
+                solves.append((
+                    repr(dist.theta),
+                    [(t.sorted_edges(), repr(w)) for t, w in dist.support],
+                    report.runs, len(report.tilde),
+                ))
+            lps = []
+            for model in ("random-geometric", "grid"):
+                _, theta, dist = exact_mod.exact_optima_and_lp(generate_instance(model, 8, 3, 1))
+                lps.append((repr(theta), [(t.sorted_edges(), repr(w)) for t, w in dist.support]))
+            return solves, lps
+
+        got = outputs()
+        assert min(levels for *_, levels in got[0][-6:]) >= 12
+        calls = []
+
+        def reference(c, A, b):
+            calls.append(len(c))
+            return reference_solve_min_ge(c, A, b)
+
+        monkeypatch.setattr(framework_mod.simplex, "solve_min_ge", reference)
+        assert outputs() == got
+        assert calls
 
     def test_one_run_row_per_pricing_call(self, two_cluster6):
         dist, report = solve_oblivious(two_cluster6, SolveConfig(seed=3))
