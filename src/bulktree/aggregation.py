@@ -51,36 +51,51 @@ def route_demands(inst: Instance, tree_edges) -> RoutedTree:
     if len(set(edges)) != len(edges):
         raise RoutingError("duplicate edge in tree")
     nodes = {inst.root}
-    adj: dict[str, list[str]] = {inst.root: []}
     for u, v in edges:
         if (u, v) not in inst.lengths:
             raise RoutingError(f"edge {(u, v)!r} not in instance")
         nodes.add(u)
         nodes.add(v)
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
     if len(edges) != len(nodes) - 1:
         raise RoutingError("edge set contains a cycle or is disconnected")
-    parent: dict[str, str] = {}
-    order = [inst.root]
-    seen = {inst.root}
-    for u in order:
-        for v in sorted(adj.get(u, ())):
-            if v not in seen:
-                seen.add(v)
-                parent[v] = u
-                order.append(v)
-    if seen != nodes:
+    tree = route_tree(inst.root, {v: inst.demands.get(v, 0) for v in nodes}, edges)
+    if len(tree.parent) != len(edges):  # a node the walk did not reach
         raise RoutingError("edge set contains a cycle or is disconnected")
     missing = sorted(v for v in inst.demands if v not in nodes and v != inst.root)
     if missing:
         raise RoutingError(f"demand node(s) {missing} disconnected from tree")
-    subtree = {v: inst.demands.get(v, 0) for v in nodes}
-    for v in reversed(order):
-        if v != inst.root:
-            subtree[parent[v]] += subtree[v]
-    flow = {canonical_edge(v, parent[v]): subtree[v] for v in parent}
-    return RoutedTree(edges=edges, flow=flow, root=inst.root, parent=parent)
+    return tree
+
+
+def route_tree(root: str, demand: dict, edges: tuple) -> RoutedTree:
+    """``route_demands``' walk, without its checks: a BFS from the root that
+    orients each edge toward it, then a leaf-to-root sweep of subtree demands.
+    ``demand`` maps every node the edges touch to its demand.  The ``edges``
+    are canonical and ascend, so each node meets its smaller neighbours first,
+    as first ends, then its larger ones: every adjacency list is sorted.  A
+    node is entered once, so a cycle in the root's component leaves nodes
+    unreached, and ``parent`` then has fewer entries than ``edges``.
+    """
+    adj: dict[str, list] = {v: [] for v in demand}
+    for e in edges:
+        u, v = e
+        adj[u].append((v, e))
+        adj[v].append((u, e))
+    parent = {root: root}
+    links = []  # (node, its parent, the edge between them), in BFS order
+    order = [root]
+    for u in order:
+        for v, e in adj[u]:
+            if v not in parent:
+                parent[v] = u
+                links.append((v, u, e))
+                order.append(v)
+    del parent[root]
+    subtree = dict(demand)
+    for v, u, _ in reversed(links):
+        subtree[u] += subtree[v]
+    flow = {e: subtree[v] for v, _, e in links}
+    return RoutedTree(edges=edges, flow=flow, root=root, parent=parent)
 
 
 def add_up(terms) -> float:

@@ -26,19 +26,20 @@ from .framework import SolveConfig, solve_oblivious
 from .gmm import GmmTrace, gmm_tree
 from .instance import (
     GENERATOR_MODELS,
+    SCHEMA,
     Instance,
     ParseError,
     ValidationError,
     generate_instance,
+    is_number,
     load_instance,
     save_instance,
+    write_json,
 )
-from .pipes import GAMMA, AlphaVector, alpha_to_pipes, indifference_point, significance_point
+from .pipes import GAMMA, AlphaVector, alpha_to_pipes, thresholds
 from .regularize import RegularizationInternalError, regularize
 from .simplex import LPError
 from .subroutines import rob_lower_bounds, _mix_seed
-
-SCHEMA = "bulktree/v1"
 
 
 def _log(**kv) -> None:
@@ -51,24 +52,14 @@ def _error_json(exc: Exception, code: int) -> int:
     return code
 
 
-def _write_json(path, obj) -> None:
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _config_hash(cfg: dict) -> str:
     blob = json.dumps(cfg, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
 def _weight_from_obj(v) -> Fraction:
     """A number, or an exact [numerator, denominator] pair of integers."""
-    if _is_number(v):
+    if is_number(v):
         return Fraction(float(v))
     if isinstance(v, list) and len(v) == 2 and all(
         isinstance(x, int) and not isinstance(x, bool) for x in v
@@ -130,7 +121,7 @@ def _distribution_from_obj(obj, inst: Instance) -> TreeDistribution:
     if not isinstance(obj, dict) or not isinstance(obj.get("trees"), list):
         raise ParseError("distribution JSON needs a list field 'trees'")
     theta = obj.get("theta", 0.0)
-    if not _is_number(theta):
+    if not is_number(theta):
         raise ParseError("theta must be a number")
     support = []
     for idx, entry in enumerate(obj["trees"]):
@@ -142,7 +133,7 @@ def _distribution_from_obj(obj, inst: Instance) -> TreeDistribution:
             for e in edges
         ):
             raise ParseError(f"tree #{idx}: edges must be a list of [u, v] node pairs")
-        if not (_is_number(weight) and 0 < weight < math.inf):
+        if not (is_number(weight) and 0 < weight < math.inf):
             raise ParseError(f"tree #{idx}: weight must be a finite positive number")
         support.append((route_demands(inst, [tuple(e) for e in edges]), float(weight)))
     return TreeDistribution(support=tuple(support), theta=float(theta))
@@ -164,12 +155,12 @@ def cmd_solve(args) -> int:
     _log(cmd="solve", instance=args.instance, theta=f"{dist.theta:.6g}",
          support=len(dist.support), seconds=f"{time.monotonic() - t0:.2f}")
     meta = {"seed": args.seed, "config_hash": _config_hash({"seed": args.seed})}
-    _write_json(args.out, _distribution_to_obj(dist, {
+    write_json(args.out, _distribution_to_obj(dist, {
         **meta,
         "diagnostics": {"levels": report.levels, "tilde": list(report.tilde)},
     }))
     if args.report:
-        _write_json(args.report, {
+        write_json(args.report, {
             "schema": SCHEMA, **meta,
             "theta": dist.theta,
             "support_size": len(dist.support), "levels": report.levels,
@@ -198,7 +189,7 @@ def cmd_eval(args) -> int:
             row["exact_optimum"] = opt.value(row["i"])
         out["exact_oblivious_ratio"] = ratio
         out["worst_level"] = worst
-    _write_json(args.out, out)
+    write_json(args.out, out)
     _log(cmd="eval", instance=args.instance, out=args.out)
     return 0
 
@@ -207,7 +198,7 @@ def cmd_regularize(args) -> int:
     with open(args.alpha) as fh:
         vec = _alpha_from_obj(json.load(fh))
     out_vec, report = regularize(vec)
-    _write_json(args.out, {
+    write_json(args.out, {
         "schema": SCHEMA,
         "gamma": float(GAMMA),
         "input": _alpha_to_obj(vec),
@@ -236,7 +227,7 @@ def cmd_gmm(args) -> int:
     reg, _ = regularize(vec)
     trace = GmmTrace()
     tree, costs = gmm_tree(inst, reg, args.seed, trace=trace)
-    _write_json(args.out, {
+    write_json(args.out, {
         "schema": SCHEMA,
         "seed": args.seed,
         "config_hash": _config_hash({"seed": args.seed}),
@@ -262,7 +253,7 @@ def cmd_brute(args) -> int:
         ],
         "theta_opt": theta_opt,
     }
-    _write_json(args.out, obj)
+    write_json(args.out, obj)
     if args.tsv:
         with open(args.tsv, "w") as fh:
             fh.write("i\toptimum\n")
@@ -306,26 +297,18 @@ def cmd_pipes(args) -> int:
     with open(args.alpha) as fh:
         vec = _alpha_from_obj(json.load(fh))
     schedule = alpha_to_pipes(vec)
+    pipes, th = schedule.pipes, thresholds(schedule)
+
+    def fmt(x):
+        return "inf" if x is None else f"{float(x):.9g}"
+
     print("k\tsigma\tdelta\tcapacity\tindifference\tsignificance")
-    for k, pipe in enumerate(schedule.pipes):
-        cap = None if pipe.rate == 0 else pipe.fixed / pipe.rate
-        g = b = None
-        undef_b = False
-        if k + 1 < len(schedule.pipes):
-            nxt = schedule.pipes[k + 1]
-            g = indifference_point(pipe, nxt)
-            b = significance_point(pipe, nxt)
-            undef_b = b is None
-
-        def fmt(x, undef=False):
-            if undef:
-                return "undef"
-            return "inf" if x is None else f"{float(x):.9g}"
-
-        print(
-            f"{k}\t{float(pipe.fixed):.9g}\t{float(pipe.rate):.9g}"
-            f"\t{fmt(cap)}\t{fmt(g)}\t{fmt(b, undef_b)}"
-        )
+    for k, pipe in enumerate(pipes):
+        g = b = "inf"  # the flat pipe has no next pipe
+        if k + 1 < len(pipes):
+            g = fmt(th.indifference[k])
+            b = "undef" if th.significance[k] is None else fmt(th.significance[k])
+        print(f"{k}\t{fmt(pipe.fixed)}\t{fmt(pipe.rate)}\t{fmt(th.capacities[k])}\t{g}\t{b}")
     return 0
 
 

@@ -19,9 +19,9 @@ trees (Read and Tarjan, 1975) that takes each edge before skipping it, so a
 subset's trees come in ascending sorted-edge order.  It is pruned on degree:
 every node needs degree at least 1, a Steiner node 2, and a branch dies as
 soon as the edges still to come cannot give every node its minimum.  Each
-tree is routed once, by the same BFS from the root as ``route_demands`` but
-without re-validating what the search already built, and costed at every
-level by ``aggregation.level_costs``, the routine ``atomic_cost`` uses.
+tree is routed once, by ``route_demands``' own walk (``aggregation.route_tree``)
+run without its checks, since the search already built a tree, and costed at
+every level by ``aggregation.level_costs``, the routine ``atomic_cost`` uses.
 """
 from __future__ import annotations
 
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .aggregation import RoutedTree, TreeDistribution, level_costs, level_rows
+from .aggregation import RoutedTree, TreeDistribution, level_costs, level_rows, route_tree
 from .framework import ConstraintSet, TreeConstraint, solve_small_primal
 from .instance import Instance, demand_profile
 
@@ -120,37 +120,6 @@ def _spanning_trees(nodes: list[str], edges: list, optional=()) -> Iterator[tupl
     yield from rec(0)
 
 
-def _routed(root: str, demand: dict, nodes: list[str], edges: tuple) -> RoutedTree:
-    """``route_demands`` of a tree the search built on ``nodes``, without
-    re-validating it; ``demand`` maps every node to its demand.
-
-    ``edges`` ascend, so each node meets its smaller neighbours first, as first
-    ends, then its larger ones: every adjacency list is in sorted order, the
-    BFS from the root visits the nodes in ``route_demands``' order, and
-    ``parent`` and ``flow`` are filled in the same order.
-    """
-    adj: dict[str, list] = {v: [] for v in nodes}
-    for e in edges:
-        u, v = e
-        adj[u].append((v, e))
-        adj[v].append((u, e))
-    parent: dict[str, str] = {}
-    links = []  # (node, its parent, the edge between them), in BFS order
-    order = [root]
-    for u in order:
-        up = parent.get(u)
-        for v, e in adj[u]:
-            if v != up:
-                parent[v] = u
-                links.append((v, u, e))
-                order.append(v)
-    subtree = dict(demand)
-    for v, u, _ in reversed(links):
-        subtree[u] += subtree[v]
-    flow = {e: subtree[v] for v, _, e in links}
-    return RoutedTree(edges=edges, flow=flow, root=root, parent=parent)
-
-
 def enumerate_candidate_trees(inst: Instance, node_cap: int = DEFAULT_NODE_CAP) -> Iterator[RoutedTree]:
     """Every tree spanning the demands and the root whose leaves all carry
     demand or are the root.
@@ -163,14 +132,13 @@ def enumerate_candidate_trees(inst: Instance, node_cap: int = DEFAULT_NODE_CAP) 
     required = sorted(set(inst.demands) | {inst.root})
     optional = sorted(set(inst.nodes) - set(required))
     all_edges = inst.edges
-    demand = {v: inst.demands.get(v, 0) for v in inst.nodes}
     for r in range(len(optional) + 1):
         for extra in itertools.combinations(optional, r):
             nodes = sorted(set(required) | set(extra))
-            nodeset = set(nodes)
-            edges = [e for e in all_edges if e[0] in nodeset and e[1] in nodeset]
+            demand = {v: inst.demands.get(v, 0) for v in nodes}
+            edges = [e for e in all_edges if e[0] in demand and e[1] in demand]
             for tree in _spanning_trees(nodes, edges, extra):
-                yield _routed(inst.root, demand, nodes, tree)
+                yield route_tree(inst.root, demand, tree)
 
 
 @dataclass(frozen=True)

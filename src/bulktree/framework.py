@@ -55,6 +55,11 @@ __all__ = [
 # Pricing calls per solve.  Random-geometric n=64 converges in about 10.
 MAX_PRICING_CALLS = 64
 
+# The oracle refutes a dual point whose weights sum above 1 + BUDGET_SLACK
+# with a budget cut; column generation rescales any master duals it accepts
+# that sum above it, so that they are priced.
+BUDGET_SLACK = 1e-12
+
 
 @dataclass(frozen=True)
 class SolveConfig:
@@ -142,7 +147,7 @@ def separation_oracle(
         raise ValueError(f"rmax must be at least 1, got {rmax}")
     scaled = np.asarray(point.alpha, dtype=float)
     budget = float(scaled.sum())
-    if budget > 1.0 + 1e-12:
+    if budget > 1.0 + BUDGET_SLACK:
         return OracleResult(kind="rob_cut")
     if budget <= 1e-15:
         return OracleResult(kind="feasible_at_zero")
@@ -379,9 +384,12 @@ def _column_generation(
         # Every bound is positive here, so theta* > 0: its column is basic and
         # its reduced cost, 1 - sum(alpha), is zero.  Any other sum is a
         # simplex fault, and the oracle would price against the wrong budget.
+        # A sum a rounding error above 1 would read as a budget cut there.
         budget = sum(alpha)
         if abs(budget - 1.0) > 1e-9:
             raise RuntimeError(f"master level duals sum to {budget!r}, not 1")
+        if budget > 1.0 + BUDGET_SLACK:
+            alpha = tuple(a / budget for a in alpha)
         beta = dist.theta * (1 - 1e-9)
         res = separation_oracle(
             DualPoint(alpha=alpha, beta=beta), tilde, beta / 2.0, inst,

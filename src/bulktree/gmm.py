@@ -307,7 +307,7 @@ class StagePlan:
     def _facility_clusters(self, k: int) -> list:
         """Stage k's clusters as (members, cumulative draw table, path map)."""
         inst = self.inst
-        assignment, paths = lbfl(inst, inst.demands, self.th.significance[k], table=self.table)
+        assignment, paths = lbfl(inst, self.th.significance[k], table=self.table)
         clusters: dict[str, list[str]] = {}
         for v, f in sorted(assignment.items()):
             clusters.setdefault(f, []).append(v)

@@ -37,6 +37,11 @@ class ParseError(ValueError):
     """The file cannot be parsed against the documented schema."""
 
 
+def is_number(x) -> bool:
+    """An int or a float, but not a bool."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def canonical_edge(u: str, v: str) -> Edge:
     return (u, v) if u <= v else (v, u)
 
@@ -105,7 +110,7 @@ def _validate(inst: Instance) -> None:
             raise ValidationError(f"edge {(u, v)!r} not in canonical order")
         if u not in nodeset or v not in nodeset:
             raise ValidationError(f"edge {(u, v)!r} references unknown node")
-        if not (isinstance(w, (int, float)) and not isinstance(w, bool)):
+        if not is_number(w):
             raise ValidationError(f"length of edge {(u, v)!r} must be a number")
         if not math.isfinite(w) or w < 0:
             raise ValidationError(f"length must be >= 0 and finite on edge {(u, v)!r}")
@@ -165,7 +170,7 @@ def instance_from_obj(raw) -> Instance:
         key = canonical_edge(u, v)
         if key in lengths:
             raise ValidationError(f"parallel edge {key!r} rejected")
-        lengths[key] = float(w) if isinstance(w, (int, float)) and not isinstance(w, bool) else w
+        lengths[key] = float(w) if is_number(w) else w
     demands_raw = raw["demands"]
     if not isinstance(demands_raw, dict):
         raise ParseError("demands must be an object")
@@ -187,6 +192,11 @@ def save_instance(inst: Instance, path, meta: dict | None = None) -> None:
     obj = instance_to_obj(inst)
     if meta is not None:
         obj["meta"] = meta
+    write_json(path, obj)
+
+
+def write_json(path, obj) -> None:
+    """Write an artifact: two-space indent, sorted keys, a final newline."""
     with open(path, "w") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -23,7 +23,8 @@ GAMMA = 1/4 (gamma in the formulas below):
     indifference g_k with  sigma_k + delta_k g = sigma_{k+1} + delta_{k+1} g
     significance b_k with  sigma_{k+1} + delta_{k+1} b = 2 gamma (sigma_k + delta_k b)
 
-The flat pipe has unbounded capacity, reported as None.
+The flat pipe has unbounded capacity, reported as None, and so is a
+significance point that does not exist.
 """
 from __future__ import annotations
 
@@ -209,7 +210,9 @@ class Thresholds:
     """Capacity, indifference, and significance points of a schedule.
 
     capacities has one entry per pipe (None for the flat pipe: unbounded);
-    indifference and significance have one entry per adjacent pipe pair.
+    indifference and significance have one entry per adjacent pipe pair.  A
+    significance entry is None where ``significance_point`` finds none, which
+    no gamma-regular schedule has, since delta_{k+1} < gamma * delta_k there.
     """
 
     capacities: tuple
@@ -227,18 +230,14 @@ def significance_point(a: Pipe, b: Pipe) -> Fraction | None:
 
 
 def thresholds(p: PipeSchedule) -> Thresholds:
+    """The schedule's threshold table; see ``Thresholds`` for its None entries."""
     caps = tuple(None if pipe.rate == 0 else pipe.fixed / pipe.rate for pipe in p.pipes)
-    indiff = tuple(indifference_point(a, b) for a, b in zip(p.pipes, p.pipes[1:]))
-    signif = []
-    for k, (a, b) in enumerate(zip(p.pipes, p.pipes[1:])):
-        point = significance_point(a, b)
-        if point is None:
-            raise ValueError(
-                f"significance point undefined at pipe {k}: 2*gamma*delta_{k} - delta_{k+1} <= 0 "
-                "(schedule not separated enough)"
-            )
-        signif.append(point)
-    return Thresholds(capacities=caps, indifference=indiff, significance=tuple(signif))
+    pairs = list(zip(p.pipes, p.pipes[1:]))
+    return Thresholds(
+        capacities=caps,
+        indifference=tuple(indifference_point(a, b) for a, b in pairs),
+        significance=tuple(significance_point(a, b) for a, b in pairs),
+    )
 
 
 @dataclass(frozen=True)

@@ -207,9 +207,10 @@ def _is_terminal_tree(edges: set[Edge], terminals, start: str) -> bool:
 
 
 def lbfl(
-    inst: Instance, demands, lower_bound, *, table: PathTable | None = None
+    inst: Instance, lower_bound, *, table: PathTable | None = None
 ) -> tuple[dict[str, str], dict[str, dict[str, str]]]:
-    """Load-balanced facility location via ball-growing greedy.
+    """Load-balanced facility location via ball-growing greedy, over the
+    instance's demands.
 
     Opens facilities at demand nodes, each serving >= lower_bound demand;
     leftovers join their nearest open facility.  When total demand is below
@@ -219,6 +220,7 @@ def lbfl(
     """
     table = PathTable(inst) if table is None else table
     L = lower_bound
+    demands = inst.demands
     clients = sorted(demands)
     if sum(demands.values()) < L:
         return {c: inst.root for c in clients}, {inst.root: table.get(inst.root)[1]}

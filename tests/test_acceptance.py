@@ -221,7 +221,7 @@ def test_c08_subroutine_certificates():
 
     for seed, bound in [(0, 2), (1, 3), (2, 2), (3, 5)]:
         inst = generate_instance("random-geometric", 7, 4, seed=seed)
-        assignment, paths = lbfl(inst, inst.demands, lower_bound=bound)
+        assignment, paths = lbfl(inst, lower_bound=bound)
         loads = {f: 0 for f in paths}  # paths is keyed by the open facilities
         for c, f in assignment.items():
             loads[f] += inst.demands[c]

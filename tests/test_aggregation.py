@@ -1,4 +1,5 @@
 import math
+import signal
 from fractions import Fraction
 
 import numpy as np
@@ -44,6 +45,39 @@ def test_route_rejects_cycle():
     )
     with pytest.raises(RoutingError):
         route_demands(inst, inst.edges)
+
+
+def within_seconds(seconds, fn, *args):
+    """fn(*args); the test fails if the call still runs after the wall time."""
+
+    def expire(signum, frame):
+        raise TimeoutError
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return fn(*args)
+    except TimeoutError:
+        pass  # fail below, outside the handler, with no traceback into fn
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    pytest.fail(f"still running after {seconds} s")
+
+
+def test_route_rejects_cycle_through_root_beside_detached_edge():
+    # Four edges on five nodes, so the edge count passes: the triangle r-a-b
+    # holds the root and c-d hangs apart.  The walk must end with c and d
+    # unreached; one that skips only the node it came from circles the
+    # triangle forever, so the call runs under a time bound.
+    inst = make_instance(
+        {("r", "a"): 1.0, ("a", "b"): 1.0, ("b", "r"): 1.0, ("c", "d"): 1.0, ("a", "c"): 1.0},
+        {"b": 1, "d": 1}, "r",
+    )
+    edges = [("r", "a"), ("a", "b"), ("b", "r"), ("c", "d")]
+    with pytest.raises(RoutingError) as err:
+        within_seconds(1.0, route_demands, inst, edges)
+    assert str(err.value) == "edge set contains a cycle or is disconnected"
 
 
 def test_route_rejects_disconnected_demand(path3):

@@ -170,9 +170,11 @@ class TestPrunedEnumeration:
 
 
 def assert_routed_as_route_demands(inst):
-    """Each candidate matches ``route_demands`` of its edges field for field,
-    dict order included, and each node subset's candidates form one run in
-    ascending sorted-edge order, the LP's column order."""
+    """Each candidate, routed by ``route_tree`` without ``route_demands``'
+    checks and with a demand map over its own node subset, matches
+    ``route_demands`` of its edges field for field, dict order included, and
+    each node subset's candidates form one run in ascending sorted-edge
+    order, the LP's column order."""
     trees = list(enumerate_candidate_trees(inst))
     for t in trees:
         ref = route_demands(inst, t.edges)

@@ -510,6 +510,21 @@ class TestSolveOblivious:
         with pytest.raises(RuntimeError, match="duals sum to"):
             solve_oblivious(two_cluster6, SolveConfig(seed=0))
 
+    def test_duals_just_above_one_are_priced(self, two_cluster6, monkeypatch):
+        # Master duals that sum to 1 + 5e-12 are within the master's 1e-9,
+        # but above the oracle's budget slack: column generation must scale
+        # them back and price them, not read the oracle's budget cut.
+        master = framework_mod.solve_small_primal
+
+        def scaled(cs):
+            dist, y0, alpha = master(cs)
+            return dist, y0, tuple(a * (1 + 5e-12) for a in alpha)
+
+        monkeypatch.setattr(framework_mod, "solve_small_primal", scaled)
+        _, report = solve_oblivious(two_cluster6, SolveConfig(seed=0))
+        assert report.runs
+        assert all(run["kind"] != "rob_cut" and run["attempts"] > 0 for run in report.runs)
+
     @pytest.mark.parametrize("seed", range(3))
     def test_theta_at_most_best_rent_or_buy_tree(self, two_cluster6, seed):
         # The master starts from the rent-or-buy trees, so mixing never does

@@ -178,6 +178,17 @@ class TestGmmTree:
         with pytest.raises(ValueError, match="not gamma-regular"):
             gmm_tree(path3, irregular, seed=0)
 
+    def test_unseparated_vector_refused_before_thresholds(self, path3):
+        # thresholds holds None where a significance point is undefined, as
+        # here at pipe 0; the staged construction must refuse the vector
+        # before it could read that None.
+        unseparated = AlphaVector(alpha={0: 1, 1: 1}, D=4)
+        assert thresholds(alpha_to_pipes(unseparated)).significance[0] is None
+        with pytest.raises(ValueError, match="not gamma-regular"):
+            StagePlan(path3, unseparated)
+        with pytest.raises(ValueError, match="not gamma-regular"):
+            gmm_tree(path3, unseparated, seed=0)
+
     def test_single_demand_is_shortest_path(self):
         inst = make_instance(
             {("r", "a"): 1.0, ("a", "b"): 1.0, ("r", "b"): 5.0}, {"b": 1}, "r"
@@ -361,7 +372,7 @@ def reference_run(plan, seed, trace=None, streams=None):
         return reference_cut_forest(edges, inst.root, cur, th.capacities[k])
 
     def facility_clusters(k):
-        assignment, paths = lbfl(inst, inst.demands, th.significance[k], table=table)
+        assignment, paths = lbfl(inst, th.significance[k], table=table)
         clusters = {}
         for v, f in sorted(assignment.items()):
             clusters.setdefault(f, []).append(v)

@@ -135,11 +135,16 @@ class TestThresholds:
         assert th.indifference[0] == 1
         assert th.significance[0] == 2  # 1 / (2*gamma)
 
-    def test_undefined_significance_raises(self):
+    def test_undefined_significance_is_none(self):
+        # 2*gamma*delta_0 - delta_1 = -2/5: no flow makes pipe 1 cost half of
+        # pipe 0, so the table holds None there and the other points as usual.
         schedule = make_schedule([(0, 1), (1, F(9, 10)), (10, 0)])
         assert significance_point(*schedule.pipes[:2]) is None
-        with pytest.raises(ValueError, match="significance point undefined at pipe 0"):
-            thresholds(schedule)
+        th = thresholds(schedule)
+        assert th.significance == (None, significance_point(*schedule.pipes[1:]))
+        assert th.significance[1] is not None
+        assert th.indifference == (10, 10)
+        assert th.capacities == (0, F(10, 9), None)
 
     def test_gamma_range_validated(self):
         # The oracle's guarantee needs gamma in (0, 1/2); GAMMA is that constant.

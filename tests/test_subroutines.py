@@ -216,12 +216,12 @@ class TestSteiner:
 
 class TestLBFL:
     def test_fallback_routes_to_root(self, star4):
-        assignment, paths = lbfl(star4, star4.demands, lower_bound=10)
+        assignment, paths = lbfl(star4, lower_bound=10)
         assert list(paths) == ["r"]
         assert self._loads(star4, assignment, paths) == {"r": star4.total_demand()}
 
     def test_tiny_bound_allows_singletons(self, star4):
-        loads = self._loads(star4, *lbfl(star4, star4.demands, lower_bound=1))
+        loads = self._loads(star4, *lbfl(star4, lower_bound=1))
         assert all(load >= 1 for load in loads.values())
 
     def test_star_load_bound(self):
@@ -230,13 +230,13 @@ class TestLBFL:
             {v: 1 for v in "abcd"},
             "r",
         )
-        loads = self._loads(inst, *lbfl(inst, inst.demands, lower_bound=2))
+        loads = self._loads(inst, *lbfl(inst, lower_bound=2))
         assert all(load >= 2 / 3 for load in loads.values())
 
     @pytest.mark.parametrize("seed,bound", [(0, 2), (1, 3), (2, 2), (3, 4)])
     def test_load_relaxation_on_corpus(self, seed, bound):
         inst = generate_instance("random-geometric", 7, 4, seed=seed)
-        assignment, paths = lbfl(inst, inst.demands, lower_bound=bound)
+        assignment, paths = lbfl(inst, lower_bound=bound)
         if list(paths) != [inst.root]:
             loads = self._loads(inst, assignment, paths)
             assert all(load >= bound / 3 for load in loads.values())
