@@ -24,7 +24,6 @@ from .exact import (
 )
 from .framework import (
     ConstraintSet,
-    DualPoint,
     EllipsoidResult,
     SolveConfig,
     ellipsoid_feasibility,

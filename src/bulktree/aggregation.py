@@ -7,8 +7,8 @@ is enough to evaluate it under every such cost.  Flows are integral: a routed
 tree carries, on each edge, exactly the demand hanging below that edge when
 the tree is oriented toward the root.
 
-Trees are stored as explicit edge sets plus a parent map rooted at the
-instance root, so flow computation is a single leaf-to-root sweep.
+A routed tree is its ascending canonical edges and the flow on each; the
+flow comes from one BFS from the root and one leaf-to-root sweep.
 """
 from __future__ import annotations
 
@@ -27,22 +27,15 @@ class RoutingError(ValueError):
 
 @dataclass(frozen=True)
 class RoutedTree:
-    """A tree spanning demands and root, with per-edge integral flow toward the root."""
+    """A tree spanning demands and root: its canonical edges, ascending, and
+    each edge's integral flow toward the root."""
 
     edges: tuple[Edge, ...]
     flow: dict[Edge, int]
-    root: str
-    parent: dict[str, str]
-
-    def nodes(self) -> set[str]:
-        out = {self.root}
-        for u, v in self.edges:
-            out.add(u)
-            out.add(v)
-        return out
 
     def sorted_edges(self) -> tuple[Edge, ...]:
-        return tuple(sorted(self.edges))
+        # ``route_tree``, the only constructor, takes the edges ascending.
+        return self.edges
 
 
 def route_demands(inst: Instance, tree_edges) -> RoutedTree:
@@ -59,7 +52,7 @@ def route_demands(inst: Instance, tree_edges) -> RoutedTree:
     if len(edges) != len(nodes) - 1:
         raise RoutingError("edge set contains a cycle or is disconnected")
     tree = route_tree(inst.root, {v: inst.demands.get(v, 0) for v in nodes}, edges)
-    if len(tree.parent) != len(edges):  # a node the walk did not reach
+    if len(tree.flow) != len(edges):  # a node the walk did not reach
         raise RoutingError("edge set contains a cycle or is disconnected")
     missing = sorted(v for v in inst.demands if v not in nodes and v != inst.root)
     if missing:
@@ -74,28 +67,27 @@ def route_tree(root: str, demand: dict, edges: tuple) -> RoutedTree:
     are canonical and ascend, so each node meets its smaller neighbours first,
     as first ends, then its larger ones: every adjacency list is sorted.  A
     node is entered once, so a cycle in the root's component leaves nodes
-    unreached, and ``parent`` then has fewer entries than ``edges``.
+    unreached, and ``flow`` then has fewer entries than ``edges``.
     """
     adj: dict[str, list] = {v: [] for v in demand}
     for e in edges:
         u, v = e
         adj[u].append((v, e))
         adj[v].append((u, e))
-    parent = {root: root}
+    seen = {root}
     links = []  # (node, its parent, the edge between them), in BFS order
     order = [root]
     for u in order:
         for v, e in adj[u]:
-            if v not in parent:
-                parent[v] = u
+            if v not in seen:
+                seen.add(v)
                 links.append((v, u, e))
                 order.append(v)
-    del parent[root]
     subtree = dict(demand)
     for v, u, _ in reversed(links):
         subtree[u] += subtree[v]
     flow = {e: subtree[v] for v, _, e in links}
-    return RoutedTree(edges=edges, flow=flow, root=root, parent=parent)
+    return RoutedTree(edges=edges, flow=flow)
 
 
 def add_up(terms) -> float:

@@ -169,6 +169,11 @@ def cmd_solve(args) -> int:
     return 0
 
 
+def _bounded(ratio: float) -> float | None:
+    """An unbounded ratio, a positive cost over a zero bound, is written as null."""
+    return None if ratio == math.inf else ratio
+
+
 def cmd_eval(args) -> int:
     inst = load_instance(args.instance)
     with open(args.distribution) as fh:
@@ -180,15 +185,17 @@ def cmd_eval(args) -> int:
         "seed": args.seed,
         "config_hash": _config_hash({"seed": args.seed}),
         "levels": rows,
-        "max_ratio_vs_bound": max(r["ratio"] for r in rows),
+        "max_ratio_vs_bound": _bounded(max(r["ratio"] for r in rows)),
     }
     if args.exact:
         opt = exact_mod.exact_optima(inst)
         ratio, worst = exact_mod.exact_oblivious_ratio(inst, dist, optima=opt)
         for row in rows:
             row["exact_optimum"] = opt.value(row["i"])
-        out["exact_oblivious_ratio"] = ratio
+        out["exact_oblivious_ratio"] = _bounded(ratio)
         out["worst_level"] = worst
+    for row in rows:
+        row["ratio"] = _bounded(row["ratio"])
     write_json(args.out, out)
     _log(cmd="eval", instance=args.instance, out=args.out)
     return 0

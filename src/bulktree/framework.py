@@ -40,7 +40,6 @@ from .subroutines import PathTable, rob_lower_bounds, _mix_seed
 
 __all__ = [
     "SolveConfig",
-    "DualPoint",
     "TreeConstraint",
     "ConstraintSet",
     "OracleResult",
@@ -71,18 +70,6 @@ def default_rmax(inst: Instance) -> int:
 
 
 @dataclass(frozen=True)
-class DualPoint:
-    """A dual query point in scaled coordinates y_i = alpha_i * tilde_i.
-
-    Column generation passes the master's level duals, which are nonnegative
-    and sum to at most 1, with beta just below the master's theta*.
-    """
-
-    alpha: tuple[float, ...]
-    beta: float
-
-
-@dataclass(frozen=True)
 class TreeConstraint:
     tree: RoutedTree
     level_costs: tuple[float, ...]
@@ -94,8 +81,8 @@ class ConstraintSet:
     tree_constraints: list[TreeConstraint]
 
     def add(self, tc: TreeConstraint) -> bool:
-        key = tc.tree.sorted_edges()
-        if any(t.tree.sorted_edges() == key for t in self.tree_constraints):
+        key = tc.tree.edges
+        if any(t.tree.edges == key for t in self.tree_constraints):
             return False
         self.tree_constraints.append(tc)
         return True
@@ -112,7 +99,8 @@ class OracleResult:
 
 
 def separation_oracle(
-    point: DualPoint,
+    alpha,
+    beta: float,
     tilde,
     c_target: float,
     inst: Instance,
@@ -120,11 +108,15 @@ def separation_oracle(
     rmax: int | None = None,
     table: PathTable | None = None,
 ) -> OracleResult:
-    """Refute the dual point or declare it feasible.
+    """Refute the dual point (alpha, beta) or declare it feasible.
+
+    alpha is in scaled coordinates y_i = a_i * tilde_i of the level weights
+    a.  Column generation passes the master's level duals as they are, which
+    are nonnegative and sum to at most 1, with beta just below its theta*.
 
     Checks the budget constraint first; otherwise repeatedly asks the
-    randomized construction for a tree whose cost under alpha is below
-    2 * c_target * sum(alpha * tilde), capped at rmax attempts, and returns
+    randomized construction for a tree whose cost under a is below
+    2 * c_target * sum(y), capped at rmax attempts, and returns
     the best tree found as a violated constraint when its cost is below
     beta.  The retry loop also stops as soon as a tree violates beta (the
     cut is valid regardless of the threshold); at beta 0 no tree does, so
@@ -134,7 +126,7 @@ def separation_oracle(
     only the seeded part of the construction.  All attempts read one set of
     streams, ``default_rng([seed, stage, step])``, each from where the one
     before it stopped, so attempt 0 returns the tree
-    ``oracle_tree(inst, alpha, seed)`` would.  The plan walks its attempts
+    ``oracle_tree(inst, a, seed)`` would.  The plan walks its attempts
     through one memoized tree of runs: an attempt draws its targets afresh,
     but builds only the Steiner forests, moves and trees that no earlier
     attempt of this call reached.  Once the plan is exhausted, every later
@@ -145,20 +137,18 @@ def separation_oracle(
     """
     if rmax is not None and rmax < 1:
         raise ValueError(f"rmax must be at least 1, got {rmax}")
-    scaled = np.asarray(point.alpha, dtype=float)
+    scaled = np.asarray(alpha, dtype=float)
     budget = float(scaled.sum())
     if budget > 1.0 + BUDGET_SLACK:
         return OracleResult(kind="rob_cut")
     if budget <= 1e-15:
         return OracleResult(kind="feasible_at_zero")
-    levels = len(tilde)
-    profile = demand_profile(inst)
     alpha_raw = {
         i: Fraction(float(scaled[i])) / Fraction(float(tilde[i]))
-        for i in range(levels)
+        for i in range(len(tilde))
         if scaled[i] > 0
     }
-    vec = AlphaVector(alpha=alpha_raw, D=profile.D)
+    vec = AlphaVector(alpha=alpha_raw, D=demand_profile(inst).D)
     threshold = 2.0 * c_target * budget
     cap = rmax if rmax is not None else default_rmax(inst)
     regular, _ = regularize(vec)
@@ -169,14 +159,14 @@ def separation_oracle(
     threshold_met = False
     for tree, _ in plan.runs(seed, cap):
         attempts += 1
-        costs = plan.table.level_costs(tree, levels)
+        costs = plan.table.level_costs(tree)
         value = add_up(a * costs[i] for i, a in weights)
         if best is None or value < best[0]:
             best = (value, tree, costs)
         if value < threshold:
             threshold_met = True
             break
-        if value < point.beta:
+        if value < beta:
             break
         if plan.exhausted:
             # Every later attempt ends at a tree an earlier one priced: none
@@ -184,7 +174,7 @@ def separation_oracle(
             attempts = cap
             break
     value, tree, costs = best
-    if value < point.beta:
+    if value < beta:
         return OracleResult(
             kind="tree_cut",
             tree=tree,
@@ -255,10 +245,9 @@ def ellipsoid_feasibility(
                 cut = g
                 break
         if cut is None:
-            point = DualPoint(alpha=tuple(float(x) for x in center), beta=beta)
             res = separation_oracle(
-                point, tilde, c_target, inst, _mix_seed(seed, 7919 + iteration), rmax,
-                table=table,
+                tuple(float(x) for x in center), beta, tilde, c_target, inst,
+                _mix_seed(seed, 7919 + iteration), rmax, table=table,
             )
             oracle_calls += 1
             if res.kind == "rob_cut":
@@ -371,11 +360,10 @@ def _column_generation(
 
     Returns the last master's distribution and one row per pricing call.
     """
-    levels = len(bounds)
     tilde = tuple(v for _, v, _ in bounds)
     cs = ConstraintSet(tilde=tilde, tree_constraints=[])
     for _, _, tree in bounds:
-        cs.add(TreeConstraint(tree=tree, level_costs=table.level_costs(tree, levels)))
+        cs.add(TreeConstraint(tree=tree, level_costs=table.level_costs(tree)))
     runs = []
     for call in range(MAX_PRICING_CALLS + 1):
         dist, _, alpha = solve_small_primal(cs)
@@ -392,8 +380,8 @@ def _column_generation(
             alpha = tuple(a / budget for a in alpha)
         beta = dist.theta * (1 - 1e-9)
         res = separation_oracle(
-            DualPoint(alpha=alpha, beta=beta), tilde, beta / 2.0, inst,
-            _mix_seed(config.seed, 7919 + call), table=table,
+            alpha, beta, tilde, beta / 2.0, inst, _mix_seed(config.seed, 7919 + call),
+            table=table,
         )
         added = res.kind == "tree_cut" and cs.add(
             TreeConstraint(tree=res.tree, level_costs=res.level_costs)
@@ -416,7 +404,6 @@ def solve_oblivious(inst: Instance, config: SolveConfig) -> tuple[TreeDistributi
     and it costs zero at every level.  It is returned alone with theta 1,
     the 0/0 rule of ``level_ratio``, and no LP is solved.
     """
-    profile = demand_profile(inst)
     # One shortest-path table per solve: it is dropped when the solve returns.
     table = PathTable(inst)
     bounds = rob_lower_bounds(inst, _mix_seed(config.seed, 0xAB), table)
@@ -426,7 +413,7 @@ def solve_oblivious(inst: Instance, config: SolveConfig) -> tuple[TreeDistributi
         dist, runs = _column_generation(inst, config, bounds, table)
     else:
         dist, runs = TreeDistribution(support=((zero_tree, 1.0),), theta=1.0), []
-    if len(dist.support) > 1 + int(math.log2(profile.D)):
+    if len(dist.support) > table.levels:  # 1 + log2(D)
         raise RuntimeError("support bound violated")
     rows = level_rows(dist, tilde, inst.lengths)
     worst = max(row["ratio"] for row in rows)

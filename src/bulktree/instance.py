@@ -196,10 +196,11 @@ def save_instance(inst: Instance, path, meta: dict | None = None) -> None:
 
 
 def write_json(path, obj) -> None:
-    """Write an artifact: two-space indent, sorted keys, a final newline."""
+    """Write an artifact: two-space indent, sorted keys, a final newline.
+    A non-finite number, which JSON cannot hold, raises before the file opens."""
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def generate_instance(model: str, n: int, demand_count: int, seed: int) -> Instance:

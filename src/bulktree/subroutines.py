@@ -71,17 +71,19 @@ class PathTable:
 
     - the shortest paths from each source under the instance's lengths;
     - ``rent_or_buy``'s routed tree per marked set, on which alone it depends;
-    - each routed tree's atomic level costs.
+    - each routed tree's atomic costs at the instance's levels.
 
-    A solve builds one table and drops it when it returns.  The maps and
-    trees it hands out are shared between callers and must not be mutated.
+    It also holds the instance's level count, ``levels``, which sizes every
+    level-cost vector.  A solve builds one table and drops it when it returns.
+    The maps and trees it hands out are shared and must not be mutated.
     """
 
     def __init__(self, inst: Instance):
         self.inst = inst
+        self.levels = demand_profile(inst).levels
         self._paths: dict[str, tuple[dict[str, float], dict[str, str]]] = {}
         self._rob: dict[frozenset, RoutedTree] = {}
-        self._level_costs: dict[tuple[tuple[Edge, ...], int], tuple[float, ...]] = {}
+        self._level_costs: dict[tuple[Edge, ...], tuple[float, ...]] = {}
 
     def get(self, source: str) -> tuple[dict[str, float], dict[str, str]]:
         hit = self._paths.get(source)
@@ -97,13 +99,13 @@ class PathTable:
         edges = _prune_to_tree(used, sorted(inst.demands), inst.lengths, inst.root)
         return route_demands(inst, edges)
 
-    def level_costs(self, tree: RoutedTree, levels: int) -> tuple[float, ...]:
+    def level_costs(self, tree: RoutedTree) -> tuple[float, ...]:
         """``aggregation.level_costs`` of the tree at levels 0..levels-1 under
-        the lengths."""
-        key = (tree.edges, levels)
-        hit = self._level_costs.get(key)
+        the lengths, computed once per edge set."""
+        hit = self._level_costs.get(tree.edges)
         if hit is None:
-            hit = self._level_costs[key] = level_costs(tree, range(levels), self.inst.lengths)
+            hit = level_costs(tree, range(self.levels), self.inst.lengths)
+            self._level_costs[tree.edges] = hit
         return hit
 
 
@@ -316,12 +318,11 @@ def rob_lower_bounds(
     method's expected constant and feed the dual constraint of the solver.
     Each distinct tree is built and costed at every level once.
     """
-    levels = demand_profile(inst).levels
     table = PathTable(inst) if table is None else table
     out = []
-    for i in range(levels):
+    for i in range(table.levels):
         tree = rent_or_buy(inst, 1 << i, seed=_mix_seed(seed, i), table=table)
-        out.append((i, table.level_costs(tree, levels)[i], tree))
+        out.append((i, table.level_costs(tree)[i], tree))
     return out
 
 

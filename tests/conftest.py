@@ -16,6 +16,39 @@ def make_instance(edge_lengths: dict, demands: dict, root: str) -> Instance:
     return Instance(nodes=tuple(sorted(nodes)), lengths=lengths, demands=dict(demands), root=root)
 
 
+def parent_map(tree, root: str) -> dict:
+    """Each node's parent toward the root, by the BFS of
+    ``aggregation.route_tree``: the ascending edges give every node its
+    neighbours in sorted order, and the map lists nodes as the walk reaches
+    them."""
+    adj: dict = {}
+    for u, v in tree.edges:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    parent = {}
+    order = [root]
+    for u in order:
+        for v in adj.get(u, ()):
+            if v != root and v not in parent:
+                parent[v] = u
+                order.append(v)
+    return parent
+
+
+def tree_nodes(tree, root: str) -> set:
+    """The root and every end of the tree's edges."""
+    return {root} | {v for e in tree.edges for v in e}
+
+
+def two_cluster() -> Instance:
+    """Two clusters hanging off the root; demand 2 at each of five nodes."""
+    return make_instance(
+        {("r", "a"): 4.0, ("a", "b"): 1.0, ("r", "c"): 4.0, ("c", "d"): 1.0, ("d", "e"): 1.0},
+        {v: 2 for v in "abcde"},
+        "r",
+    )
+
+
 @pytest.fixture
 def path3() -> Instance:
     """r -- a -- b with unit lengths, unit demands at a and b."""
@@ -32,12 +65,7 @@ def star4() -> Instance:
 
 @pytest.fixture
 def two_cluster6() -> Instance:
-    """Two clusters hanging off the root; demand 2 at each of five nodes."""
-    return make_instance(
-        {("r", "a"): 4.0, ("a", "b"): 1.0, ("r", "c"): 4.0, ("c", "d"): 1.0, ("d", "e"): 1.0},
-        {v: 2 for v in "abcde"},
-        "r",
-    )
+    return two_cluster()
 
 
 def random_alpha(rng: np.random.Generator, max_levels: int = 7):

@@ -18,7 +18,7 @@ import numpy as np
 
 from bulktree.aggregation import add_up, atomic_cost
 from bulktree.exact import enumerate_candidate_trees, exact_oblivious_ratio, exact_optima
-from bulktree.framework import DualPoint, SolveConfig, separation_oracle, solve_oblivious
+from bulktree.framework import SolveConfig, separation_oracle, solve_oblivious
 from bulktree.gmm import GmmTrace, gmm_tree
 from bulktree.instance import demand_profile, generate_instance
 from bulktree.pipes import (
@@ -244,10 +244,7 @@ def test_c09_oracle_termination():
     for _ in range(10):
         y = rng.random(m)
         y = 0.9 * y / y.sum()
-        res = separation_oracle(
-            DualPoint(alpha=tuple(y), beta=1e9), tilde, 1e9, inst,
-            seed=int(rng.integers(1 << 30)),
-        )
+        res = separation_oracle(tuple(y), 1e9, tilde, 1e9, inst, seed=int(rng.integers(1 << 30)))
         pilot.append(res.cost / y.sum())
     c_cal = max(pilot)
     ok = 0
@@ -256,9 +253,7 @@ def test_c09_oracle_termination():
         y = rng.random(m)
         y = 0.9 * y / y.sum()
         # At beta 0 no tree violates, so only the threshold or rmax ends the loop.
-        res = separation_oracle(
-            DualPoint(alpha=tuple(y), beta=0.0), tilde, c_cal, inst, seed=t, rmax=rmax,
-        )
+        res = separation_oracle(tuple(y), 0.0, tilde, c_cal, inst, seed=t, rmax=rmax)
         if res.threshold_met and res.attempts <= rmax:
             ok += 1
     assert ok >= 0.95 * trials

@@ -17,15 +17,24 @@ from bulktree.aggregation import (
     level_costs,
     route_demands,
 )
-from bulktree.instance import demand_profile
+from bulktree.instance import canonical_edge, demand_profile
 from bulktree.pipes import AlphaVector, alpha_to_pipes, make_schedule
 
-from conftest import make_instance, random_alpha
+from conftest import make_instance, parent_map, random_alpha, two_cluster
 
 
 def test_route_path(path3):
     tree = route_demands(path3, [("r", "a"), ("a", "b")])
     assert tree.flow == {("a", "r"): 2, ("a", "b"): 1}
+
+
+def test_route_sorts_and_canonicalizes_edges(two_cluster6):
+    # The edges come reversed and with flipped ends; the tree holds them
+    # canonical and ascending, which sorted_edges() relies on.
+    given = [(v, u) for u, v in reversed(two_cluster6.edges)]
+    tree = route_demands(two_cluster6, given)
+    assert tree.edges == tuple(sorted(canonical_edge(u, v) for u, v in given))
+    assert tree.sorted_edges() == tree.edges
 
 
 def test_route_single_demand():
@@ -86,13 +95,11 @@ def test_route_rejects_disconnected_demand(path3):
 
 
 def test_root_flow_sums(path3, star4, two_cluster6):
-    from bulktree.instance import canonical_edge
-
     for inst in (path3, star4, two_cluster6):
         tree = route_demands(inst, _spanning_edges(inst))
         at_root = sum(
             tree.flow[canonical_edge(c, inst.root)]
-            for c, p in tree.parent.items()
+            for c, p in parent_map(tree, inst.root).items()
             if p == inst.root
         )
         assert at_root == inst.total_demand()
@@ -198,18 +205,10 @@ def test_monotone_doubling_between_levels(data):
         assert hi <= 2 * lo + 1e-9
 
 
-def _two_cluster():
-    return make_instance(
-        {("r", "a"): 4.0, ("a", "b"): 1.0, ("r", "c"): 4.0, ("c", "d"): 1.0, ("d", "e"): 1.0},
-        {v: 2 for v in "abcde"},
-        "r",
-    )
-
-
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**31))
 def test_alpha_pipe_cost_agreement_random(seed):
-    inst = _two_cluster()
+    inst = two_cluster()
     rng = np.random.default_rng(seed)
     alpha = random_alpha(rng, max_levels=demand_profile(inst).levels)
     tree = route_demands(inst, _spanning_edges(inst))

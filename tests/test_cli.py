@@ -143,6 +143,35 @@ def test_eval_exact_over_cap_refused(tmp_path, capsys):
     assert not (tmp_path / "e.json").exists()
 
 
+def strict_json(text):
+    """json.loads that refuses NaN, Infinity and -Infinity, which are not JSON."""
+
+    def refuse(name):
+        raise ValueError(f"not JSON: {name}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_eval_unbounded_ratio_is_null(tmp_path):
+    # a-r and a-b have length 0, so every level's bound and exact optimum are
+    # 0.  The tree a-r, b-r pays for b-r at every level: each ratio is
+    # unbounded and is written as null.
+    inst, dist, out = tmp_path / "inst.json", tmp_path / "dist.json", tmp_path / "eval.json"
+    inst.write_text(json.dumps({
+        "nodes": ["a", "b", "r"],
+        "edges": [{"u": "a", "v": "r", "length": 0.0}, {"u": "a", "v": "b", "length": 0.0},
+                  {"u": "b", "v": "r", "length": 1.0}],
+        "demands": {"a": 1, "b": 1}, "root": "r",
+    }))
+    dist.write_text(json.dumps({"trees": [{"weight": 1.0, "edges": [["a", "r"], ["b", "r"]]}]}))
+    assert run(["eval", inst, dist, "--out", out, "--exact", "--seed", 1]) == 0
+    ev = strict_json(out.read_text())
+    assert ev["max_ratio_vs_bound"] is None and ev["exact_oblivious_ratio"] is None
+    assert [(row["expected_cost"], row["lower_bound"], row["ratio"]) for row in ev["levels"]] \
+        == [(1.0, 0.0, None)] * 2
+    assert ev["worst_level"] == 0
+
+
 def test_gmm_and_regularize_and_pipes(tmp_path, star_file, capsys):
     alpha = tmp_path / "alpha.json"
     alpha.write_text(json.dumps({"D": 4, "alpha": {"0": 1.0, "1": 1.0}}))

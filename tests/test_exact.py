@@ -22,7 +22,7 @@ from bulktree.framework import ConstraintSet, TreeConstraint, solve_small_primal
 from bulktree.instance import Instance, demand_profile, generate_instance
 from bulktree.subroutines import dijkstra
 
-from conftest import make_instance, small_instance_corpus
+from conftest import make_instance, parent_map, small_instance_corpus, tree_nodes
 
 
 class TestEnumeration:
@@ -172,7 +172,7 @@ class TestPrunedEnumeration:
 def assert_routed_as_route_demands(inst):
     """Each candidate, routed by ``route_tree`` without ``route_demands``'
     checks and with a demand map over its own node subset, matches
-    ``route_demands`` of its edges field for field, dict order included, and
+    ``route_demands`` of its edges in edges and flow, dict order included, and
     each node subset's candidates form one run in ascending sorted-edge
     order, the LP's column order."""
     trees = list(enumerate_candidate_trees(inst))
@@ -180,10 +180,11 @@ def assert_routed_as_route_demands(inst):
         ref = route_demands(inst, t.edges)
         assert t.edges == ref.edges
         assert list(t.flow.items()) == list(ref.flow.items())
-        assert list(t.parent.items()) == list(ref.parent.items())
     runs = [
         (nodes, [t.sorted_edges() for t in group])
-        for nodes, group in itertools.groupby(trees, key=lambda t: frozenset(t.nodes()))
+        for nodes, group in itertools.groupby(
+            trees, key=lambda t: frozenset(tree_nodes(t, inst.root))
+        )
     ]
     assert len({nodes for nodes, _ in runs}) == len(runs)
     for _, edges in runs:
@@ -298,7 +299,9 @@ class TestPinnedOutputs:
             assert 15 <= len(inst.lengths) <= 16
         count, digest, *pinned = PINNED[(model, seed)]
         trees = list(enumerate_candidate_trees(inst))
-        candidates = [(t.edges, list(t.flow.items()), list(t.parent.items())) for t in trees]
+        candidates = [
+            (t.edges, list(t.flow.items()), list(parent_map(t, inst.root).items())) for t in trees
+        ]
         assert len(candidates) == count
         assert hashlib.sha256(repr(candidates).encode()).hexdigest()[:16] == digest
         opt = exact_optima(inst)

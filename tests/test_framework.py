@@ -16,7 +16,6 @@ from bulktree.exact import exact_lp_optimum, exact_oblivious_ratio, exact_optima
 from bulktree.framework import (
     MAX_PRICING_CALLS,
     ConstraintSet,
-    DualPoint,
     OracleResult,
     SolveConfig,
     TreeConstraint,
@@ -48,13 +47,13 @@ def tilde_for(inst, seed=7):
     return tuple(v for _, v, _ in rob_lower_bounds(inst, seed))
 
 
-def reference_separation_oracle(point, tilde, c_target, inst, seed, rmax=None):
+def reference_separation_oracle(alpha, beta, tilde, c_target, inst, seed, rmax=None):
     """The oracle's retry loop as first written: every attempt regularizes
     and stages the weight vector again, on a fresh plan with no memo.  All
     attempts read one set of ``default_rng([seed, k, step])`` streams, each
     from where the one before it stopped.  The weighted value is added left
     to right, as the oracle adds it."""
-    scaled = np.asarray(point.alpha, dtype=float)
+    scaled = np.asarray(alpha, dtype=float)
     budget = float(scaled.sum())
     if budget > 1.0 + 1e-12:
         return OracleResult(kind="rob_cut")
@@ -92,10 +91,10 @@ def reference_separation_oracle(point, tilde, c_target, inst, seed, rmax=None):
         if value < threshold:
             threshold_met = True
             break
-        if value < point.beta:
+        if value < beta:
             break
     value, tree, costs = best
-    if value < point.beta:
+    if value < beta:
         return OracleResult(kind="tree_cut", tree=tree, level_costs=costs, cost=value,
                             attempts=attempts, threshold_met=threshold_met)
     return OracleResult(kind="feasible", cost=value, attempts=attempts, threshold_met=threshold_met)
@@ -141,8 +140,8 @@ def oracle_trials(inst, tilde):
         y = rng.random(m) * (rng.random(m) < 0.7)
         y = y / max(y.sum(), 1e-300) * rng.choice([0.3, 0.9, 1.0, 1.2])
         # Betas below, near and above the tree costs; c_target spans the threshold.
-        point = DualPoint(alpha=tuple(y), beta=float(rng.choice([0.0, 0.5, 1.0, 1e9])))
-        yield (point, tilde, float(rng.choice([0.1, 0.5, 4.0])), inst, trial), \
+        beta = float(rng.choice([0.0, 0.5, 1.0, 1e9]))
+        yield (tuple(y), beta, tilde, float(rng.choice([0.1, 0.5, 4.0])), inst, trial), \
             dict(rmax=int(rng.choice([3, 20])))
 
 
@@ -201,7 +200,7 @@ class TestSeparationOracle:
         inst = generate_instance(model, 8, 3, seed=seed)
         tilde = tilde_for(inst)
         m = len(tilde)
-        args = (DualPoint(alpha=(0.5 / m,) * m, beta=0.0), tilde, 1e-9, inst, seed)
+        args = ((0.5 / m,) * m, 0.0, tilde, 1e-9, inst, seed)
         walks = []
         walk = StagePlan._run
 
@@ -220,28 +219,24 @@ class TestSeparationOracle:
     def test_rmax_below_one_refused(self, two_cluster6, rmax):
         tilde = tilde_for(two_cluster6)
         m = len(tilde)
-        point = DualPoint(alpha=(0.5 / m,) * m, beta=0.0)
         with pytest.raises(ValueError, match="rmax"):
-            separation_oracle(point, tilde, 4.0, two_cluster6, seed=1, rmax=rmax)
+            separation_oracle((0.5 / m,) * m, 0.0, tilde, 4.0, two_cluster6, seed=1, rmax=rmax)
 
     def test_zero_point_reported(self, two_cluster6):
         tilde = tilde_for(two_cluster6)
-        point = DualPoint(alpha=(0.0,) * len(tilde), beta=1.0)
-        res = separation_oracle(point, tilde, 1.0, two_cluster6, seed=1)
+        res = separation_oracle((0.0,) * len(tilde), 1.0, tilde, 1.0, two_cluster6, seed=1)
         assert res.kind == "feasible_at_zero"
 
     def test_budget_violation_immediate(self, two_cluster6):
         tilde = tilde_for(two_cluster6)
         m = len(tilde)
-        point = DualPoint(alpha=(2.0 / m,) * m, beta=1.0)
-        res = separation_oracle(point, tilde, 1.0, two_cluster6, seed=1)
+        res = separation_oracle((2.0 / m,) * m, 1.0, tilde, 1.0, two_cluster6, seed=1)
         assert res.kind == "rob_cut"
 
     def test_tree_cut_when_beta_large(self, two_cluster6):
         tilde = tilde_for(two_cluster6)
         m = len(tilde)
-        point = DualPoint(alpha=(0.5 / m,) * m, beta=1e9)
-        res = separation_oracle(point, tilde, 4.0, two_cluster6, seed=1)
+        res = separation_oracle((0.5 / m,) * m, 1e9, tilde, 4.0, two_cluster6, seed=1)
         assert res.kind == "tree_cut"
         assert res.cost < 1e9
         assert len(res.level_costs) == m
@@ -249,8 +244,7 @@ class TestSeparationOracle:
     def test_feasible_when_beta_zero(self, two_cluster6):
         tilde = tilde_for(two_cluster6)
         m = len(tilde)
-        point = DualPoint(alpha=(0.5 / m,) * m, beta=0.0)
-        res = separation_oracle(point, tilde, 4.0, two_cluster6, seed=1)
+        res = separation_oracle((0.5 / m,) * m, 0.0, tilde, 4.0, two_cluster6, seed=1)
         assert res.kind == "feasible"
 
     def test_markov_retry_terminates_quickly(self, two_cluster6):
@@ -263,8 +257,8 @@ class TestSeparationOracle:
         for _ in range(10):
             y = rng.random(m)
             y = 0.9 * y / y.sum()
-            point = DualPoint(alpha=tuple(y), beta=1e9)
-            res = separation_oracle(point, tilde, 1e9, two_cluster6, seed=int(rng.integers(1 << 30)))
+            res = separation_oracle(tuple(y), 1e9, tilde, 1e9, two_cluster6,
+                                    seed=int(rng.integers(1 << 30)))
             pilot.append(res.cost / y.sum())
         c_cal = max(pilot)
         budget = 2 * math.ceil(math.log2(len(two_cluster6.nodes) + 2))
@@ -274,8 +268,7 @@ class TestSeparationOracle:
             y = rng.random(m)
             y = 0.9 * y / y.sum()
             # At beta 0 no tree violates, so only the threshold or rmax ends the loop.
-            point = DualPoint(alpha=tuple(y), beta=0.0)
-            res = separation_oracle(point, tilde, c_cal, two_cluster6, seed=t)
+            res = separation_oracle(tuple(y), 0.0, tilde, c_cal, two_cluster6, seed=t)
             if res.threshold_met and res.attempts <= budget:
                 ok += 1
         assert ok >= 0.95 * trials
@@ -427,6 +420,27 @@ class TestEllipsoid:
 
 
 class TestSolveOblivious:
+    def test_every_tree_holds_its_edges_ascending(self, monkeypatch):
+        # RoutedTree.sorted_edges() returns the edges as stored, so every tree
+        # a solve builds must hold them ascending.  The solve's table prices
+        # each rent-or-buy tree and each tree the oracle tries.
+        priced = []
+
+        class Recording(PathTable):
+            def level_costs(self, tree):
+                priced.append(tree)
+                return super().level_costs(tree)
+
+        monkeypatch.setattr(framework_mod, "PathTable", Recording)
+        pricing_calls = 0
+        for inst in small_instance_corpus():
+            priced.clear()
+            dist, report = solve_oblivious(inst, SolveConfig(seed=1))
+            pricing_calls += len(report.runs)
+            for tree in priced + [t for t, _ in dist.support]:
+                assert tree.edges == tuple(sorted(tree.edges))
+        assert pricing_calls > 0
+
     def test_unique_tree_instance(self, path3):
         dist, report = solve_oblivious(path3, SolveConfig(seed=2))
         assert len(dist.support) == 1

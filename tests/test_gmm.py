@@ -27,17 +27,9 @@ from bulktree.pipes import AlphaVector, alpha_to_pipes, thresholds
 from bulktree.regularize import regularize
 from bulktree.subroutines import lbfl, steiner_tree
 
-from conftest import make_instance
+from conftest import make_instance, parent_map, tree_nodes, two_cluster
 
 REGULAR_TWO_LEVEL = AlphaVector(alpha={0: F(16), 4: F(4)}, D=16)
-
-
-def two_cluster():
-    return make_instance(
-        {("r", "a"): 4.0, ("a", "b"): 1.0, ("r", "c"): 4.0, ("c", "d"): 1.0, ("d", "e"): 1.0},
-        {v: 2 for v in "abcde"},
-        "r",
-    )
 
 
 def _components(edges, roots):
@@ -215,12 +207,12 @@ class TestGmmTree:
         inst = two_cluster()
         for seed in range(12):
             tree, costs = gmm_tree(inst, REGULAR_TWO_LEVEL, seed=seed)
-            assert set(tree.nodes()) >= set(inst.demands) | {inst.root}
+            assert tree_nodes(tree, inst.root) >= set(inst.demands) | {inst.root}
             from bulktree.instance import canonical_edge
 
             at_root = sum(
                 tree.flow[canonical_edge(c, inst.root)]
-                for c, p in tree.parent.items()
+                for c, p in parent_map(tree, inst.root).items()
                 if p == inst.root
             )
             assert at_root == inst.total_demand()

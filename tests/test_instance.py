@@ -14,6 +14,7 @@ from bulktree.instance import (
     instance_from_obj,
     load_instance,
     save_instance,
+    write_json,
 )
 
 from conftest import make_instance
@@ -240,6 +241,14 @@ def test_save_load_roundtrip(tmp_path):
     save_instance(inst, p)
     again = load_instance(p)
     assert again == inst
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_write_json_refuses_non_finite(tmp_path, value):
+    path = tmp_path / "out.json"
+    with pytest.raises(ValueError):
+        write_json(path, {"ratio": value})
+    assert not path.exists()
 
 
 def test_missing_file():

@@ -23,7 +23,7 @@ from bulktree.subroutines import (
     steiner_tree,
 )
 
-from conftest import make_instance, small_instance_corpus
+from conftest import make_instance, parent_map, small_instance_corpus, tree_nodes
 
 # sha256 prefix of TestRobPinned.test_outputs_pinned's entries.
 ROB_DIGEST = "9d63a5eaab6b6d64"
@@ -253,7 +253,7 @@ class TestLBFL:
 class TestRentOrBuy:
     def test_large_m_still_valid_tree(self, two_cluster6):
         tree = rent_or_buy(two_cluster6, M=1000, seed=3)
-        assert set(tree.nodes()) >= set(two_cluster6.demands) | {two_cluster6.root}
+        assert tree_nodes(tree, two_cluster6.root) >= set(two_cluster6.demands) | {two_cluster6.root}
 
     def test_tiny_m_marks_everything(self, two_cluster6):
         tree = rent_or_buy(two_cluster6, M=1, seed=3)
@@ -356,7 +356,7 @@ class TestRobPinned:
         for inst in small_instance_corpus() + heavy_instances():
             for seed in (0, 1, 5, 17):
                 entries.append([(i, repr(val), tree.edges, sorted(tree.flow.items()),
-                                 sorted(tree.parent.items()))
+                                 sorted(parent_map(tree, inst.root).items()))
                                 for i, val, tree in rob_lower_bounds(inst, seed)])
         assert hashlib.sha256(repr(entries).encode()).hexdigest()[:16] == ROB_DIGEST
 
