@@ -221,5 +221,5 @@ def exact_optima_and_lp(
     cs = ConstraintSet(tilde=optima, tree_constraints=[
         TreeConstraint(tree=t, level_costs=c) for t, c in zip(trees, costs)
     ])
-    dist, _, _ = solve_small_primal(cs)
+    dist, _ = solve_small_primal(cs)
     return opt, dist.theta, dist

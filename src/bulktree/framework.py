@@ -258,14 +258,14 @@ def ellipsoid_feasibility(
                     # Degenerate zero-cost tree: no weight vector can reach
                     # beta > 0 against it, so the polytope itself is empty.
                     cs.add(TreeConstraint(tree=res.tree, level_costs=res.level_costs))
-                    dist, _, _ = solve_small_primal(cs)
+                    dist, _ = solve_small_primal(cs)
                     return EllipsoidResult(
                         status="infeasible", beta=beta, constraint_set=cs,
                         theta=dist.theta, iterations=iteration + 1,
                         oracle_calls=oracle_calls, distribution=dist,
                     )
                 if cs.add(TreeConstraint(tree=res.tree, level_costs=res.level_costs)):
-                    dist, _, _ = solve_small_primal(cs)
+                    dist, _ = solve_small_primal(cs)
                     if dist.theta < beta - 1e-9:
                         return EllipsoidResult(
                             status="infeasible", beta=beta, constraint_set=cs,
@@ -302,7 +302,7 @@ def ellipsoid_feasibility(
     )
 
 
-def solve_small_primal(cs: ConstraintSet) -> tuple[TreeDistribution, float, tuple[float, ...]]:
+def solve_small_primal(cs: ConstraintSet) -> tuple[TreeDistribution, tuple[float, ...]]:
     """Vertex optimum of the restricted distribution LP over harvested trees.
 
     Solves  min theta  s.t.  sum_j w_j >= 1  and, per level i,
@@ -310,9 +310,9 @@ def solve_small_primal(cs: ConstraintSet) -> tuple[TreeDistribution, float, tupl
     with every level row divided by its bound, so the LP reads the same at
     any length scale.  Returns a distribution supported on at most
     1 + log2(D) trees whose worst level ratio against the tilde bounds equals
-    theta*, and the row duals (y0, alpha): y0 prices the sum row, and alpha
-    is a weight vector in scaled coordinates under which no tree of the set
-    costs less than y0 = theta*.
+    theta*, and the level rows' duals alpha: a weight vector in scaled
+    coordinates under which no tree of the set costs less than theta*, which
+    by LP duality is also the sum row's dual.
     """
     if not cs.tree_constraints:
         raise ValueError("constraint set has no tree constraints")
@@ -343,7 +343,7 @@ def solve_small_primal(cs: ConstraintSet) -> tuple[TreeDistribution, float, tupl
         folded.append((w, j))
     support = tuple((trees[j].tree, w) for w, j in folded if w > 1e-12)
     dist = TreeDistribution(support=support, theta=float(theta))
-    return dist, float(y[0]), tuple(float(a) for a in y[1:])
+    return dist, tuple(float(a) for a in y[1:])
 
 
 @dataclass
@@ -366,7 +366,7 @@ def _column_generation(
         cs.add(TreeConstraint(tree=tree, level_costs=table.level_costs(tree)))
     runs = []
     for call in range(MAX_PRICING_CALLS + 1):
-        dist, _, alpha = solve_small_primal(cs)
+        dist, alpha = solve_small_primal(cs)
         if call == MAX_PRICING_CALLS:
             break
         # Every bound is positive here, so theta* > 0: its column is basic and

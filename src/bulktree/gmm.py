@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -206,12 +206,13 @@ class _Node:
 
     An inner node is about to take stage k's step from state; a leaf ends
     the runs that reach it and holds their tree.  used is the union of the
-    edges that carried flow on the way here, costs the stages finished, and
-    steiner_cost stage k's Steiner cost while its facility step is pending.
-    children maps the targets a run draws to the node it goes on to.  open
-    counts the children not yet closed, those not yet built included: it
-    starts at the number of target tuples the step can draw, a leaf has
-    none, and a node closes when its count reaches 0.
+    edges that carried flow on the way here, and costs one StageCosts per
+    stage begun: while stage k's facility step is pending, its last entry
+    holds the Steiner cost and a facility cost of 0.  children maps the
+    targets a run draws to the node it goes on to.  open counts the children
+    not yet closed, those not yet built included: it starts at the number of
+    target tuples the step can draw, a leaf has none, and a node closes when
+    its count reaches 0.
     """
 
     state: tuple
@@ -219,7 +220,6 @@ class _Node:
     costs: tuple
     k: int = 0
     step: int = STEINER
-    steiner_cost: float = 0.0
     groups: list | None = None
     open: int = 0
     tree: RoutedTree | None = None
@@ -307,7 +307,7 @@ class StagePlan:
     def _facility_clusters(self, k: int) -> list:
         """Stage k's clusters as (members, cumulative draw table, path map)."""
         inst = self.inst
-        assignment, paths = lbfl(inst, self.th.significance[k], table=self.table)
+        assignment = lbfl(inst, self.th.significance[k], table=self.table)
         clusters: dict[str, list[str]] = {}
         for v, f in sorted(assignment.items()):
             clusters.setdefault(f, []).append(v)
@@ -315,9 +315,9 @@ class StagePlan:
         for f in sorted(clusters):
             group = tuple(sorted(clusters[f]))
             cdf = _cdf([inst.demands[v] for v in group])
-            # paths[f] is the facility's shortest-path predecessor map, a
-            # tree rooted at f, so consolidation follows the forest's own edges.
-            out.append((group, cdf, paths[f]))
+            # The facility's shortest-path predecessor map is a tree rooted
+            # at f, so consolidation follows the forest's own edges.
+            out.append((group, cdf, self.table.get(f)[1]))
         return out
 
     def _make_groups(self, k: int, step: int, cur: dict[str, int]) -> list[_Group] | None:
@@ -352,14 +352,13 @@ class StagePlan:
                     groups.append(_Group(holders, group, cdf, pred))
         return groups
 
-    def _node(self, k: int, step: int, state: tuple, used: frozenset, costs: tuple,
-              steiner_cost: float = 0.0) -> _Node:
+    def _node(self, k: int, step: int, state: tuple, used: frozenset, costs: tuple) -> _Node:
         """The node about to take stage k's step from state: a leaf when a
         Steiner step finds no demand live outside the root."""
         groups = self._make_groups(k, step, dict(state))
         if groups is None:
             return self._leaf(state, used, costs)
-        return _Node(state, used, costs, k, step, steiner_cost, groups,
+        return _Node(state, used, costs, k, step, groups,
                      open=math.prod(len(g.choices) for g in groups))
 
     def _leaf(self, state: tuple, used: frozenset, costs: tuple) -> _Node:
@@ -367,7 +366,9 @@ class StagePlan:
 
     def _child(self, node: _Node, targets: tuple) -> _Node:
         """Take node's step to the targets drawn: move each group's demand
-        along its tree, cost the pipes laid, and build the next node."""
+        along its tree, cost the pipes laid, and build the next node.  After
+        a fallback facility step no demand is live outside the root, so the
+        next Steiner step's node is the leaf."""
         k = node.k
         cur = dict(node.state)
         flow: dict[Edge, int] = {}
@@ -377,16 +378,14 @@ class StagePlan:
         pipe, lengths = self.pipes.pipes[k], self.inst.lengths
         if node.step == STEINER:  # fixed cost of the pipes laid
             cost = float(pipe.fixed) * add_up(lengths[e] for e in sorted(flow))
+            costs = node.costs + (StageCosts(stage=k, steiner_cost=cost, facility_cost=0.0),)
             if k == len(self.pipes.pipes) - 1:  # the flat pipe delivers everything
-                stage = StageCosts(stage=k, steiner_cost=cost, facility_cost=0.0)
-                return self._leaf(state, used, node.costs + (stage,))
-            return self._node(k, FACILITY, state, used, node.costs, cost)
+                return self._leaf(state, used, costs)
+            return self._node(k, FACILITY, state, used, costs)
         # Facility step on original demands with lower bound b_k: incremental
         # cost of the flow.
         cost = float(pipe.rate) * add_up(lengths[e] * f for e, f in flow.items())
-        costs = node.costs + (StageCosts(stage=k, steiner_cost=node.steiner_cost, facility_cost=cost),)
-        if self._fallback[k]:
-            return self._leaf(state, used, costs)
+        costs = node.costs[:-1] + (replace(node.costs[-1], facility_cost=cost),)
         return self._node(k + 1, STEINER, state, used, costs)
 
     def _record(self, trace: GmmTrace, k: int, step: int, state: tuple) -> None:

@@ -42,6 +42,15 @@ def is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
+def _as_float(w) -> float:
+    """The number w as a float; an int beyond float range is infinite, so a
+    length check refuses it as it refuses any infinite length."""
+    try:
+        return float(w)
+    except OverflowError:
+        return math.inf
+
+
 def canonical_edge(u: str, v: str) -> Edge:
     return (u, v) if u <= v else (v, u)
 
@@ -112,8 +121,10 @@ def _validate(inst: Instance) -> None:
             raise ValidationError(f"edge {(u, v)!r} references unknown node")
         if not is_number(w):
             raise ValidationError(f"length of edge {(u, v)!r} must be a number")
-        if not math.isfinite(w) or w < 0:
+        if not math.isfinite(_as_float(w)) or w < 0:
             raise ValidationError(f"length must be >= 0 and finite on edge {(u, v)!r}")
+    if not isinstance(inst.root, str):
+        raise ValidationError("root must be a string")
     if inst.root not in nodeset:
         raise ValidationError(f"root {inst.root!r} not in node set")
     for v, d in inst.demands.items():
@@ -158,6 +169,8 @@ def instance_from_obj(raw) -> Instance:
     nodes = raw["nodes"]
     if not isinstance(nodes, list) or not all(isinstance(v, str) for v in nodes):
         raise ParseError("nodes must be a list of strings")
+    if not isinstance(raw["root"], str):
+        raise ParseError("root must be a string")
     lengths: dict[Edge, float] = {}
     if not isinstance(raw["edges"], list):
         raise ParseError("edges must be a list")
@@ -170,7 +183,7 @@ def instance_from_obj(raw) -> Instance:
         key = canonical_edge(u, v)
         if key in lengths:
             raise ValidationError(f"parallel edge {key!r} rejected")
-        lengths[key] = float(w) if is_number(w) else w
+        lengths[key] = _as_float(w) if is_number(w) else w
     demands_raw = raw["demands"]
     if not isinstance(demands_raw, dict):
         raise ParseError("demands must be an object")

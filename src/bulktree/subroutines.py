@@ -18,8 +18,8 @@ nonnegative function, so scaling all lengths by a positive constant scales
 costs and leaves selected edge sets unchanged.
 
 Each subroutine returns only what its callers read: ``steiner_tree`` its
-sorted edges, ``lbfl`` its assignment and each open facility's shortest-path
-map, ``rent_or_buy`` its routed tree.  Costs are computed from those with
+sorted edges, ``lbfl`` its assignment of clients to open facilities,
+``rent_or_buy`` its routed tree.  Costs are computed from those with
 ``aggregation``, which adds every cost in one order.
 
 Shortest paths are read through a PathTable: a solve that passes one table
@@ -34,7 +34,7 @@ import math
 import numpy as np
 
 from .instance import Edge, Instance, canonical_edge, demand_profile
-from .aggregation import RoutedTree, level_costs, route_demands
+from .aggregation import RoutedTree, level_costs, route_demands, route_tree
 
 
 def _shortest_paths(adj, source: str) -> tuple[dict[str, float], dict[str, str]]:
@@ -184,48 +184,35 @@ def _prune_to_tree(edges: set[Edge], terminals, lengths, start: str) -> set[Edge
 
 def _is_terminal_tree(edges: set[Edge], terminals, start: str) -> bool:
     """True when the edges form one tree through start that holds every
-    terminal and whose leaves are all terminals or start."""
-    adj: dict[str, list[str]] = {}
-    for u, v in edges:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    if start not in adj or len(edges) != len(adj) - 1:
+    terminal and whose leaves are all terminals or start.  That is so exactly
+    when the edges number one fewer than their nodes with start, those nodes
+    hold every terminal, and ``route_tree`` from start, with a unit of demand
+    at each terminal, reaches every edge and sends positive flow over each.
+    The answer does not depend on the walk's order, so the edges go unsorted."""
+    nodes = {start}.union(*edges)
+    if len(edges) != len(nodes) - 1 or not nodes.issuperset(terminals):
         return False
-    ends = set(terminals)
-    ends.add(start)
-    if not ends.issubset(adj):
-        return False
-    if any(len(nbrs) == 1 and v not in ends for v, nbrs in adj.items()):
-        return False
-    # n - 1 edges on n nodes are a tree exactly when start reaches them all.
-    seen = {start}
-    stack = [start]
-    while stack:
-        for v in adj[stack.pop()]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return len(seen) == len(adj)
+    demand = dict.fromkeys(nodes, 0) | dict.fromkeys(terminals, 1)
+    flow = route_tree(start, demand, tuple(edges)).flow
+    return len(flow) == len(edges) and all(flow.values())
 
 
-def lbfl(
-    inst: Instance, lower_bound, *, table: PathTable | None = None
-) -> tuple[dict[str, str], dict[str, dict[str, str]]]:
+def lbfl(inst: Instance, lower_bound, *, table: PathTable | None = None) -> dict[str, str]:
     """Load-balanced facility location via ball-growing greedy, over the
     instance's demands.
 
     Opens facilities at demand nodes, each serving >= lower_bound demand;
     leftovers join their nearest open facility.  When total demand is below
     the bound, everything is routed to the root, which is then the only
-    facility.  Returns the assignment of each client to its facility, and the
-    shortest-path predecessor map of each open facility, keyed by facility.
+    facility.  Returns the assignment of each client to its facility; the
+    open facilities are its values.
     """
     table = PathTable(inst) if table is None else table
     L = lower_bound
     demands = inst.demands
     clients = sorted(demands)
     if sum(demands.values()) < L:
-        return {c: inst.root for c in clients}, {inst.root: table.get(inst.root)[1]}
+        return {c: inst.root for c in clients}
     sp = {c: table.get(c) for c in clients}
     remaining = set(clients)
     opened: list[str] = []
@@ -251,7 +238,7 @@ def lbfl(
             remaining.discard(v)
     for v in sorted(remaining):
         assignment[v] = min(opened, key=lambda f: (sp[v][0][f], f))
-    return assignment, {f: table.get(f)[1] for f in sorted(opened)}
+    return assignment
 
 
 def rent_or_buy(inst: Instance, M, seed: int, table: PathTable | None = None) -> RoutedTree:

@@ -18,7 +18,7 @@ import numpy as np
 
 from bulktree.aggregation import add_up, atomic_cost
 from bulktree.exact import enumerate_candidate_trees, exact_oblivious_ratio, exact_optima
-from bulktree.framework import SolveConfig, separation_oracle, solve_oblivious
+from bulktree.framework import SolveConfig, default_rmax, separation_oracle, solve_oblivious
 from bulktree.gmm import GmmTrace, gmm_tree
 from bulktree.instance import demand_profile, generate_instance
 from bulktree.pipes import (
@@ -221,11 +221,11 @@ def test_c08_subroutine_certificates():
 
     for seed, bound in [(0, 2), (1, 3), (2, 2), (3, 5)]:
         inst = generate_instance("random-geometric", 7, 4, seed=seed)
-        assignment, paths = lbfl(inst, lower_bound=bound)
-        loads = {f: 0 for f in paths}  # paths is keyed by the open facilities
+        assignment = lbfl(inst, lower_bound=bound)
+        loads = {f: 0 for f in assignment.values()}  # the open facilities
         for c, f in assignment.items():
             loads[f] += inst.demands[c]
-        if list(paths) != [inst.root]:
+        if set(loads) != {inst.root}:
             assert all(load >= bound / 3 for load in loads.values())
 
 
@@ -238,7 +238,7 @@ def test_c09_oracle_termination():
     )
     tilde = tuple(v for _, v, _ in rob_lower_bounds(inst, seed=7))
     m = len(tilde)
-    rmax = 16 * math.ceil(math.log2(len(inst.nodes) + 2))
+    rmax = default_rmax(inst)
     rng = np.random.default_rng(909)
     pilot = []
     for _ in range(10):

@@ -285,7 +285,7 @@ def reference_oracles(inst, trees):
     optima = [(repr(row[j]), routed[j].edges) for row, j in zip(rows, best)]
     tilde = tuple(row[j] for row, j in zip(rows, best))
     assert min(tilde) > 0
-    dist, _, _ = solve_small_primal(ConstraintSet(tilde=tilde, tree_constraints=[
+    dist, _ = solve_small_primal(ConstraintSet(tilde=tilde, tree_constraints=[
         TreeConstraint(tree=t, level_costs=c) for t, c in zip(routed, zip(*rows))
     ]))
     return optima, repr(dist.theta), [(t.edges, repr(w)) for t, w in dist.support]

@@ -282,7 +282,7 @@ class TestSmallPrimal:
         tilde = tilde_for(path3)
         costs = tuple(atomic_cost(tree, i, path3.lengths) for i in range(len(tilde)))
         cs = ConstraintSet(tilde=tilde, tree_constraints=[TreeConstraint(tree, costs)])
-        dist, _, _ = solve_small_primal(cs)
+        dist, _ = solve_small_primal(cs)
         assert len(dist.support) == 1
         assert dist.support[0][1] == pytest.approx(1.0)
         assert dist.theta == pytest.approx(max(c / t for c, t in zip(costs, tilde)))
@@ -306,7 +306,7 @@ class TestSmallPrimal:
                 tilde=tilde,
                 tree_constraints=[TreeConstraint(bad, cb), TreeConstraint(good, cg)],
             )
-            dist, _, _ = solve_small_primal(cs)
+            dist, _ = solve_small_primal(cs)
             assert len(dist.support) == 1
             assert dist.support[0][0].sorted_edges() == good.sorted_edges()
 
@@ -330,7 +330,7 @@ class TestSmallPrimal:
                 for t in trees
             ],
         )
-        dist, _, _ = solve_small_primal(cs)
+        dist, _ = solve_small_primal(cs)
         n = len(trees)
         A = np.zeros((1 + levels, 1 + n))
         b = np.zeros(1 + levels)
@@ -359,14 +359,13 @@ class TestSmallPrimal:
             TreeConstraint(t, tuple(atomic_cost(t, i, inst.lengths) for i in range(levels)))
             for t in enumerate_candidate_trees(inst)
         ])
-        dist, y0, alpha = solve_small_primal(cs)
-        # Strong duality, and alpha is a dual-feasible weight vector under
-        # which no tree of the set costs less than y0.
-        assert y0 == pytest.approx(dist.theta, rel=1e-9)
+        dist, alpha = solve_small_primal(cs)
+        # alpha is a dual-feasible weight vector under which no tree of the
+        # set costs less than theta*, the sum row's dual.
         assert min(alpha) >= -1e-12 and sum(alpha) <= 1 + 1e-9
         for tc in cs.tree_constraints:
             cost = sum(a * c / t for a, c, t in zip(alpha, tc.level_costs, tilde))
-            assert cost >= y0 - 1e-9
+            assert cost >= dist.theta - 1e-9
 
 
 class TestEllipsoid:
@@ -502,8 +501,8 @@ class TestSolveOblivious:
         master = framework_mod.solve_small_primal
 
         def too_low(cs):
-            dist, y0, alpha = master(cs)
-            return TreeDistribution(support=dist.support, theta=dist.theta / 2), y0, alpha
+            dist, alpha = master(cs)
+            return TreeDistribution(support=dist.support, theta=dist.theta / 2), alpha
 
         monkeypatch.setattr(framework_mod, "solve_small_primal", too_low)
         with pytest.raises(RuntimeError, match="false certificate"):
@@ -517,8 +516,8 @@ class TestSolveOblivious:
         master = framework_mod.solve_small_primal
 
         def scaled(cs):
-            dist, y0, alpha = master(cs)
-            return dist, y0, tuple(a * factor for a in alpha)
+            dist, alpha = master(cs)
+            return dist, tuple(a * factor for a in alpha)
 
         monkeypatch.setattr(framework_mod, "solve_small_primal", scaled)
         with pytest.raises(RuntimeError, match="duals sum to"):
@@ -531,8 +530,8 @@ class TestSolveOblivious:
         master = framework_mod.solve_small_primal
 
         def scaled(cs):
-            dist, y0, alpha = master(cs)
-            return dist, y0, tuple(a * (1 + 5e-12) for a in alpha)
+            dist, alpha = master(cs)
+            return dist, tuple(a * (1 + 5e-12) for a in alpha)
 
         monkeypatch.setattr(framework_mod, "solve_small_primal", scaled)
         _, report = solve_oblivious(two_cluster6, SolveConfig(seed=0))

@@ -364,7 +364,7 @@ def reference_run(plan, seed, trace=None, streams=None):
         return reference_cut_forest(edges, inst.root, cur, th.capacities[k])
 
     def facility_clusters(k):
-        assignment, paths = lbfl(inst, th.significance[k], table=table)
+        assignment = lbfl(inst, th.significance[k], table=table)
         clusters = {}
         for v, f in sorted(assignment.items()):
             clusters.setdefault(f, []).append(v)
@@ -372,7 +372,7 @@ def reference_run(plan, seed, trace=None, streams=None):
         for f in sorted(clusters):
             group = sorted(clusters[f])
             probs = np.array([inst.demands[v] for v in group], dtype=float)
-            out.append((f, group, probs / probs.sum(), paths[f]))
+            out.append((f, group, probs / probs.sum(), table.get(f)[1]))
         return out
 
     total_original = inst.total_demand()

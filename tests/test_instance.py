@@ -1,11 +1,13 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from bulktree.instance import (
     GENERATOR_MODELS,
+    Instance,
     ParseError,
     ValidationError,
     canonical_edge,
@@ -108,7 +110,11 @@ def _edge(**fields):
     (_edit(edges=[_edge(length=True)]), ValidationError, "must be a number"),
     ('{"nodes": ["a", "b", "r"], "edges": [{"u": "a", "v": "b", "length": NaN}],'
      ' "demands": {"a": 1}, "root": "r"}', ValidationError, "must be >= 0 and finite"),
+    (_edit(edges=[_edge(length=10**400)]), ValidationError,
+     re.escape("length must be >= 0 and finite on edge ('a', 'b')")),
     (_edit(root="z"), ValidationError, "root 'z' not in node set"),
+    (_edit(root=["r"]), ParseError, "root must be a string"),
+    (_edit(root={}), ParseError, "root must be a string"),
     (_edit(demands={"z": 1}), ValidationError, "demand node 'z' not in node set"),
     (_edit(demands={"a": True}), ValidationError, "positive integer"),
     (_edit(demands={"a": 0}), ValidationError, "positive integer"),
@@ -118,13 +124,26 @@ def _edge(**fields):
 ], ids=["not-object", "no-nodes", "no-edges", "no-demands", "node-not-string",
         "edges-not-list", "edge-fields", "endpoint-not-string", "demands-not-object",
         "no-node", "duplicate-node", "unknown-endpoint", "length-string",
-        "length-bool", "length-nan", "unknown-root", "unknown-demand-node", "demand-bool",
+        "length-bool", "length-nan", "length-beyond-float", "unknown-root", "root-list",
+        "root-object", "unknown-demand-node", "demand-bool",
         "demand-zero", "demand-fraction", "demands-empty", "invalid-json"])
 def test_instance_file_refused(tmp_path, payload, error, match):
     p = tmp_path / "inst.json"
     p.write_text(payload if isinstance(payload, str) else json.dumps(payload))
     with pytest.raises(error, match=match):
         load_instance(p)
+
+
+@pytest.mark.parametrize("root", [["r"], {}], ids=["list", "object"])
+def test_instance_non_string_root_refused(root):
+    with pytest.raises(ValidationError, match="root must be a string"):
+        Instance(nodes=("a", "r"), lengths={("a", "r"): 1.0}, demands={"a": 1}, root=root)
+
+
+def test_instance_length_beyond_float_range_refused():
+    # float() of this int overflows; it must read as an infinite length.
+    with pytest.raises(ValidationError, match=re.escape("length must be >= 0 and finite on edge ('a', 'r')")):
+        Instance(nodes=("a", "r"), lengths={("a", "r"): 10**400}, demands={"a": 1}, root="r")
 
 
 def test_generate_unknown_model_rejected():
