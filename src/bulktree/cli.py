@@ -30,6 +30,7 @@ from .instance import (
     Instance,
     ParseError,
     ValidationError,
+    _as_float,
     generate_instance,
     is_number,
     load_instance,
@@ -121,8 +122,8 @@ def _distribution_from_obj(obj, inst: Instance) -> TreeDistribution:
     if not isinstance(obj, dict) or not isinstance(obj.get("trees"), list):
         raise ParseError("distribution JSON needs a list field 'trees'")
     theta = obj.get("theta", 0.0)
-    if not is_number(theta):
-        raise ParseError("theta must be a number")
+    if not (is_number(theta) and math.isfinite(_as_float(theta))):
+        raise ParseError("theta must be a finite number")
     support = []
     for idx, entry in enumerate(obj["trees"]):
         if not isinstance(entry, dict) or "edges" not in entry or "weight" not in entry:
@@ -133,7 +134,7 @@ def _distribution_from_obj(obj, inst: Instance) -> TreeDistribution:
             for e in edges
         ):
             raise ParseError(f"tree #{idx}: edges must be a list of [u, v] node pairs")
-        if not (is_number(weight) and 0 < weight < math.inf):
+        if not (is_number(weight) and 0 < _as_float(weight) < math.inf):
             raise ParseError(f"tree #{idx}: weight must be a finite positive number")
         support.append((route_demands(inst, [tuple(e) for e in edges]), float(weight)))
     return TreeDistribution(support=tuple(support), theta=float(theta))

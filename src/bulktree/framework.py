@@ -105,7 +105,6 @@ def separation_oracle(
     c_target: float,
     inst: Instance,
     seed: int,
-    rmax: int | None = None,
     table: PathTable | None = None,
 ) -> OracleResult:
     """Refute the dual point (alpha, beta) or declare it feasible.
@@ -116,9 +115,9 @@ def separation_oracle(
 
     Checks the budget constraint first; otherwise repeatedly asks the
     randomized construction for a tree whose cost under a is below
-    2 * c_target * sum(y), capped at rmax attempts, and returns
-    the best tree found as a violated constraint when its cost is below
-    beta.  The retry loop also stops as soon as a tree violates beta (the
+    2 * c_target * sum(y), capped at ``default_rmax(inst)`` attempts, and
+    returns the best tree found as a violated constraint when its cost is
+    below beta.  The retry loop also stops as soon as a tree violates beta (the
     cut is valid regardless of the threshold); at beta 0 no tree does, so
     the loop runs until the threshold or the cap.
 
@@ -133,10 +132,8 @@ def separation_oracle(
     attempt would end at a tree already priced, none of which met the
     threshold or beta, and none of which can replace the best one.  So the
     loop stops there and reports ``attempts`` as the cap, which is what running
-    the remaining attempts would report.  rmax below 1 is refused.
+    the remaining attempts would report.
     """
-    if rmax is not None and rmax < 1:
-        raise ValueError(f"rmax must be at least 1, got {rmax}")
     scaled = np.asarray(alpha, dtype=float)
     budget = float(scaled.sum())
     if budget > 1.0 + BUDGET_SLACK:
@@ -150,7 +147,7 @@ def separation_oracle(
     }
     vec = AlphaVector(alpha=alpha_raw, D=demand_profile(inst).D)
     threshold = 2.0 * c_target * budget
-    cap = rmax if rmax is not None else default_rmax(inst)
+    cap = default_rmax(inst)
     regular, _ = regularize(vec)
     plan = StagePlan(inst, regular, table)
     weights = [(i, float(a)) for i, a in alpha_raw.items()]
@@ -205,7 +202,6 @@ def ellipsoid_feasibility(
     seed: int,
     tilde=None,
     bit_budget: int = 64,
-    rmax: int | None = None,
     table: PathTable | None = None,
 ) -> EllipsoidResult:
     """Central-cut ellipsoid over the scaled unit box with the randomized oracle.
@@ -247,7 +243,7 @@ def ellipsoid_feasibility(
         if cut is None:
             res = separation_oracle(
                 tuple(float(x) for x in center), beta, tilde, c_target, inst,
-                _mix_seed(seed, 7919 + iteration), rmax, table=table,
+                _mix_seed(seed, 7919 + iteration), table=table,
             )
             oracle_calls += 1
             if res.kind == "rob_cut":

@@ -94,10 +94,14 @@ class PathTable:
     def routed_tree(self, used) -> RoutedTree:
         """The tree the staged construction returns for the edge union
         ``used``: the shortest paths inside it, under the lengths, from the
-        root to every demand, with the demands routed to the root."""
+        root to every demand, with the demands routed to the root.  A union
+        that is already that tree is routed once, by its shape check."""
         inst = self.inst
-        edges = _prune_to_tree(used, sorted(inst.demands), inst.lengths, inst.root)
-        return route_demands(inst, edges)
+        tree = _terminal_tree(used, inst.demands, inst.root)
+        if tree is None:
+            edges = _prune_to_tree(used, sorted(inst.demands), inst.lengths, inst.root)
+            tree = route_demands(inst, edges)
+        return tree
 
     def level_costs(self, tree: RoutedTree) -> tuple[float, ...]:
         """``aggregation.level_costs`` of the tree at levels 0..levels-1 under
@@ -160,7 +164,7 @@ def _prune_to_tree(edges: set[Edge], terminals, lengths, start: str) -> set[Edge
     start, is that set: each of its edges lies on the one path from start to
     some terminal.  It is returned as it is, without the Dijkstra.
     """
-    if _is_terminal_tree(edges, terminals, start):
+    if _terminal_tree(edges, dict.fromkeys(terminals, 1), start) is not None:
         return edges
     adj: dict[str, list[tuple[str, float]]] = {}
     for (u, v) in sorted(edges):
@@ -182,19 +186,18 @@ def _prune_to_tree(edges: set[Edge], terminals, lengths, start: str) -> set[Edge
     return keep
 
 
-def _is_terminal_tree(edges: set[Edge], terminals, start: str) -> bool:
-    """True when the edges form one tree through start that holds every
-    terminal and whose leaves are all terminals or start.  That is so exactly
-    when the edges number one fewer than their nodes with start, those nodes
-    hold every terminal, and ``route_tree`` from start, with a unit of demand
-    at each terminal, reaches every edge and sends positive flow over each.
-    The answer does not depend on the walk's order, so the edges go unsorted."""
+def _terminal_tree(edges: set[Edge], demand: dict, start: str) -> RoutedTree | None:
+    """The edges routed from start with the positive demands at the terminals,
+    the keys of ``demand``, if they form one tree through start that holds
+    every terminal and whose leaves are all terminals or start; else None.
+    That is so exactly when the edges number one fewer than their nodes with
+    start, those nodes hold every terminal, and ``route_tree`` from start over
+    the sorted edges (``route_demands``' walk) puts positive flow on every edge."""
     nodes = {start}.union(*edges)
-    if len(edges) != len(nodes) - 1 or not nodes.issuperset(terminals):
-        return False
-    demand = dict.fromkeys(nodes, 0) | dict.fromkeys(terminals, 1)
-    flow = route_tree(start, demand, tuple(edges)).flow
-    return len(flow) == len(edges) and all(flow.values())
+    if len(edges) != len(nodes) - 1 or not nodes.issuperset(demand):
+        return None
+    tree = route_tree(start, dict.fromkeys(nodes, 0) | demand, tuple(sorted(edges)))
+    return tree if len(tree.flow) == len(edges) and all(tree.flow.values()) else None
 
 
 def lbfl(inst: Instance, lower_bound, *, table: PathTable | None = None) -> dict[str, str]:

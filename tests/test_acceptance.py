@@ -252,8 +252,8 @@ def test_c09_oracle_termination():
     for t in range(trials):
         y = rng.random(m)
         y = 0.9 * y / y.sum()
-        # At beta 0 no tree violates, so only the threshold or rmax ends the loop.
-        res = separation_oracle(tuple(y), 0.0, tilde, c_cal, inst, seed=t, rmax=rmax)
+        # At beta 0 no tree violates, so only the threshold or the cap ends the loop.
+        res = separation_oracle(tuple(y), 0.0, tilde, c_cal, inst, seed=t)
         if res.threshold_met and res.attempts <= rmax:
             ok += 1
     assert ok >= 0.95 * trials

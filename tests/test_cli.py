@@ -424,9 +424,12 @@ def test_node_cap_flag_removed(argv):
     ("eval", {"trees": [{"weight": -1.0, "edges": []}]}),
     ("eval", {"trees": [{"weight": float("nan"), "edges": []}]}),
     ("eval", {"trees": [{"weight": float("inf"), "edges": []}]}),
+    # An int beyond float range is infinite, as an edge length of one is.
+    ("eval", {"trees": [{"weight": 10**400, "edges": []}]}),
     ("eval", {"trees": [{"weight": "1", "edges": []}]}),
     ("eval", {"trees": [{"weight": None, "edges": []}]}),
     ("eval", {"theta": None, "trees": []}),
+    ("eval", {"theta": 10**400, "trees": []}),
     ("pipes", {"D": 4, "alpha": {"0": 1.0}, "alpha_exact": {"0": [1]}}),
     ("pipes", {"D": 4, "alpha": {"0": 1.0}, "alpha_exact": {"0": [1, 0]}}),
     ("pipes", {"D": 4, "alpha": {"0": None}}),
@@ -445,9 +448,10 @@ def test_node_cap_flag_removed(argv):
     ("regularize", {"D": 4, "alpha": [1.0]}),
     ("regularize", {"D": 4, "alpha": {"0": 1.0}, "alpha_exact": [[1, 1]]}),
 ], ids=["tree-without-edges", "tree-as-list", "trees-not-list", "edge-not-pair",
-        "weight-zero", "weight-negative", "weight-nan", "weight-inf", "weight-string",
-        "weight-null", "theta-null", "pair-too-short", "pair-zero-denominator", "alpha-null",
-        "alpha-inf", "D-null", "D-fraction", "pair-float-numerator", "pair-float-denominator",
+        "weight-zero", "weight-negative", "weight-nan", "weight-inf", "weight-huge-int",
+        "weight-string", "weight-null", "theta-null", "theta-huge-int", "pair-too-short",
+        "pair-zero-denominator", "alpha-null", "alpha-inf", "D-null", "D-fraction",
+        "pair-float-numerator", "pair-float-denominator",
         "pair-bool", "pair-string", "alpha-string", "alpha-bool", "no-alpha", "no-D",
         "alpha-file-not-object", "weights-not-object", "exact-weights-not-object"])
 def test_malformed_input_exit_2(tmp_path, star_file, capsys, command, payload):

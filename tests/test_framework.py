@@ -133,7 +133,7 @@ def crowded_grid():
 
 
 def oracle_trials(inst, tilde):
-    """Twelve oracle calls' arguments (positional, keyword) on random points."""
+    """Twelve oracle calls' arguments and retry caps on random points."""
     m = len(tilde)
     rng = np.random.default_rng(m)
     for trial in range(12):
@@ -142,7 +142,20 @@ def oracle_trials(inst, tilde):
         # Betas below, near and above the tree costs; c_target spans the threshold.
         beta = float(rng.choice([0.0, 0.5, 1.0, 1e9]))
         yield (tuple(y), beta, tilde, float(rng.choice([0.1, 0.5, 4.0])), inst, trial), \
-            dict(rmax=int(rng.choice([3, 20])))
+            int(rng.choice([3, 20]))
+
+
+def recorded_plans(monkeypatch) -> list:
+    """The list of every StagePlan the oracle builds from here on."""
+    plans = []
+
+    class Recorded(StagePlan):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            plans.append(self)
+
+    monkeypatch.setattr(framework_mod, "StagePlan", Recorded)
+    return plans
 
 
 class TestSeparationOracle:
@@ -153,33 +166,29 @@ class TestSeparationOracle:
         heavy_grid,
         crowded_grid,
     ])
-    def test_hoisted_retry_loop_matches_reference(self, make):
+    def test_hoisted_retry_loop_matches_reference(self, make, monkeypatch):
         inst = make()
         tilde = tilde_for(inst)
         kinds = set()
         # One table across the trials, as in a solve, so later trials reuse
         # the shortest paths and level costs of earlier ones.
         table = PathTable(inst)
-        for args, kw in oracle_trials(inst, tilde):
-            res = separation_oracle(*args, **kw, table=table)
-            assert oracle_outcome(res) == oracle_outcome(reference_separation_oracle(*args, **kw))
+        for args, cap in oracle_trials(inst, tilde):
+            monkeypatch.setattr(framework_mod, "default_rmax", lambda _: cap)
+            res = separation_oracle(*args, table=table)
+            want = reference_separation_oracle(*args, rmax=cap)
+            assert oracle_outcome(res) == oracle_outcome(want)
             kinds.add(res.kind)
         assert {"tree_cut", "feasible"} <= kinds
 
     def test_crowded_grid_draws_several_groups_per_step(self, monkeypatch):
         # The premise of the crowded_grid case above: within one Steiner or
         # facility step, later groups read later uniforms of the same stream.
-        plans = []
-
-        class Recorded(StagePlan):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                plans.append(self)
-
-        monkeypatch.setattr(framework_mod, "StagePlan", Recorded)
+        plans = recorded_plans(monkeypatch)
         inst = crowded_grid()
-        for args, kw in oracle_trials(inst, tilde_for(inst)):
-            separation_oracle(*args, **kw)
+        for args, cap in oracle_trials(inst, tilde_for(inst)):
+            monkeypatch.setattr(framework_mod, "default_rmax", lambda _: cap)
+            separation_oracle(*args)
         drawing = {STEINER: 0, FACILITY: 0}
         nodes = [plan._root for plan in plans]
         while nodes:
@@ -215,12 +224,20 @@ class TestSeparationOracle:
         assert len(walks) < res.attempts == default_rmax(inst)
         assert oracle_outcome(res) == oracle_outcome(reference_separation_oracle(*args))
 
-    @pytest.mark.parametrize("rmax", [0, -2])
-    def test_rmax_below_one_refused(self, two_cluster6, rmax):
-        tilde = tilde_for(two_cluster6)
+    def test_cap_ends_the_retries(self, monkeypatch):
+        # At beta 0 with a threshold no tree meets, only the plan running out
+        # or the cap ends the loop.  Here the plan is not exhausted after
+        # three runs, so a cap of 3 ends it at exactly three attempts.
+        plans = recorded_plans(monkeypatch)
+        monkeypatch.setattr(framework_mod, "default_rmax", lambda _: 3)
+        inst = generate_instance("random-geometric", 10, 4, seed=3)
+        tilde = tilde_for(inst)
         m = len(tilde)
-        with pytest.raises(ValueError, match="rmax"):
-            separation_oracle((0.5 / m,) * m, 0.0, tilde, 4.0, two_cluster6, seed=1, rmax=rmax)
+        args = ((0.5 / m,) * m, 0.0, tilde, 1e-9, inst, 1)
+        res = separation_oracle(*args)
+        assert not plans[0].exhausted
+        assert res.kind == "feasible" and not res.threshold_met and res.attempts == 3
+        assert oracle_outcome(res) == oracle_outcome(reference_separation_oracle(*args, rmax=3))
 
     def test_zero_point_reported(self, two_cluster6):
         tilde = tilde_for(two_cluster6)
@@ -267,7 +284,7 @@ class TestSeparationOracle:
         for t in range(trials):
             y = rng.random(m)
             y = 0.9 * y / y.sum()
-            # At beta 0 no tree violates, so only the threshold or rmax ends the loop.
+            # At beta 0 no tree violates, so only the threshold or the cap ends the loop.
             res = separation_oracle(tuple(y), 0.0, tilde, c_cal, two_cluster6, seed=t)
             if res.threshold_met and res.attempts <= budget:
                 ok += 1

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bulktree.aggregation as agg_mod
 import bulktree.subroutines as sub_mod
-from bulktree.aggregation import add_up, atomic_cost, route_demands
+from bulktree.aggregation import add_up, atomic_cost, route_demands, route_tree
 from bulktree.exact import _spanning_trees, enumerate_candidate_trees
 from bulktree.instance import Instance, canonical_edge, demand_profile, generate_instance
 from bulktree.subroutines import (
@@ -453,3 +454,60 @@ class TestPruneShortcut:
         edges = {("r", "s"), ("s", "t"), ("a", "b"), ("b", "c"), ("a", "c")}
         lengths = dict.fromkeys(edges, 1.0)
         assert sub_mod._prune_to_tree(set(edges), ["t"], lengths, "r") == {("r", "s"), ("s", "t")}
+
+
+@st.composite
+def routed_tree_inputs(draw):
+    """An instance on a random tree plus extra edges, with positive demands,
+    and an edge union of one of four kinds: the tree with a demand at every
+    leaf, the tree with a leaf that holds none, the tree plus extra edges (so
+    with cycles), and the root alone, which then holds the only demand."""
+    kind = draw(st.sampled_from(["terminal-tree", "steiner-leaf", "extra-edges", "root-alone"]))
+    n = draw(st.integers(1, 9))
+    nodes = [f"v{i}" for i in range(n)]
+    tree = {canonical_edge(nodes[i], nodes[draw(st.integers(0, i - 1))]) for i in range(1, n)}
+    pairs = [(a, b) for i, a in enumerate(nodes) for b in nodes[i + 1:]]
+    extra = set(draw(st.lists(st.sampled_from(pairs), max_size=n))) if pairs else set()
+    length = st.sampled_from(draw(st.sampled_from([[1.0], [1.0, 2.0, 3.0], [0.0, 1.0, 2.5]])))
+    lengths = {e: draw(length) for e in sorted(tree | extra)}
+    root = draw(st.sampled_from(nodes))
+    weight = st.integers(1, 1000)
+    leaves = {v for v in nodes if sum(v in e for e in tree) == 1} - {root}
+    holders = set(draw(st.lists(st.sampled_from(nodes), max_size=n))) | leaves
+    if kind == "steiner-leaf" and leaves:
+        holders.discard(draw(st.sampled_from(sorted(leaves))))
+    if kind == "root-alone":
+        holders, tree = set(), set()
+    demands = {v: draw(weight) for v in sorted(holders)} or {root: draw(weight)}
+    used = tree | extra if kind == "extra-edges" else tree
+    return make_instance(lengths, demands, root), frozenset(used)
+
+
+class TestRoutedTree:
+    @settings(max_examples=400, deadline=None)
+    @given(case=routed_tree_inputs())
+    def test_matches_prune_then_route(self, case):
+        # A terminal-tree union is routed by its shape check's walk, any
+        # other by the prune and route_demands: either way the edges and the
+        # flows, in order, are those the prune and route_demands give.
+        inst, used = case
+        tree = PathTable(inst).routed_tree(used)
+        want = route_demands(inst, reference_prune(used, sorted(inst.demands), inst.lengths,
+                                                   inst.root))
+        assert tree.edges == want.edges
+        assert list(tree.flow.items()) == list(want.flow.items())
+
+    def test_terminal_tree_walked_once(self, monkeypatch):
+        walks = []
+
+        def counted(*args):
+            walks.append(args[2])
+            return route_tree(*args)
+
+        monkeypatch.setattr(sub_mod, "route_tree", counted)
+        monkeypatch.setattr(agg_mod, "route_tree", counted)
+        inst = make_instance({("r", "a"): 1.0, ("a", "b"): 2.0, ("a", "c"): 1.0, ("b", "c"): 1.0},
+                             {"b": 3, "c": 1}, "r")
+        tree = PathTable(inst).routed_tree(frozenset({("a", "r"), ("a", "b"), ("a", "c")}))
+        assert walks == [(("a", "b"), ("a", "c"), ("a", "r"))]
+        assert tree.flow == {("a", "r"): 4, ("a", "b"): 3, ("a", "c"): 1}
