@@ -24,14 +24,12 @@ from .exact import (
 )
 from .framework import (
     ConstraintSet,
-    EllipsoidResult,
     SolveConfig,
-    ellipsoid_feasibility,
     separation_oracle,
     solve_oblivious,
     solve_small_primal,
 )
-from .gmm import GmmTrace, StageCosts, gmm_tree, oracle_tree
+from .gmm import GmmTrace, StageCosts, gmm_tree
 from .instance import (
     DemandProfile,
     Instance,

@@ -43,9 +43,7 @@ __all__ = [
     "TreeConstraint",
     "ConstraintSet",
     "OracleResult",
-    "EllipsoidResult",
     "separation_oracle",
-    "ellipsoid_feasibility",
     "solve_small_primal",
     "solve_oblivious",
 ]
@@ -54,9 +52,9 @@ __all__ = [
 # Pricing calls per solve.  Random-geometric n=64 converges in about 10.
 MAX_PRICING_CALLS = 64
 
-# The oracle refutes a dual point whose weights sum above 1 + BUDGET_SLACK
-# with a budget cut; column generation rescales any master duals it accepts
-# that sum above it, so that they are priced.
+# The dual polytope's tolerance on its budget row sum(y) <= 1.  The ellipsoid
+# cuts a center that sums above 1 + BUDGET_SLACK, and column generation
+# rescales any master duals it accepts that sum above it.
 BUDGET_SLACK = 1e-12
 
 
@@ -90,12 +88,15 @@ class ConstraintSet:
 
 @dataclass(frozen=True)
 class OracleResult:
-    kind: str  # "rob_cut" | "tree_cut" | "feasible" | "feasible_at_zero"
+    """A "tree_cut" carries the cheapest tree found, whose ``cost`` under the
+    weights is below beta, and its level costs; a "feasible" found none."""
+
+    kind: str  # "tree_cut" | "feasible"
+    cost: float
+    attempts: int
+    threshold_met: bool
     tree: RoutedTree | None = None
     level_costs: tuple[float, ...] | None = None
-    cost: float | None = None
-    attempts: int = 0
-    threshold_met: bool = False
 
 
 def separation_oracle(
@@ -107,19 +108,21 @@ def separation_oracle(
     seed: int,
     table: PathTable | None = None,
 ) -> OracleResult:
-    """Refute the dual point (alpha, beta) or declare it feasible.
+    """Refute the dual point (alpha, beta) with a tree, or declare it feasible.
 
     alpha is in scaled coordinates y_i = a_i * tilde_i of the level weights
-    a.  Column generation passes the master's level duals as they are, which
-    are nonnegative and sum to at most 1, with beta just below its theta*.
+    a: nonnegative, with a positive entry (``AlphaVector`` refuses an
+    all-zero point with ValueError).  Every such point is priced.  The box
+    and the budget sum(y) <= 1 are the polytope's own rows, which the caller
+    keeps: the ellipsoid cuts them, and column generation passes the
+    master's level duals, which sum to 1, with beta just below its theta*.
 
-    Checks the budget constraint first; otherwise repeatedly asks the
-    randomized construction for a tree whose cost under a is below
-    2 * c_target * sum(y), capped at ``default_rmax(inst)`` attempts, and
-    returns the best tree found as a violated constraint when its cost is
-    below beta.  The retry loop also stops as soon as a tree violates beta (the
-    cut is valid regardless of the threshold); at beta 0 no tree does, so
-    the loop runs until the threshold or the cap.
+    Repeatedly asks the randomized construction for a tree whose cost under
+    a is below 2 * c_target * sum(y), capped at ``default_rmax(inst)``
+    attempts, and returns the best tree found as a violated constraint when
+    its cost is below beta.  The retry loop also stops as soon as a tree
+    violates beta (the cut is valid regardless of the threshold); at beta 0
+    no tree does, so the loop runs until the threshold or the cap.
 
     The weight vector is regularized and staged once; each attempt repeats
     only the seeded part of the construction.  All attempts read one set of
@@ -135,18 +138,13 @@ def separation_oracle(
     the remaining attempts would report.
     """
     scaled = np.asarray(alpha, dtype=float)
-    budget = float(scaled.sum())
-    if budget > 1.0 + BUDGET_SLACK:
-        return OracleResult(kind="rob_cut")
-    if budget <= 1e-15:
-        return OracleResult(kind="feasible_at_zero")
     alpha_raw = {
         i: Fraction(float(scaled[i])) / Fraction(float(tilde[i]))
         for i in range(len(tilde))
         if scaled[i] > 0
     }
     vec = AlphaVector(alpha=alpha_raw, D=demand_profile(inst).D)
-    threshold = 2.0 * c_target * budget
+    threshold = 2.0 * c_target * float(scaled.sum())
     cap = default_rmax(inst)
     regular, _ = regularize(vec)
     plan = StagePlan(inst, regular, table)
@@ -172,55 +170,44 @@ def separation_oracle(
             break
     value, tree, costs = best
     if value < beta:
-        return OracleResult(
-            kind="tree_cut",
-            tree=tree,
-            level_costs=costs,
-            cost=value,
-            attempts=attempts,
-            threshold_met=threshold_met,
-        )
+        return OracleResult(kind="tree_cut", cost=value, attempts=attempts,
+                            threshold_met=threshold_met, tree=tree, level_costs=costs)
     return OracleResult(kind="feasible", cost=value, attempts=attempts, threshold_met=threshold_met)
 
 
 @dataclass
 class EllipsoidResult:
-    status: str  # "infeasible" | "feasible" | "unresolved"
-    beta: float
+    """status: "infeasible", "feasible" or "unresolved".  oracle_calls counts
+    oracle calls only, not box or budget cuts; theta is the certificate's
+    theta* when "infeasible".  constraint_set holds the harvested trees."""
+
+    status: str
     constraint_set: ConstraintSet
+    iterations: int
+    oracle_calls: int
     theta: float | None = None
-    point: tuple[float, ...] | None = None
-    iterations: int = 0
-    oracle_calls: int = 0
-    distribution: TreeDistribution | None = None
 
 
 def ellipsoid_feasibility(
-    inst: Instance,
-    beta: float,
-    c: float | None,
-    seed: int,
-    tilde=None,
-    bit_budget: int = 64,
-    table: PathTable | None = None,
+    inst: Instance, beta: float, seed: int, tilde, bit_budget: int = 64
 ) -> EllipsoidResult:
-    """Central-cut ellipsoid over the scaled unit box with the randomized oracle.
+    """Central-cut ellipsoid over the scaled dual polytope with the randomized oracle.
 
-    Infeasibility is declared only with a duality certificate: the small
-    primal over the harvested trees must reach theta* < beta.  Runs that
-    exhaust the volume or iteration budget without a certificate or a
-    feasible point come back "unresolved".
+    The polytope's own rows, the unit box and sum(y) <= 1 + BUDGET_SLACK, are
+    cut here, so the oracle (with c_target = beta / 2) sees only centers
+    inside both.  Infeasibility is declared only with a duality certificate:
+    the small primal over the harvested trees must reach theta* < beta, or a
+    harvested tree must cost zero at every level.  Runs that exhaust the
+    volume or iteration budget without a certificate or a feasible point
+    come back "unresolved".
     """
     if beta < 0:
         raise ValueError("beta must be >= 0")
-    table = PathTable(inst) if table is None else table
-    if tilde is None:
-        tilde = tuple(v for _, v, _ in rob_lower_bounds(inst, _mix_seed(seed, 0xAB), table))
+    table = PathTable(inst)
     tilde = tuple(float(t) for t in tilde)
     if any(t <= 0 for t in tilde):
         raise ValueError("level bound of zero; instance has a zero-cost level")
     m = len(tilde)
-    c_target = beta / 2.0 if c is None else c
     cs = ConstraintSet(tilde=tilde, tree_constraints=[])
     center = np.full(m, 0.5)
     P = np.eye(m) * (m / 4.0)
@@ -229,7 +216,7 @@ def ellipsoid_feasibility(
     iterations = max_iter
     for iteration in range(max_iter):
         cut = None  # gradient of a violated "<=" constraint at the center
-        for i in range(m):  # box constraints are structural, never harvested
+        for i in range(m):  # the box and budget are structural, never harvested
             if center[i] < 0:
                 g = np.zeros(m)
                 g[i] = -1.0
@@ -240,41 +227,28 @@ def ellipsoid_feasibility(
                 g[i] = 1.0
                 cut = g
                 break
+        if cut is None and center.sum() > 1.0 + BUDGET_SLACK:
+            cut = np.ones(m)
         if cut is None:
             res = separation_oracle(
-                tuple(float(x) for x in center), beta, tilde, c_target, inst,
+                tuple(float(x) for x in center), beta, tilde, beta / 2.0, inst,
                 _mix_seed(seed, 7919 + iteration), table=table,
             )
             oracle_calls += 1
-            if res.kind == "rob_cut":
-                cut = np.ones(m)
-            elif res.kind == "tree_cut":
-                grad = np.array([res.level_costs[i] / tilde[i] for i in range(m)])
-                if not grad.any():
-                    # Degenerate zero-cost tree: no weight vector can reach
-                    # beta > 0 against it, so the polytope itself is empty.
-                    cs.add(TreeConstraint(tree=res.tree, level_costs=res.level_costs))
-                    dist, _ = solve_small_primal(cs)
-                    return EllipsoidResult(
-                        status="infeasible", beta=beta, constraint_set=cs,
-                        theta=dist.theta, iterations=iteration + 1,
-                        oracle_calls=oracle_calls, distribution=dist,
-                    )
-                if cs.add(TreeConstraint(tree=res.tree, level_costs=res.level_costs)):
-                    dist, _ = solve_small_primal(cs)
-                    if dist.theta < beta - 1e-9:
-                        return EllipsoidResult(
-                            status="infeasible", beta=beta, constraint_set=cs,
-                            theta=dist.theta, iterations=iteration + 1,
-                            oracle_calls=oracle_calls, distribution=dist,
-                        )
-                cut = -grad
-            else:
+            if res.kind == "feasible":
                 return EllipsoidResult(
-                    status="feasible", beta=beta, constraint_set=cs,
-                    point=tuple(float(x) for x in center),
+                    status="feasible", constraint_set=cs,
                     iterations=iteration + 1, oracle_calls=oracle_calls,
                 )
+            grad = np.array([res.level_costs[i] / tilde[i] for i in range(m)])
+            if cs.add(TreeConstraint(tree=res.tree, level_costs=res.level_costs)):
+                dist, _ = solve_small_primal(cs)
+                if dist.theta < beta - 1e-9 or not grad.any():
+                    return EllipsoidResult(
+                        status="infeasible", constraint_set=cs, iterations=iteration + 1,
+                        oracle_calls=oracle_calls, theta=dist.theta,
+                    )
+            cut = -grad
         norm = float(np.linalg.norm(cut))
         cut = cut / norm
         Pg = P @ cut
@@ -293,8 +267,8 @@ def ellipsoid_feasibility(
             P = (m * m / (m * m - 1.0)) * (P - (2.0 / (m + 1)) * np.outer(b, b))
             P = (P + P.T) / 2.0
     return EllipsoidResult(
-        status="unresolved", beta=beta, constraint_set=cs,
-        iterations=iterations, oracle_calls=oracle_calls,
+        status="unresolved", constraint_set=cs, iterations=iterations,
+        oracle_calls=oracle_calls,
     )
 
 
@@ -368,7 +342,8 @@ def _column_generation(
         # Every bound is positive here, so theta* > 0: its column is basic and
         # its reduced cost, 1 - sum(alpha), is zero.  Any other sum is a
         # simplex fault, and the oracle would price against the wrong budget.
-        # A sum a rounding error above 1 would read as a budget cut there.
+        # A sum a rounding error above 1 is scaled back, so the priced point
+        # lies inside the polytope the oracle's threshold is stated for.
         budget = sum(alpha)
         if abs(budget - 1.0) > 1e-9:
             raise RuntimeError(f"master level duals sum to {budget!r}, not 1")

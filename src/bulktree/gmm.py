@@ -62,7 +62,7 @@ from .pipes import AlphaVector, is_gamma_regular, thresholds
 from .regularize import regularize
 from .subroutines import PathTable, lbfl, steiner_tree
 
-__all__ = ["StageCosts", "GmmTrace", "StagePlan", "gmm_tree", "oracle_tree"]
+__all__ = ["StageCosts", "GmmTrace", "StagePlan", "gmm_tree"]
 
 
 @dataclass(frozen=True)

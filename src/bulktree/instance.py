@@ -3,7 +3,11 @@
 An instance is immutable after construction and safe to share across workers.
 Node ids are strings everywhere; edges are stored canonically as (min, max)
 pairs.  Edge lengths are nonnegative finite doubles; the pipe algebra works in
-exact rationals, where breakpoint identities matter.
+exact rationals, where breakpoint identities matter.  So that every tree's
+cost at every level is a finite double, a positive length is at least the
+smallest normal double, the total demand is at most 2^62 (the top level
+``aggregation.level_costs`` takes), and the sum of the lengths times the total
+demand is finite.
 
 File format (JSON, schema "bulktree/v1"):
 
@@ -19,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 import numpy as np
 
@@ -123,6 +128,8 @@ def _validate(inst: Instance) -> None:
             raise ValidationError(f"length of edge {(u, v)!r} must be a number")
         if not math.isfinite(_as_float(w)) or w < 0:
             raise ValidationError(f"length must be >= 0 and finite on edge {(u, v)!r}")
+        if 0 < w < sys.float_info.min:
+            raise ValidationError(f"positive length below the smallest normal double on edge {(u, v)!r}")
     if not isinstance(inst.root, str):
         raise ValidationError("root must be a string")
     if inst.root not in nodeset:
@@ -132,8 +139,13 @@ def _validate(inst: Instance) -> None:
             raise ValidationError(f"demand node {v!r} not in node set")
         if isinstance(d, bool) or not isinstance(d, int) or d <= 0:
             raise ValidationError(f"demand at {v!r} must be a positive integer")
-    if sum(inst.demands.values()) < 1:
+    total = sum(inst.demands.values())
+    if total < 1:
         raise ValidationError("total demand must be >= 1")
+    if total > 1 << 62:
+        raise ValidationError("total demand must be at most 2**62")
+    if not math.isfinite(sum(_as_float(w) for w in inst.lengths.values()) * total):
+        raise ValidationError("sum of lengths times total demand must be finite")
 
 
 def demand_profile(inst: Instance) -> DemandProfile:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bulktree.exact as exact_mod
@@ -14,6 +14,7 @@ import bulktree.framework as framework_mod
 from bulktree.aggregation import RoutedTree, TreeDistribution, atomic_cost
 from bulktree.exact import exact_lp_optimum, exact_oblivious_ratio, exact_optima
 from bulktree.framework import (
+    BUDGET_SLACK,
     MAX_PRICING_CALLS,
     ConstraintSet,
     OracleResult,
@@ -54,11 +55,6 @@ def reference_separation_oracle(alpha, beta, tilde, c_target, inst, seed, rmax=N
     from where the one before it stopped.  The weighted value is added left
     to right, as the oracle adds it."""
     scaled = np.asarray(alpha, dtype=float)
-    budget = float(scaled.sum())
-    if budget > 1.0 + 1e-12:
-        return OracleResult(kind="rob_cut")
-    if budget <= 1e-15:
-        return OracleResult(kind="feasible_at_zero")
     levels = len(tilde)
     alpha_raw = {
         i: Fraction(float(scaled[i])) / Fraction(float(tilde[i]))
@@ -66,7 +62,7 @@ def reference_separation_oracle(alpha, beta, tilde, c_target, inst, seed, rmax=N
         if scaled[i] > 0
     }
     vec = AlphaVector(alpha=alpha_raw, D=demand_profile(inst).D)
-    threshold = 2.0 * c_target * budget
+    threshold = 2.0 * c_target * float(scaled.sum())
     cap = rmax if rmax is not None else default_rmax(inst)
     streams = {}
 
@@ -100,7 +96,12 @@ def reference_separation_oracle(alpha, beta, tilde, c_target, inst, seed, rmax=N
     return OracleResult(kind="feasible", cost=value, attempts=attempts, threshold_met=threshold_met)
 
 
-def oracle_outcome(res):
+def oracle_outcome(oracle, *args, **kwargs):
+    """The oracle's answer as comparable values, or the error it raised."""
+    try:
+        res = oracle(*args, **kwargs)
+    except ValueError as exc:
+        return "raises", str(exc)
     edges = None if res.tree is None else res.tree.sorted_edges()
     return res.kind, edges, res.level_costs, res.cost, res.attempts, res.threshold_met
 
@@ -133,7 +134,8 @@ def crowded_grid():
 
 
 def oracle_trials(inst, tilde):
-    """Twelve oracle calls' arguments and retry caps on random points."""
+    """Twelve oracle calls' arguments and retry caps on random points, some
+    of them summing to 1.2, then one call on the all-zero point."""
     m = len(tilde)
     rng = np.random.default_rng(m)
     for trial in range(12):
@@ -143,6 +145,7 @@ def oracle_trials(inst, tilde):
         beta = float(rng.choice([0.0, 0.5, 1.0, 1e9]))
         yield (tuple(y), beta, tilde, float(rng.choice([0.1, 0.5, 4.0])), inst, trial), \
             int(rng.choice([3, 20]))
+    yield ((0.0,) * m, 1.0, tilde, 0.5, inst, 12), 3
 
 
 def recorded_plans(monkeypatch) -> list:
@@ -175,11 +178,10 @@ class TestSeparationOracle:
         table = PathTable(inst)
         for args, cap in oracle_trials(inst, tilde):
             monkeypatch.setattr(framework_mod, "default_rmax", lambda _: cap)
-            res = separation_oracle(*args, table=table)
-            want = reference_separation_oracle(*args, rmax=cap)
-            assert oracle_outcome(res) == oracle_outcome(want)
-            kinds.add(res.kind)
-        assert {"tree_cut", "feasible"} <= kinds
+            got = oracle_outcome(separation_oracle, *args, table=table)
+            assert got == oracle_outcome(reference_separation_oracle, *args, rmax=cap)
+            kinds.add(got[0])
+        assert kinds == {"tree_cut", "feasible", "raises"}
 
     def test_crowded_grid_draws_several_groups_per_step(self, monkeypatch):
         # The premise of the crowded_grid case above: within one Steiner or
@@ -188,7 +190,7 @@ class TestSeparationOracle:
         inst = crowded_grid()
         for args, cap in oracle_trials(inst, tilde_for(inst)):
             monkeypatch.setattr(framework_mod, "default_rmax", lambda _: cap)
-            separation_oracle(*args)
+            oracle_outcome(separation_oracle, *args)
         drawing = {STEINER: 0, FACILITY: 0}
         nodes = [plan._root for plan in plans]
         while nodes:
@@ -222,7 +224,7 @@ class TestSeparationOracle:
         monkeypatch.undo()
         assert res.kind == "feasible" and not res.threshold_met
         assert len(walks) < res.attempts == default_rmax(inst)
-        assert oracle_outcome(res) == oracle_outcome(reference_separation_oracle(*args))
+        assert oracle_outcome(lambda: res) == oracle_outcome(reference_separation_oracle, *args)
 
     def test_cap_ends_the_retries(self, monkeypatch):
         # At beta 0 with a threshold no tree meets, only the plan running out
@@ -237,18 +239,20 @@ class TestSeparationOracle:
         res = separation_oracle(*args)
         assert not plans[0].exhausted
         assert res.kind == "feasible" and not res.threshold_met and res.attempts == 3
-        assert oracle_outcome(res) == oracle_outcome(reference_separation_oracle(*args, rmax=3))
+        assert oracle_outcome(lambda: res) == oracle_outcome(
+            reference_separation_oracle, *args, rmax=3)
 
-    def test_zero_point_reported(self, two_cluster6):
+    def test_tiny_point_is_priced(self, two_cluster6):
+        # Every tree costs far below beta at this point, so it gets a cut,
+        # however small its weights.
         tilde = tilde_for(two_cluster6)
-        res = separation_oracle((0.0,) * len(tilde), 1.0, tilde, 1.0, two_cluster6, seed=1)
-        assert res.kind == "feasible_at_zero"
+        res = separation_oracle((1e-16,) * len(tilde), 1.0, tilde, 0.5, two_cluster6, seed=1)
+        assert res.kind == "tree_cut" and res.cost < 1e-9
 
-    def test_budget_violation_immediate(self, two_cluster6):
+    def test_zero_point_refused(self, two_cluster6):
         tilde = tilde_for(two_cluster6)
-        m = len(tilde)
-        res = separation_oracle((2.0 / m,) * m, 1.0, tilde, 1.0, two_cluster6, seed=1)
-        assert res.kind == "rob_cut"
+        with pytest.raises(ValueError, match="at least one weight must be positive"):
+            separation_oracle((0.0,) * len(tilde), 1.0, tilde, 0.5, two_cluster6, seed=1)
 
     def test_tree_cut_when_beta_large(self, two_cluster6):
         tilde = tilde_for(two_cluster6)
@@ -399,7 +403,7 @@ class TestEllipsoid:
             atomic_cost(tree, i, two_cluster6.lengths) / tilde[i] for i in range(len(tilde))
         )
         res = ellipsoid_feasibility(
-            two_cluster6, beta=2 * bound + 5, c=None, seed=3, tilde=tilde, bit_budget=4
+            two_cluster6, beta=2 * bound + 5, seed=3, tilde=tilde, bit_budget=4
         )
         assert res.status == "infeasible"
         assert res.theta is not None and res.theta < 2 * bound + 5
@@ -407,7 +411,7 @@ class TestEllipsoid:
     def test_beta_zero_feasible(self, two_cluster6):
         tilde = tilde_for(two_cluster6)
         res = ellipsoid_feasibility(
-            two_cluster6, beta=0.0, c=None, seed=3, tilde=tilde, bit_budget=4
+            two_cluster6, beta=0.0, seed=3, tilde=tilde, bit_budget=4
         )
         assert res.status == "feasible"
 
@@ -422,7 +426,7 @@ class TestEllipsoid:
         m = len(tilde)
         max_iter = min(10 * m * m, int(2 * (m + 1) * m * m * math.log(2)) + 1)
         res = ellipsoid_feasibility(
-            inst, beta=1.0, c=None, seed=0, tilde=tilde, bit_budget=1
+            inst, beta=1.0, seed=0, tilde=tilde, bit_budget=1
         )
         assert res.status == "unresolved"
         assert res.oracle_calls <= res.iterations < max_iter
@@ -430,9 +434,49 @@ class TestEllipsoid:
     def test_harvest_bounded_by_iterations(self, two_cluster6):
         tilde = tilde_for(two_cluster6)
         res = ellipsoid_feasibility(
-            two_cluster6, beta=3.0, c=None, seed=3, tilde=tilde, bit_budget=4
+            two_cluster6, beta=3.0, seed=3, tilde=tilde, bit_budget=4
         )
         assert len(res.constraint_set.tree_constraints) <= res.iterations
+
+    @pytest.mark.parametrize("beta", [0.0, 3.0])
+    def test_oracle_prices_only_points_of_the_polytope(self, two_cluster6, monkeypatch, beta):
+        # The box and the budget are the ellipsoid's own cuts: every point it
+        # hands the oracle lies in both.  The first center sums to 2.5.
+        points = []
+        oracle = framework_mod.separation_oracle
+
+        def recorded(alpha, *args, **kwargs):
+            points.append(alpha)
+            return oracle(alpha, *args, **kwargs)
+
+        monkeypatch.setattr(framework_mod, "separation_oracle", recorded)
+        res = ellipsoid_feasibility(
+            two_cluster6, beta=beta, seed=3, tilde=tilde_for(two_cluster6), bit_budget=4
+        )
+        assert len(points) == res.oracle_calls >= 1
+        for y in points:
+            assert all(0 <= v <= 1 for v in y) and sum(y) <= 1 + BUDGET_SLACK
+
+    @pytest.mark.parametrize("beta, status", [(0.0, "feasible"), (3.0, "infeasible")])
+    def test_budget_cuts_call_no_oracle(self, two_cluster6, beta, status):
+        # Six budget cuts bring the center inside the budget; only then is
+        # the oracle called, once.
+        res = ellipsoid_feasibility(
+            two_cluster6, beta=beta, seed=3, tilde=tilde_for(two_cluster6), bit_budget=4
+        )
+        assert (res.status, res.iterations, res.oracle_calls) == (status, 7, 1)
+
+    @pytest.mark.parametrize("beta", [1e-10, 1.0])
+    def test_zero_cost_tree_is_a_certificate(self, beta):
+        # Every tree costs zero, so no weight vector reaches beta > 0: the
+        # first tree the oracle returns ends the run as infeasible.
+        inst = make_instance(
+            {("r", "a"): 0.0, ("a", "b"): 0.0, ("r", "c"): 0.0}, {"a": 1, "b": 2, "c": 1}, "r"
+        )
+        res = ellipsoid_feasibility(inst, beta=beta, seed=3, tilde=(1, 1, 1))
+        assert (res.status, res.theta, res.iterations, res.oracle_calls) == (
+            "infeasible", 0.0, 3, 1)
+        assert len(res.constraint_set.tree_constraints) == 1
 
 
 class TestSolveOblivious:
@@ -542,18 +586,27 @@ class TestSolveOblivious:
 
     def test_duals_just_above_one_are_priced(self, two_cluster6, monkeypatch):
         # Master duals that sum to 1 + 5e-12 are within the master's 1e-9,
-        # but above the oracle's budget slack: column generation must scale
-        # them back and price them, not read the oracle's budget cut.
+        # but above the polytope's budget slack: column generation must scale
+        # them back into the polytope before it prices them.
         master = framework_mod.solve_small_primal
+        oracle = framework_mod.separation_oracle
+        priced = []
 
         def scaled(cs):
             dist, alpha = master(cs)
             return dist, tuple(a * (1 + 5e-12) for a in alpha)
 
+        def recorded(alpha, *args, **kwargs):
+            priced.append(sum(alpha))
+            return oracle(alpha, *args, **kwargs)
+
         monkeypatch.setattr(framework_mod, "solve_small_primal", scaled)
+        monkeypatch.setattr(framework_mod, "separation_oracle", recorded)
         _, report = solve_oblivious(two_cluster6, SolveConfig(seed=0))
-        assert report.runs
-        assert all(run["kind"] != "rob_cut" and run["attempts"] > 0 for run in report.runs)
+        assert report.runs and len(priced) == len(report.runs)
+        assert all(run["kind"] in ("tree_cut", "feasible") and run["attempts"] > 0
+                   for run in report.runs)
+        assert all(total <= 1 + BUDGET_SLACK for total in priced)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_theta_at_most_best_rent_or_buy_tree(self, two_cluster6, seed):
@@ -624,6 +677,10 @@ class TestSolveOblivious:
         seed=st.integers(0, 50),
         power=st.integers(-40, 40),
     )
+    @example(model="random-geometric", n=12, seed=1, power=-1000)
+    @example(model="random-geometric", n=12, seed=2, power=1000)
+    @example(model="grid", n=12, seed=3, power=-1000)
+    @example(model="grid", n=12, seed=1, power=1000)
     def test_power_of_two_rescaling_is_exact(self, model, n, seed, power):
         inst = generate_instance(model, n, max(1, (n - 1) // 2), seed)
         base = scaled_solve(inst, 1.0, seed)

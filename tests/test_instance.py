@@ -1,10 +1,12 @@
 import json
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
 
+from bulktree.framework import SolveConfig, solve_oblivious
 from bulktree.instance import (
     GENERATOR_MODELS,
     Instance,
@@ -144,6 +146,38 @@ def test_instance_length_beyond_float_range_refused():
     # float() of this int overflows; it must read as an infinite length.
     with pytest.raises(ValidationError, match=re.escape("length must be >= 0 and finite on edge ('a', 'r')")):
         Instance(nodes=("a", "r"), lengths={("a", "r"): 10**400}, demands={"a": 1}, root="r")
+
+
+def _a_b_r(length, demand_a):
+    """Nodes a, b, r; edges a-r and a-b of one length; demands a and b = 1."""
+    return Instance(nodes=("a", "b", "r"), lengths={("a", "r"): length, ("a", "b"): length},
+                    demands={"a": demand_a, "b": 1}, root="r")
+
+
+@pytest.mark.parametrize("length, demand_a, match", [
+    (1e-310, 1, "positive length below the smallest normal double"),
+    (1e308, 1, "sum of lengths times total demand must be finite"),
+    (1.0, 2**62, re.escape("total demand must be at most 2**62")),
+    (1.0, 10**400, re.escape("total demand must be at most 2**62")),
+], ids=["subnormal-length", "cost-beyond-float", "levels-above-62", "demand-beyond-float"])
+def test_instance_beyond_solver_floats_refused(tmp_path, length, demand_a, match):
+    # Each of these once crashed deep in a solve: an exact weight over a
+    # subnormal bound overflowed float(), a level cost was infinite, a level
+    # was above the 62 that level costs take, and a demand overflowed float().
+    with pytest.raises(ValidationError, match=match):
+        _a_b_r(length, demand_a)
+    obj = {"nodes": ["a", "b", "r"], "root": "r", "demands": {"a": demand_a, "b": 1},
+           "edges": [{"u": "a", "v": "r", "length": length},
+                     {"u": "a", "v": "b", "length": length}]}
+    with pytest.raises(ValidationError, match=match):
+        load_instance(write(tmp_path, obj))
+
+
+@pytest.mark.parametrize("length, demand_a", [(sys.float_info.min, 1), (1.0, 2**62 - 1)],
+                         ids=["smallest-normal-length", "total-demand-2^62"])
+def test_instance_at_solver_float_bounds_solves(length, demand_a):
+    dist, _ = solve_oblivious(_a_b_r(length, demand_a), SolveConfig(seed=1))
+    assert dist.theta == 1.0
 
 
 def test_generate_unknown_model_rejected():
